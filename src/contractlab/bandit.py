@@ -52,7 +52,6 @@ _ARM_TOL = 1e-9
 _RANK_TOL = 1e-12
 _DESIGN_REFRESH = 256
 _DESIGN_MAX_ITERS = 20_000
-_MEAN_RESOLUTION = 1e-5
 
 
 def utility_map(inst: Instance, p: Sequence[Num], eps: float) -> np.ndarray:
@@ -71,15 +70,14 @@ def _utilities_at(inst: Instance, p: Sequence[Num], thetas: np.ndarray) -> np.nd
         )
     fp = inst.F_arr @ p_arr
     pu = inst.F_arr @ (inst.r_arr - p_arr)
-    agent = fp[None, :] - np.outer(thetas, inst.c_arr)
-    eligible = agent >= agent.max(axis=1, keepdims=True) - TIE_TOL
-    scores = np.where(eligible, pu[None, :], -np.inf)
-    return scores.max(axis=1)
+    return pu[_best_actions_at(fp, pu, inst.c_arr, thetas)]
 
 
 def _best_actions_at(
     fp: np.ndarray, pu: np.ndarray, c_arr: np.ndarray, thetas: np.ndarray
 ) -> np.ndarray:
+    """Best response at each type: agent maximizers within TIE_TOL, then the
+    highest principal utility, then the lowest index."""
     agent = fp[None, :] - np.outer(thetas, c_arr)
     eligible = agent >= agent.max(axis=1, keepdims=True) - TIE_TOL
     scores = np.where(eligible, pu[None, :], -np.inf)
@@ -120,6 +118,13 @@ class ArmSet:
     def matrix(self) -> np.ndarray:
         return np.asarray(self.arms, dtype=float)
 
+    @cached_property
+    def design_cache(self) -> dict[tuple[frozenset[int], float], np.ndarray]:
+        """Design weights of ``phased_elimination`` keyed by (active arms,
+        design tolerance); ``g_optimal_design`` is deterministic, so runs
+        sharing this arm set compute each design once."""
+        return {}
+
 
 @dataclass(frozen=True)
 class DesignWeights:
@@ -142,11 +147,6 @@ class DesignWeights:
     @property
     def support_size(self) -> int:
         return len(self.support)
-
-
-def support_cap(d: int) -> int:
-    """Target support size for a pruned design."""
-    return math.ceil(4 * d * llog2(d) + 16)
 
 
 def _greedy_basis(Z: np.ndarray, rank: int) -> list[int]:
@@ -178,8 +178,8 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
 
     Iterates until the maximum leverage is within (1 + tol) of the span
     dimension, then drops low-weight support arms whenever the bound
-    survives, aiming at the ``support_cap`` target.  Rank-deficient arm
-    sets are projected onto their span first.
+    survives, aiming at a support of ``block_constant(d)`` arms.
+    Rank-deficient arm sets are projected onto their span first.
     """
     if tol <= 0:
         raise UsageError(f"design tolerance must be positive, got {tol}")
@@ -218,7 +218,7 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
     w = np.clip(w, 0.0, None)
     w /= w.sum()
 
-    cap = max(support_cap(X.dim), rank)
+    cap = max(block_constant(X.dim), rank)
     support = [int(i) for i in np.argsort(w) if w[i] > 0]
     for i in support:
         if int((w > 0).sum()) <= max(rank, 1):
@@ -367,10 +367,7 @@ class ContractEnvironment(Environment):
         if mean is None:
             mean = float(
                 core.expected_principal_utility_continuous(
-                    self.inst,
-                    self.gamma,
-                    self.arms.contracts[arm],
-                    resolution=_MEAN_RESOLUTION,
+                    self.inst, self.gamma, self.arms.contracts[arm]
                 )
             )
             self._means[arm] = mean
@@ -494,21 +491,20 @@ def phased_elimination(
     remaining = int(horizon)
     history: list[tuple[int, int, float]] = []
     blocks: list[BlockRecord] = []
-    design_cache: dict[frozenset[int], np.ndarray] = {}
     phi_last: tuple[float, ...] | None = None
     ell = 0
     while remaining > 0 and (max_blocks is None or ell < max_blocks):
         ell += 1
         t_ell = block_length(d, ell)
-        key = frozenset(active)
-        weights = design_cache.get(key)
+        key = (frozenset(active), design_tol)
+        weights = X.design_cache.get(key)
         if weights is None:
             sub = ArmSet(arms=tuple(X.arms[i] for i in active))
             sub_w = g_optimal_design(sub, tol=design_tol).weights
             weights = np.zeros(k0)
             for pos, arm in enumerate(active):
                 weights[arm] = sub_w[pos]
-            design_cache[key] = weights
+            X.design_cache[key] = weights
         plan = [
             (arm, math.ceil(t_ell * weights[arm]))
             for arm in active
@@ -603,7 +599,7 @@ def algorithm1_regret(
 
     Sets the grid width to 1/sqrt(T) and the confidence to 1/T, then runs
     the elimination loop for exactly T rounds.  The regret reference is the
-    best quadrature mean across candidate arms.  A prebuilt environment for
+    best exact mean across candidate arms.  A prebuilt environment for
     the same instance and grid width may be passed to reuse arm tables and
     cached means across seeds.
     """

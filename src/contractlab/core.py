@@ -3,16 +3,16 @@ principal-favorable tie-breaking, epsilon-IC sets, and robustification."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, TypeAlias
 
 import numpy as np
 
-from .dist import DiscreteTypeInstance, TypeDistribution, cdf
+from .dist import Discrete, DiscreteTypeInstance, TypeDistribution, interval_mass
 from .errors import UsageError
-from .numerics import Num, is_exact
+from .numerics import Num, as_fraction, is_exact
 
 Contract: TypeAlias = "tuple[Num, ...]"
 
@@ -183,55 +183,54 @@ def expected_principal_utility(
     return total
 
 
-def best_response_breakpoints(inst: Instance, p: Sequence[Num]) -> list[float]:
-    """Candidate types where the best response can change: crossings of the
-    affine agent utilities, clipped to [0,1]."""
-    fp = inst.F_arr @ np.asarray(p, dtype=float)
+def best_response_breakpoints(inst: Instance, p: Sequence[Num]) -> list[Num]:
+    """Types in (0,1) where two affine agent utilities cross,
+    t = (F_a.p - F_b.p) / (c_a - c_b), sorted.  Exact Fractions on rational
+    inputs, floats otherwise."""
+    _check_contract(inst, p)
+    if inst.exact and is_exact(*p):
+        fp = [as_fraction(sum(f * x for f, x in zip(row, p))) for row in inst.F]
+        c = [as_fraction(x) for x in inst.c]
+    else:
+        fp = [float(x) for x in inst.F_arr @ np.asarray(p, dtype=float)]
+        c = [float(x) for x in inst.c_arr]
     pts = set()
     n = inst.n_actions
     for a in range(n):
         for b in range(a + 1, n):
-            dc = float(inst.c_arr[a] - inst.c_arr[b])
-            if dc != 0.0:
-                t = float(fp[a] - fp[b]) / dc
-                if 0.0 < t < 1.0:
+            if c[a] != c[b]:
+                t = (fp[a] - fp[b]) / (c[a] - c[b])
+                if 0 < t < 1:
                     pts.add(t)
     return sorted(pts)
 
 
 def expected_principal_utility_continuous(
-    inst: Instance,
-    gamma: TypeDistribution,
-    p: Sequence[Num],
-    resolution: float = 1e-5,
-) -> float:
-    """E_{theta ~ Gamma}[U^P(p, theta)] by composite midpoint quadrature at
-    the given resolution, with cells split at density breakpoints and at best
-    response crossings so the piecewise-constant integrand is hit exactly."""
-    _check_contract(inst, p)
-    if resolution <= 0:
-        raise UsageError("resolution must be positive")
-    if hasattr(gamma, "points"):  # atoms: the expectation is a finite sum
-        return float(
-            sum(
-                float(w) * float(best_response(inst, p, float(t)).principal_utility)
-                for t, w in zip(gamma.points, gamma.weights)
-            )
+    inst: Instance, gamma: TypeDistribution, p: Sequence[Num]
+) -> Num:
+    """E_{theta ~ Gamma}[U^P(p, theta)] as a finite segment sum.
+
+    The segments are cut at 0, 1, the density breakpoints and every pairwise
+    best-response crossing; each adds its mass times the principal utility
+    of the best response at its midpoint.  Agent utilities are affine in
+    theta, so the set of agent maximizers, and with it the
+    principal-favorable tie-break, is constant between consecutive
+    crossings; the density is constant between its breakpoints; and the cut
+    points themselves carry no mass under a bounded density.  Exact
+    Fractions on rational inputs; float inputs keep the TIE_TOL rule of
+    ``best_response``.  Atoms reduce to the finite sum of
+    ``expected_principal_utility``.
+    """
+    if isinstance(gamma, Discrete):
+        return expected_principal_utility(
+            inst, DiscreteTypeInstance(gamma.points, gamma.weights), p
         )
-    edges = set(np.linspace(0.0, 1.0, int(math.ceil(1.0 / resolution)) + 1))
-    edges.update(float(b) for b in gamma.breakpoints)
-    edges.update(best_response_breakpoints(inst, p))
-    grid = np.array(sorted(edges))
-    grid = grid[(grid >= 0.0) & (grid <= 1.0)]
-    mids = 0.5 * (grid[:-1] + grid[1:])
-
-    pv = np.asarray(p, dtype=float)
-    fp = inst.F_arr @ pv
-    fq = inst.F_arr @ (inst.r_arr - pv)
-    ua = fp[:, None] - inst.c_arr[:, None] * mids[None, :]
-    top = ua.max(axis=0)
-    eligible = ua >= top[None, :] - TIE_TOL
-    vals = np.where(eligible, fq[:, None], -np.inf).max(axis=0)
-
-    masses = np.diff(cdf(gamma, grid))
-    return float(np.dot(masses, vals))
+    cuts = {0, 1, *gamma.breakpoints, *best_response_breakpoints(inst, p)}
+    exact = inst.exact and is_exact(*p, *gamma.breakpoints, *gamma.densities)
+    pts = sorted(as_fraction(x) if exact else float(x) for x in cuts)
+    total = Fraction(0) if exact else 0.0
+    for lo, hi in zip(pts, pts[1:]):
+        mass = interval_mass(gamma, lo, hi)
+        if mass != 0:
+            total += mass * best_response(inst, p, (lo + hi) / 2).principal_utility
+    return total

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from . import core, solver
 from .core import Contract, Instance
-from .dist import TypeDistribution, discretize, grid_points, interval_mass
+from .dist import Discrete, TypeDistribution, discretize, grid_points, interval_mass
 from .errors import UsageError
 from .numerics import Num, as_fraction, is_exact
 
@@ -68,7 +68,7 @@ class PtasDiagnostics:
     delta: Num
     alpha: Num
     k: int
-    discrete_value: Fraction
+    discrete_value: Num
     error_bound: Num
     discrete_contract: Contract
 
@@ -122,7 +122,7 @@ def verify_discretization_identity(
 
     # route 1: direct integration of the piecewise-constant composition
     lhs = 0
-    if hasattr(gamma, "points"):
+    if isinstance(gamma, Discrete):
         for point, w in zip(gamma.points, gamma.weights):
             for j, (lo, hi) in enumerate(cells):
                 if (lo < point or (j == 0 and point == lo)) and point <= hi:

@@ -20,6 +20,7 @@ from .numerics import (
     Num,
     RationalLP,
     as_fraction,
+    is_exact,
     lp_solve,
     rational_solve,
 )
@@ -35,7 +36,7 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class SolveReport:
     best_contract: Contract
-    value: Fraction
+    value: Num
     tuples_solved: int
     per_tuple: tuple[tuple[tuple[int, ...], str, Fraction | None], ...] | None = None
 
@@ -108,7 +109,8 @@ def solve_discrete_optimal(
 ) -> SolveReport:
     """Exact maximum over all n^k per-tuple LPs; tuple ties resolve in
     lexicographic order. The reported value is recomputed through the model
-    evaluation path, which agrees with the winning LP value exactly."""
+    evaluation path, which agrees with the winning LP value exactly; it is a
+    Fraction on rational inputs and a float otherwise."""
     n, k = inst.n_actions, len(dti.types)
     count = n**k
     if count > TUPLE_GUARD:
@@ -147,7 +149,7 @@ def solve_discrete_optimal(
     value = core.expected_principal_utility(inst, dti, best_point)
     return SolveReport(
         best_contract=best_point,
-        value=as_fraction(value),
+        value=as_fraction(value) if is_exact(value) else value,
         tuples_solved=solved,
         per_tuple=tuple(log) if collect_per_tuple else None,
     )

@@ -8,13 +8,14 @@ compares two independent routes to the same number.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from contractlab import DiscreteTypeInstance, Instance
-from contractlab.dist import PiecewiseConstant, cdf
+from contractlab import DiscreteTypeInstance, Instance, best_response
+from contractlab.dist import Discrete, PiecewiseConstant, cdf
 from contractlab.hardness import SetCoverInput
 
 
@@ -147,6 +148,41 @@ def grid_best_continuous(
         eligible = au >= au.max(axis=1, keepdims=True) - 1e-9
         total += w * np.where(eligible, base - pay, -np.inf).max(axis=1)
     return float(total.max())
+
+
+def quadrature_expectation(inst: Instance, gamma, p, resolution: float = 1e-5) -> float:
+    """Slow float reference for the continuous expectation: composite midpoint
+    quadrature at the given resolution, with cells also split at density
+    breakpoints and at agent-utility crossings so the piecewise-constant
+    integrand is hit exactly up to float rounding."""
+    if isinstance(gamma, Discrete):  # atoms: the expectation is a finite sum
+        return float(
+            sum(
+                float(w) * float(best_response(inst, p, float(t)).principal_utility)
+                for t, w in zip(gamma.points, gamma.weights)
+            )
+        )
+    pv = np.asarray(p, dtype=float)
+    fp = inst.F_arr @ pv
+    fq = inst.F_arr @ (inst.r_arr - pv)
+    c = inst.c_arr
+    edges = set(np.linspace(0.0, 1.0, int(math.ceil(1.0 / resolution)) + 1))
+    edges.update(float(b) for b in gamma.breakpoints)
+    for a, b in itertools.combinations(range(inst.n_actions), 2):
+        dc = float(c[a] - c[b])
+        if dc != 0.0:
+            edges.add(float(fp[a] - fp[b]) / dc)
+    grid = np.array(sorted(edges))
+    grid = grid[(grid >= 0.0) & (grid <= 1.0)]
+    mids = 0.5 * (grid[:-1] + grid[1:])
+
+    ua = fp[:, None] - c[:, None] * mids[None, :]
+    top = ua.max(axis=0)
+    eligible = ua >= top[None, :] - 1e-9
+    vals = np.where(eligible, fq[:, None], -np.inf).max(axis=0)
+
+    masses = np.diff(cdf(gamma, grid))
+    return float(np.dot(masses, vals))
 
 
 def brute_best_response(inst: Instance, p, theta) -> tuple[int, object, object]:

@@ -238,7 +238,7 @@ def test_criterion_6_value_closeness_under_discretization():
         p = random_contract(gen, inst.n_outcomes)
         eps = eps_cycle[i % 3]
         disc = float(expected_principal_utility(inst, discretize(gamma, eps), p))
-        cont = expected_principal_utility_continuous(inst, gamma, p, resolution=1e-5)
+        cont = expected_principal_utility_continuous(inst, gamma, p)
         bound = float(2 * density_bound(gamma) * inst.n_actions * eps)
         gap = abs(cont - disc)
         worst_ratio = max(worst_ratio, gap / bound)

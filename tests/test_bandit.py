@@ -30,7 +30,6 @@ from contractlab.bandit import (
     block_constant,
     block_length,
     pac_blocks,
-    support_cap,
 )
 from contractlab.core import Instance
 
@@ -87,11 +86,10 @@ def test_design_weights_validation():
 
 
 def test_block_constants_frozen():
-    assert support_cap(1) == 16
-    assert support_cap(2) == 16
-    assert support_cap(3) == 24
-    assert support_cap(142) == 1628
+    assert block_constant(1) == 16
     assert block_constant(2) == 16
+    assert block_constant(3) == 24
+    assert block_constant(142) == 1628
     assert [block_length(2, ell) for ell in (1, 2, 3, 4)] == [16, 32, 64, 128]
     assert block_length(142, 1) == 1628
 
@@ -142,7 +140,7 @@ def test_design_quality_and_support_random():
         w = g_optimal_design(X, tol=0.05)
         wv = np.asarray(w.weights)
         assert abs(wv.sum() - 1.0) < 1e-9
-        assert w.support_size <= support_cap(d)
+        assert w.support_size <= block_constant(d)
         assert _leverages(X, wv).max() <= 1.05 * d + 1e-6
 
 

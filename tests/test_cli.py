@@ -91,6 +91,30 @@ def test_ptas(files, capsys):
     assert payload["config"]["alpha"] == "1/2"
 
 
+def test_ptas_float_mode_prints_numbers(files, capsys):
+    code, out, _ = run(
+        capsys,
+        "ptas",
+        "--instance",
+        files["instance"],
+        "--dist",
+        files["uniform"],
+        "--mode",
+        "float",
+        "--eps",
+        "0.4",
+        "--delta",
+        "0.25",
+        "--alpha",
+        "0.5",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert isinstance(payload["discrete_value"], float)
+    assert payload["discrete_value"] == pytest.approx(9 / 16, abs=1e-12)
+    assert all(isinstance(x, float) for x in payload["contract"])
+
+
 def test_reduce_setcover(files, capsys):
     code, out, _ = run(
         capsys, "reduce-setcover", "--universe", "3", "--sets", "1,2;2;1,3;3"

@@ -6,8 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractlab import (
+    Discrete,
+    DiscreteTypeInstance,
     Instance,
     UsageError,
     agent_utility,
@@ -19,9 +23,10 @@ from contractlab import (
     robustify,
 )
 from contractlab.core import best_response_breakpoints
-from contractlab.dist import cdf
+from contractlab.dist import PiecewiseConstant, cdf
 from helpers import (
     brute_best_response,
+    quadrature_expectation,
     random_contract,
     random_dti,
     random_instance,
@@ -275,9 +280,86 @@ def test_continuous_value_piecewise_closed_form(desk_instance):
 
 
 def test_continuous_value_discrete_atoms(desk_instance):
-    from contractlab import Discrete
-
     gamma = Discrete(points=(F(1, 4), F(3, 4)), weights=(F(1, 2), F(1, 2)))
     got = expected_principal_utility_continuous(desk_instance, gamma, (0.0, 0.25))
     # theta = 1/4 works (utility 1/8), theta = 3/4 idles: value = (1 - 1/4)/2
     assert got == pytest.approx(0.375)
+
+
+def test_continuous_value_desk_exact_closed_form(desk_instance):
+    # p = (0, x): the agent works iff theta <= 2x, so the value is
+    # (1 - x) * CDF(2x), here with the CDF summed by hand in Fractions
+    gen = random.Random(41)
+    for _ in range(5):
+        gamma = random_piecewise(gen)
+        for x in (F(1, 20), F(3, 16), F(1, 3), F(1, 2), F(7, 10)):
+            t = min(2 * x, F(1))
+            cdf_t = sum(
+                d * (min(t, b) - a)
+                for d, a, b in zip(
+                    gamma.densities, gamma.breakpoints, gamma.breakpoints[1:]
+                )
+                if a < t
+            )
+            got = expected_principal_utility_continuous(
+                desk_instance, gamma, (F(0), x)
+            )
+            assert isinstance(got, Fraction)
+            assert got == (1 - x) * cdf_t
+
+
+@st.composite
+def rational_instances(draw, denom: int = 12) -> Instance:
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 3))
+    units = st.integers(0, denom)
+    rows = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(units, min_size=m - 1, max_size=m - 1)))
+        rows.append(
+            tuple(F(hi - lo, denom) for lo, hi in zip([0] + cuts, cuts + [denom]))
+        )
+    c = [F(x, denom) for x in draw(st.lists(units, min_size=n, max_size=n))]
+    c[draw(st.integers(0, n - 1))] = F(0)
+    r = tuple(F(x, denom) for x in draw(st.lists(units, min_size=m, max_size=m)))
+    return Instance(F=tuple(rows), r=r, c=tuple(c))
+
+
+@st.composite
+def piecewise_densities(draw, denom: int = 16) -> PiecewiseConstant:
+    cuts = draw(st.lists(st.integers(1, denom - 1), max_size=4, unique=True))
+    bps = [F(0)] + [F(x, denom) for x in sorted(cuts)] + [F(1)]
+    raw = draw(
+        st.lists(st.integers(0, 5), min_size=len(bps) - 1, max_size=len(bps) - 1)
+        .filter(any)
+    )
+    total = sum(w * (b - a) for w, a, b in zip(raw, bps, bps[1:]))
+    return PiecewiseConstant(tuple(bps), tuple(w / total for w in raw))
+
+
+@st.composite
+def atom_distributions(draw, denom: int = 12) -> Discrete:
+    pts = draw(st.lists(st.integers(0, denom), min_size=1, max_size=4, unique=True))
+    raw = draw(st.lists(st.integers(1, 4), min_size=len(pts), max_size=len(pts)))
+    return Discrete(
+        tuple(F(x, denom) for x in sorted(pts)), tuple(F(w, sum(raw)) for w in raw)
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    inst=rational_instances(),
+    gamma=piecewise_densities(),
+    atoms=atom_distributions(),
+    data=st.data(),
+)
+def test_continuous_value_segment_sum_property(inst, gamma, atoms, data):
+    p = data.draw(
+        st.tuples(*[st.integers(0, 24).map(lambda x: F(x, 24))] * inst.n_outcomes)
+    )
+    got = expected_principal_utility_continuous(inst, gamma, p)
+    assert isinstance(got, Fraction)
+    assert abs(float(got) - quadrature_expectation(inst, gamma, p)) <= 1e-9
+    dti = DiscreteTypeInstance(atoms.points, atoms.weights)
+    on_atoms = expected_principal_utility_continuous(inst, atoms, p)
+    assert on_atoms == expected_principal_utility(inst, dti, p)
