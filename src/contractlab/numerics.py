@@ -1,5 +1,5 @@
-"""Exact-rational simplex LP solving, small dense float linear algebra, and
-the seeded splittable RNG contract used by every stochastic component."""
+"""Exact-rational simplex LP solving, exact linear solves, and the seeded
+splittable RNG contract used by every stochastic component."""
 
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from .errors import UsageError
 Num: TypeAlias = "int | float | Fraction"
 Relation: TypeAlias = Literal["<=", ">=", "=="]
 LPStatus: TypeAlias = Literal["optimal", "infeasible", "unbounded"]
-
-SINGULAR_PIVOT_TOL = 1e-12
 
 
 def as_fraction(x: Num) -> Fraction:
@@ -295,67 +293,6 @@ def rational_solve(
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
     return tuple(aug[i][-1] for i in range(n))
-
-
-# ---------------------------------------------------------------------------
-# Small dense float linear algebra (LU with partial pivoting)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FloatSolve:
-    x: np.ndarray | None
-    singular: bool
-
-
-def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    n = a.shape[0]
-    lu = a.astype(float).copy()
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < SINGULAR_PIVOT_TOL:
-            return None
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm
-
-
-def _lu_backsolve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = b[perm].astype(float).copy()
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-    return x
-
-
-def solve_linear_system(matrix: np.ndarray, rhs: np.ndarray) -> FloatSolve:
-    """LU with partial pivoting; a pivot below 1e-12 is reported as singular,
-    never silently inverted."""
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise UsageError("solve_linear_system needs a square matrix")
-    fac = _lu_factor(a)
-    if fac is None:
-        return FloatSolve(None, True)
-    lu, perm = fac
-    if b.ndim == 1:
-        return FloatSolve(_lu_backsolve(lu, perm, b), False)
-    cols = [_lu_backsolve(lu, perm, b[:, j]) for j in range(b.shape[1])]
-    return FloatSolve(np.stack(cols, axis=1), False)
-
-
-def invert(matrix: np.ndarray) -> FloatSolve:
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise UsageError("invert needs a square matrix")
-    return solve_linear_system(a, np.eye(a.shape[0]))
 
 
 # ---------------------------------------------------------------------------

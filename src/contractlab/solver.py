@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -35,18 +34,14 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Optimum of a discrete-type instance. tuples_solved is the number of
+    per-tuple LPs solved, one per cost-monotone action chain; per_tuple, when
+    collected, logs (tuple, LP status, LP value) for those chains in order."""
+
     best_contract: Contract
     value: Num
     tuples_solved: int
     per_tuple: tuple[tuple[tuple[int, ...], str, Fraction | None], ...] | None = None
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CONTRACTLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def contract_for_tuple(
@@ -97,8 +92,48 @@ def contract_for_tuple(
     return lp_solve(lp)
 
 
-def _iter_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    return itertools.product(range(n), repeat=k)
+def chain_count(costs: Sequence[Fraction], k: int) -> int:
+    """Number of action tuples over k types whose costs do not increase with
+    type. A DP over the distinct cost levels, costliest first: counts[l] is
+    the number of prefixes whose last action costs levels[l], and the next
+    position may take any action at that level or a cheaper one."""
+    levels = sorted(Counter(costs).items(), reverse=True)
+    counts = [mult for _, mult in levels]
+    for _ in range(k - 1):
+        running = 0
+        nxt = []
+        for (_, mult), cnt in zip(levels, counts):
+            running += cnt
+            nxt.append(mult * running)
+        counts = nxt
+    return sum(counts)
+
+
+def _iter_chains(costs: Sequence[Fraction], k: int) -> Iterator[tuple[int, ...]]:
+    """Action tuples over k types whose costs do not increase with type, in
+    lexicographic order.
+
+    Every other tuple has an infeasible LP. If types theta_i < theta_j play a
+    and b, the IC row of i against b plus the IC row of j against a give
+    (theta_j - theta_i)(c_a - c_b) >= 0, so c_a >= c_b. Types are strictly
+    increasing, so checking adjacent positions suffices. The check is a
+    prefix filter on itertools.product, so the kept tuples come out in the
+    same order and the first-wins scan picks the same LP as the full scan."""
+    n = len(costs)
+    cheaper = [[b for b in range(n) if costs[b] <= costs[a]] for a in range(n)]
+    tup: list[int] = []
+    options = [iter(range(n))]
+    while options:
+        a = next(options[-1], None)
+        if a is None:
+            options.pop()
+            if tup:
+                tup.pop()
+        elif len(tup) == k - 1:
+            yield (*tup, a)
+        else:
+            tup.append(a)
+            options.append(iter(cheaper[a]))
 
 
 def solve_discrete_optimal(
@@ -107,34 +142,26 @@ def solve_discrete_optimal(
     bounded: bool = False,
     collect_per_tuple: bool = False,
 ) -> SolveReport:
-    """Exact maximum over all n^k per-tuple LPs; tuple ties resolve in
-    lexicographic order. The reported value is recomputed through the model
-    evaluation path, which agrees with the winning LP value exactly; it is a
-    Fraction on rational inputs and a float otherwise."""
+    """Exact maximum over the per-tuple LPs of the cost-monotone action
+    chains (every other tuple is infeasible, see _iter_chains); tuple ties
+    resolve in lexicographic order. The reported value is recomputed through
+    the model evaluation path, which agrees with the winning LP value
+    exactly; it is a Fraction on rational inputs and a float otherwise."""
     n, k = inst.n_actions, len(dti.types)
-    count = n**k
+    costs = [as_fraction(x) for x in inst.c]
+    count = chain_count(costs, k)
     if count > TUPLE_GUARD:
         raise ResourceGuardError(
-            f"tuple enumeration would solve {count} LPs "
-            f"({n} actions ^ {k} types), above the guard of {TUPLE_GUARD}"
+            f"action-chain enumeration would solve {count} LPs "
+            f"({n} actions, {k} types), above the guard of {TUPLE_GUARD}"
         )
-
-    def solve_one(tup: tuple[int, ...]) -> tuple[tuple[int, ...], LPResult]:
-        return tup, contract_for_tuple(inst, dti, tup, bounded)
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(solve_one, _iter_tuples(n, k), chunksize=64)
-            results = list(results)
-    else:
-        results = map(solve_one, _iter_tuples(n, k))
 
     best_value: Fraction | None = None
     best_point: tuple[Fraction, ...] | None = None
     log: list[tuple[tuple[int, ...], str, Fraction | None]] = []
     solved = 0
-    for tup, res in results:
+    for tup in _iter_chains(costs, k):
+        res = contract_for_tuple(inst, dti, tup, bounded)
         solved += 1
         if collect_per_tuple:
             log.append((tup, res.status, res.value))

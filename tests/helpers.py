@@ -14,9 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from contractlab import DiscreteTypeInstance, Instance, best_response
+from contractlab import (
+    DiscreteTypeInstance,
+    Instance,
+    best_response,
+    expected_principal_utility,
+)
 from contractlab.dist import Discrete, PiecewiseConstant, cdf
 from contractlab.hardness import SetCoverInput
+from contractlab.solver import contract_for_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +189,25 @@ def quadrature_expectation(inst: Instance, gamma, p, resolution: float = 1e-5) -
 
     masses = np.diff(cdf(gamma, grid))
     return float(np.dot(masses, vals))
+
+
+def full_product_solve(
+    inst: Instance, dti: DiscreteTypeInstance, bounded: bool = False
+) -> tuple[Fraction, tuple[Fraction, ...], dict[tuple[int, ...], str]]:
+    """Slow reference for the discrete solver: the LP of every one of the n^k
+    action tuples in itertools.product order, the first optimum of largest
+    value winning. Returns the winner's re-evaluated value, its contract, and
+    the LP status of every tuple."""
+    best_value = None
+    best_point = None
+    statuses = {}
+    for tup in itertools.product(range(inst.n_actions), repeat=len(dti.types)):
+        res = contract_for_tuple(inst, dti, tup, bounded)
+        statuses[tup] = res.status
+        if res.status == "optimal" and (best_value is None or res.value > best_value):
+            best_value, best_point = res.value, res.point
+    assert best_point is not None, "no feasible action tuple"
+    return expected_principal_utility(inst, dti, best_point), best_point, statuses
 
 
 def brute_best_response(inst: Instance, p, theta) -> tuple[int, object, object]:

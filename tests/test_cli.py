@@ -63,7 +63,7 @@ def test_solve_discrete(files, capsys):
     payload = json.loads(out)
     assert payload["value"] == "5/8"
     assert payload["contract"] == ["0", "3/8"]
-    assert payload["tuples_solved"] == 4
+    assert payload["tuples_solved"] == 3
     assert payload["config"]["command"] == "solve-discrete"
 
 

@@ -1,4 +1,4 @@
-"""Exact LP, exact linear solves, float LU, and the seeded RNG."""
+"""Exact LP, exact linear solves, and the seeded RNG."""
 
 from __future__ import annotations
 
@@ -12,11 +12,9 @@ import pytest
 from contractlab import LPResult, RationalLP, UsageError, lp_solve, rng_new, rng_split
 from contractlab.numerics import (
     as_fraction,
-    invert,
     is_exact,
     llog2,
     rational_solve,
-    solve_linear_system,
 )
 
 F = Fraction
@@ -237,36 +235,6 @@ def test_rational_solve_random_roundtrip():
 def test_rational_solve_shape_validation():
     with pytest.raises(UsageError):
         rational_solve([[1, 2]], [1])
-
-
-# ---------------------------------------------------------------------------
-# Float LU
-# ---------------------------------------------------------------------------
-
-
-def test_invert_identity_and_diagonal():
-    res = invert(np.eye(3))
-    assert not res.singular
-    assert np.allclose(res.x, np.eye(3))
-    res2 = solve_linear_system(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([1.0, 1.0]))
-    assert np.allclose(res2.x, [0.5, 0.25])
-
-
-def test_invert_random_spd_multiply_back():
-    gen = np.random.default_rng(11)
-    for _ in range(5):
-        b = gen.normal(size=(5, 5))
-        a = b @ b.T + 5 * np.eye(5)
-        inv = invert(a)
-        assert not inv.singular
-        assert np.allclose(a @ inv.x, np.eye(5), atol=1e-8)
-
-
-def test_singular_pivot_flagged():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    res = solve_linear_system(a, np.array([1.0, 2.0]))
-    assert res.singular
-    assert res.x is None
 
 
 # ---------------------------------------------------------------------------

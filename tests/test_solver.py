@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractlab import (
     DiscreteTypeInstance,
@@ -14,10 +18,18 @@ from contractlab import (
     UsageError,
     expected_principal_utility,
     solve_discrete_optimal,
+    solver,
 )
 from contractlab.hardness import ell_value
-from contractlab.solver import candidate_contract_set, contract_for_tuple
-from helpers import grid_best, grid_values, payment_grid, random_dti, random_instance
+from contractlab.solver import candidate_contract_set, chain_count, contract_for_tuple
+from helpers import (
+    full_product_solve,
+    grid_best,
+    grid_values,
+    payment_grid,
+    random_dti,
+    random_instance,
+)
 
 F = Fraction
 
@@ -113,8 +125,10 @@ def test_solve_reports_consistent_value_and_log(desk_instance):
         types=(F(1, 4), F(3, 4)), weights=(F(1, 2), F(1, 2))
     )
     rep = solve_discrete_optimal(desk_instance, dti, collect_per_tuple=True)
-    assert rep.tuples_solved == 4
-    assert rep.per_tuple is not None and len(rep.per_tuple) == 4
+    # (idle, work) is the one tuple whose cost rises with type
+    assert rep.tuples_solved == 3
+    assert rep.per_tuple is not None and len(rep.per_tuple) == 3
+    assert [tup for tup, _, _ in rep.per_tuple] == [(0, 0), (1, 0), (1, 1)]
     feasible = [v for _, status, v in rep.per_tuple if status == "optimal"]
     assert max(feasible) == rep.value
     # the reported value re-evaluates the winning contract via best responses
@@ -131,24 +145,85 @@ def test_solve_unbounded_at_least_bounded():
         assert hi.value >= lo.value
 
 
-def test_solve_tuple_guard():
-    gen = random.Random(47)
-    inst = random_instance(gen, 7, 2)
-    types = tuple(F(i, 10) for i in range(1, 10))
-    dti = DiscreteTypeInstance(types=types, weights=(F(1, 9),) * 9)
-    with pytest.raises(ResourceGuardError):
-        solve_discrete_optimal(inst, dti)  # 7^9 tuples > 10^7
-
-
-def test_solve_thread_cap_same_result(desk_instance, monkeypatch):
-    dti = DiscreteTypeInstance(
-        types=(F(1, 4), F(3, 4)), weights=(F(1, 2), F(1, 2))
+def test_solve_tuple_guard(monkeypatch):
+    # 7 distinct costs: C(k+6, 6) chains over k types
+    inst = Instance(
+        F=((F(1), F(0)),) * 7, r=(F(0), F(1)), c=tuple(F(i, 7) for i in range(7))
     )
-    serial = solve_discrete_optimal(desk_instance, dti)
-    monkeypatch.setenv("CONTRACTLAB_THREADS", "4")
-    threaded = solve_discrete_optimal(desk_instance, dti)
-    assert serial.value == threaded.value
-    assert serial.best_contract == threaded.best_contract
+    assert chain_count(inst.c, 9) == math.comb(15, 9) == 5005  # under the guard
+    types = tuple(F(2 * i + 1, 120) for i in range(60))
+    dti = DiscreteTypeInstance(types=types, weights=(F(1, 60),) * 60)
+    assert chain_count(inst.c, 60) == math.comb(66, 6) > solver.TUPLE_GUARD
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the guard must refuse before any LP is solved")
+
+    monkeypatch.setattr(solver, "contract_for_tuple", no_lp)
+    with pytest.raises(ResourceGuardError):
+        solve_discrete_optimal(inst, dti)
+
+
+def test_chain_count_matches_lps_solved():
+    gen = random.Random(61)
+    for _ in range(12):
+        n, k = gen.randrange(1, 5), gen.randrange(1, 5)
+        inst = random_instance(gen, n, 2)
+        # costs from {0, 1/2, 1}, so equal costs are common
+        c = [F(gen.randrange(0, 3), 2) for _ in range(n)]
+        c[gen.randrange(n)] = F(0)
+        inst = Instance(F=inst.F, r=inst.r, c=tuple(c))
+        dti = random_dti(gen, k)
+        monotone = sum(
+            all(inst.c[a] >= inst.c[b] for a, b in zip(t, t[1:]))
+            for t in itertools.product(range(n), repeat=k)
+        )
+        rep = solve_discrete_optimal(inst, dti, bounded=gen.random() < 0.5)
+        assert chain_count(inst.c, k) == monotone == rep.tuples_solved
+
+
+@st.composite
+def tied_cost_instances(draw) -> Instance:
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 3))
+    units = st.integers(0, 6)
+    rows = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(units, min_size=m - 1, max_size=m - 1)))
+        rows.append(tuple(F(hi - lo, 6) for lo, hi in zip([0] + cuts, cuts + [6])))
+    # costs on a coarse grid, so several actions often share one cost
+    c = [F(x, 3) for x in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    c[draw(st.integers(0, n - 1))] = F(0)
+    r = tuple(F(x, 6) for x in draw(st.lists(units, min_size=m, max_size=m)))
+    return Instance(F=tuple(rows), r=r, c=tuple(c))
+
+
+@st.composite
+def rational_type_grids(draw, max_types: int) -> DiscreteTypeInstance:
+    pts = draw(
+        st.lists(st.integers(0, 12), min_size=1, max_size=max_types, unique=True)
+    )
+    raw = draw(st.lists(st.integers(1, 4), min_size=len(pts), max_size=len(pts)))
+    return DiscreteTypeInstance(
+        tuple(F(x, 12) for x in sorted(pts)), tuple(F(w, sum(raw)) for w in raw)
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(inst=tied_cost_instances(), bounded=st.booleans(), data=st.data())
+def test_chain_enumeration_matches_full_product(inst, bounded, data):
+    # four actions get at most four types: with all four costs equal, the
+    # 4^5 tuples are all chains and their degenerate LPs take about a minute
+    dti = data.draw(rational_type_grids(5 if inst.n_actions <= 3 else 4))
+    value, contract, statuses = full_product_solve(inst, dti, bounded)
+    rep = solve_discrete_optimal(inst, dti, bounded=bounded, collect_per_tuple=True)
+    assert rep.value == value
+    assert rep.best_contract == contract
+    chains = [tup for tup, _, _ in rep.per_tuple]
+    assert chains == sorted(chains)
+    chain_set = set(chains)
+    assert all(
+        status != "optimal" for tup, status in statuses.items() if tup not in chain_set
+    )
 
 
 def test_reduction_optimum_reaches_cover_value(three_element_reduced):
@@ -164,11 +239,12 @@ def test_reduction_optimum_reaches_cover_value(three_element_reduced):
 
 
 def test_small_reduction_full_solve_equals_cover_value(n2_reduced):
-    # two-element universe, single covering set: full tuple enumeration lands
+    # two-element universe, single covering set: the exact solve lands
     # exactly on the cover contract's value
     rep = solve_discrete_optimal(n2_reduced.inst, n2_reduced.dti, bounded=False)
     assert rep.value == ell_value(2, 1, 1)
-    assert rep.tuples_solved == 6**3
+    # six distinct costs over three types: C(8, 3) = 56 chains of 6**3 tuples
+    assert rep.tuples_solved == math.comb(8, 3)
 
 
 # ---------------------------------------------------------------------------
