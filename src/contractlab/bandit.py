@@ -101,8 +101,9 @@ class ArmSet:
         for i, x in enumerate(self.arms):
             if len(x) != d:
                 raise UsageError(f"arm {i} has dimension {len(x)}, expected {d}")
-            if any(not -1 - _ARM_TOL <= v <= 1 + _ARM_TOL for v in x):
-                raise UsageError(f"arm {i} has coordinates outside [-1,1]")
+        outside = np.flatnonzero(~(np.abs(self.matrix) <= 1 + _ARM_TOL).all(axis=1))
+        if outside.size:
+            raise UsageError(f"arm {outside[0]} has coordinates outside [-1,1]")
         if self.contracts is not None and len(self.contracts) != len(self.arms):
             raise UsageError("contract tags must match arm count")
 
@@ -164,13 +165,35 @@ def _greedy_basis(Z: np.ndarray, rank: int) -> list[int]:
     return chosen
 
 
+def _inverse_leverages(Z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse weighted Gram matrix M and the leverages z_i' M z_i of all rows."""
+    M = np.linalg.inv(Z.T @ (Z * w[:, None]))
+    return M, np.einsum("ij,ij->i", Z @ M, Z)
+
+
 def _max_leverage(Z: np.ndarray, w: np.ndarray) -> float:
-    G = Z.T @ (Z * w[:, None])
     try:
-        M = np.linalg.inv(G)
+        return float(_inverse_leverages(Z, w)[1].max())
     except np.linalg.LinAlgError:
         return math.inf
-    return float(np.einsum("ij,jl,il->i", Z, M, Z).max())
+
+
+def _removal_leverages(
+    Z: np.ndarray, M: np.ndarray, lev: np.ndarray, w: np.ndarray, i: int
+) -> np.ndarray | None:
+    """Leverages after dropping arm i and renormalising, in O(k d); None
+    when that Gram matrix is singular.
+
+    The trial Gram matrix is G' = (G - w_i z_i z_i') / (1 - w_i), G = inv(M).
+    det(G - w_i z_i z_i') = det(G) s with s = 1 - w_i lev_i (determinant
+    lemma), and G >= w_i z_i z_i' gives s >= 0, so G' is singular exactly
+    when s = 0; s at rounding level is rejected as a failed inverse was.
+    Else Sherman-Morrison: inv(G') = (1 - w_i)(M + w_i (M z_i)(M z_i)' / s).
+    """
+    s = 1.0 - w[i] * lev[i]
+    if s <= _RANK_TOL:
+        return None
+    return (1.0 - w[i]) * (lev + (w[i] / s) * (Z @ (M @ Z[i])) ** 2)
 
 
 def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
@@ -179,7 +202,8 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
     Iterates until the maximum leverage is within (1 + tol) of the span
     dimension, then drops low-weight support arms whenever the bound
     survives, aiming at a support of ``block_constant(d)`` arms.
-    Rank-deficient arm sets are projected onto their span first.
+    Rank-deficient arm sets are projected onto their span first.  Each
+    Frank-Wolfe step and pruning trial is a rank-one update costing O(k d).
     """
     if tol <= 0:
         raise UsageError(f"design tolerance must be positive, got {tol}")
@@ -194,11 +218,9 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
     w = np.zeros(k)
     basis = _greedy_basis(Z, rank)
     w[basis] = 1.0 / len(basis)
-    G = Z.T @ (Z * w[:, None])
-    M = np.linalg.inv(G)
+    M, lev = _inverse_leverages(Z, w)
     target = (1.0 + tol) * rank
     for it in range(_DESIGN_MAX_ITERS):
-        lev = np.einsum("ij,jl,il->i", Z, M, Z)
         i = int(np.argmax(lev))
         lmax = float(lev[i])
         if lmax <= target:
@@ -207,30 +229,28 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
         w *= 1.0 - gamma
         w[i] += gamma
         if (it + 1) % _DESIGN_REFRESH == 0:
-            M = np.linalg.inv(Z.T @ (Z * w[:, None]))
+            M, lev = _inverse_leverages(Z, w)
         else:
-            x = Z[i]
-            Mx = M @ x
+            # inv(a G + gamma x x') = M / a - c (M x)(M x)', a = 1 - gamma
+            Mx = M @ Z[i]
             a = 1.0 - gamma
-            M = M / a - (gamma / (a * a)) * np.outer(Mx, Mx) / (
-                1.0 + (gamma / a) * float(x @ Mx)
-            )
+            c = (gamma / (a * a)) / (1.0 + (gamma / a) * lmax)
+            M = M / a - c * np.outer(Mx, Mx)
+            lev = lev / a - c * (Z @ Mx) ** 2
     w = np.clip(w, 0.0, None)
     w /= w.sum()
 
     cap = max(block_constant(X.dim), rank)
     support = [int(i) for i in np.argsort(w) if w[i] > 0]
+    M, lev = _inverse_leverages(Z, w)
     for i in support:
         if int((w > 0).sum()) <= max(rank, 1):
             break
-        trial = w.copy()
-        trial[i] = 0.0
-        total = trial.sum()
-        if total <= 0:
-            continue
-        trial /= total
-        if _max_leverage(Z, trial) <= target:
-            w = trial
+        trial = _removal_leverages(Z, M, lev, w, i)
+        if trial is not None and float(trial.max()) <= target:
+            w[i] = 0.0
+            w /= w.sum()
+            M, lev = _inverse_leverages(Z, w)
     if int((w > 0).sum()) > cap:
         # keep the cap's heaviest arms only if the bound still holds
         order = np.argsort(w)[::-1]

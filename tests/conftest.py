@@ -5,9 +5,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from contractlab import Instance, hardness, uniform_distribution
 from helpers import three_element_setcover
+
+# One profile for every property test: the examples are derandomised (the
+# same on every run), nothing is written to an example database, and no
+# per-example deadline applies.  Tests set only their max_examples.
+settings.register_profile("contractlab", deadline=None, derandomize=True, database=None)
+settings.load_profile("contractlab")
 
 
 @pytest.fixture

@@ -20,7 +20,17 @@ from contractlab import (
     best_response,
     expected_principal_utility,
 )
+from contractlab.bandit import (
+    _DESIGN_MAX_ITERS,
+    _DESIGN_REFRESH,
+    _RANK_TOL,
+    ArmSet,
+    DesignWeights,
+    _greedy_basis,
+    block_constant,
+)
 from contractlab.dist import Discrete, PiecewiseConstant, cdf
+from contractlab.errors import UsageError
 from contractlab.hardness import SetCoverInput
 from contractlab.solver import contract_for_tuple
 
@@ -225,6 +235,80 @@ def brute_best_response(inst: Instance, p, theta) -> tuple[int, object, object]:
     au = scored[winner][1]
     pu = scored[winner][2]
     return winner, au, pu
+
+
+def _full_inverse_max_leverage(Z: np.ndarray, w: np.ndarray) -> float:
+    G = Z.T @ (Z * w[:, None])
+    try:
+        M = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        return math.inf
+    return float(np.einsum("ij,jl,il->i", Z, M, Z).max())
+
+
+def full_inverse_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
+    """Slow reference for ``g_optimal_design``: the same Frank-Wolfe steps,
+    stopping rule and pruning order, but leverages by a 3-operand einsum at
+    every step and a full inverse for every pruning trial."""
+    if tol <= 0:
+        raise UsageError(f"design tolerance must be positive, got {tol}")
+    A = X.matrix
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = int((s > max(s[0], 1.0) * _RANK_TOL).sum()) if s.size else 0
+    if rank == 0:
+        raise UsageError("all arms are zero vectors; no design exists")
+    Z = A @ Vt[:rank].T
+    k = X.k
+
+    w = np.zeros(k)
+    basis = _greedy_basis(Z, rank)
+    w[basis] = 1.0 / len(basis)
+    G = Z.T @ (Z * w[:, None])
+    M = np.linalg.inv(G)
+    target = (1.0 + tol) * rank
+    for it in range(_DESIGN_MAX_ITERS):
+        lev = np.einsum("ij,jl,il->i", Z, M, Z)
+        i = int(np.argmax(lev))
+        lmax = float(lev[i])
+        if lmax <= target:
+            break
+        gamma = (lmax / rank - 1.0) / (lmax - 1.0)
+        w *= 1.0 - gamma
+        w[i] += gamma
+        if (it + 1) % _DESIGN_REFRESH == 0:
+            M = np.linalg.inv(Z.T @ (Z * w[:, None]))
+        else:
+            x = Z[i]
+            Mx = M @ x
+            a = 1.0 - gamma
+            M = M / a - (gamma / (a * a)) * np.outer(Mx, Mx) / (
+                1.0 + (gamma / a) * float(x @ Mx)
+            )
+    w = np.clip(w, 0.0, None)
+    w /= w.sum()
+
+    cap = max(block_constant(X.dim), rank)
+    support = [int(i) for i in np.argsort(w) if w[i] > 0]
+    for i in support:
+        if int((w > 0).sum()) <= max(rank, 1):
+            break
+        trial = w.copy()
+        trial[i] = 0.0
+        total = trial.sum()
+        if total <= 0:
+            continue
+        trial /= total
+        if _full_inverse_max_leverage(Z, trial) <= target:
+            w = trial
+    if int((w > 0).sum()) > cap:
+        # keep the cap's heaviest arms only if the bound still holds
+        order = np.argsort(w)[::-1]
+        trial = np.zeros_like(w)
+        trial[order[:cap]] = w[order[:cap]]
+        trial /= trial.sum()
+        if _full_inverse_max_leverage(Z, trial) <= target:
+            w = trial
+    return DesignWeights(weights=tuple(float(v) for v in w))
 
 
 # ---------------------------------------------------------------------------

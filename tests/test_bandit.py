@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractlab import (
     ArmSet,
@@ -27,11 +29,14 @@ from contractlab import (
 )
 from contractlab.bandit import (
     ContractEnvironment,
+    _inverse_leverages,
+    _removal_leverages,
     block_constant,
     block_length,
     pac_blocks,
 )
 from contractlab.core import Instance
+from helpers import full_inverse_design
 
 F = Fraction
 
@@ -67,6 +72,10 @@ def test_armset_validation():
     assert X.matrix.shape == (2, 2)
     with pytest.raises(UsageError):
         ArmSet(arms=((1.5, 0.0),))
+    with pytest.raises(UsageError, match="arm 2 has coordinates"):
+        ArmSet(arms=((0.5, 0.5), (1.0, -1.0), (0.0, -1.5), (2.0, 0.0)))
+    with pytest.raises(UsageError, match="arm 1 has coordinates"):
+        ArmSet(arms=((0.5, 0.5), (math.nan, 0.0)))
     with pytest.raises(UsageError):
         ArmSet(arms=((1.0, 0.0), (1.0,)))
 
@@ -99,12 +108,12 @@ def test_block_constants_frozen():
 # ---------------------------------------------------------------------------
 
 
-def _leverages(X: ArmSet, w: np.ndarray) -> np.ndarray:
+def _leverages(X: ArmSet, w: np.ndarray, rcond: float = 1e-15) -> np.ndarray:
     """Reference leverage computation; arms outside the span of the weighted
     Gram matrix have unbounded leverage."""
     Z = X.matrix
     G = (Z * w[:, None]).T @ Z
-    Ginv = np.linalg.pinv(G)
+    Ginv = np.linalg.pinv(G, rcond=rcond)
     lev = np.einsum("ij,jk,ik->i", Z, Ginv, Z)
     residual = Z - Z @ (Ginv @ G)
     lev[np.linalg.norm(residual, axis=1) > 1e-8] = np.inf
@@ -157,6 +166,111 @@ def test_design_zero_arm_handling():
     assert w.weights[0] == 0.0
     with pytest.raises(UsageError):
         g_optimal_design(ArmSet(arms=((0.0, 0.0), (0.0, 0.0))))
+
+
+def test_removal_leverages_match_fresh_inverse():
+    gen = np.random.default_rng(11)
+    Z = gen.uniform(-1, 1, size=(12, 4))
+    w = gen.uniform(0.5, 1.5, size=12)
+    w /= w.sum()
+    M, lev = _inverse_leverages(Z, w)
+    for i in range(12):
+        got = _removal_leverages(Z, M, lev, w, i)
+        trial = w.copy()
+        trial[i] = 0.0
+        trial /= trial.sum()
+        Ginv = np.linalg.inv(Z.T @ (Z * trial[:, None]))
+        want = np.einsum("ij,jk,ik->i", Z, Ginv, Z)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_removal_of_sole_cover_rejected():
+    # (0, 1) is the only arm with a second coordinate: dropping it leaves a
+    # singular Gram matrix, so the trial is rejected and pruning keeps it
+    X = ArmSet(arms=((1.0, 0.0), (0.5, 0.0), (0.0, 1.0)))
+    w = np.array([0.25, 0.25, 0.5])
+    M, lev = _inverse_leverages(X.matrix, w)
+    assert _removal_leverages(X.matrix, M, lev, w, 2) is None
+    design = np.asarray(g_optimal_design(X, tol=0.01).weights)
+    assert design[2] > 0
+    assert _leverages(X, design).max() <= 1.01 * 2 + 1e-9
+
+
+def test_design_pruning_keeps_span_on_desk_subset(desk_instance):
+    # ten DESK candidate contracts at grid width 1/8 span 7 of 8 dimensions;
+    # dropping the arm of (29/32, 1) from the full-inverse design leaves a
+    # singular Gram matrix whose float inverse does not fail and whose
+    # leverages (max 6.99) pass the target 7.35, so that design loses a
+    # direction
+    pays = [(0, j / 32) for j in (0, 1, 5, 7, 11, 13)]
+    pays += [(0, 1), (29 / 32, 1), (31 / 32, 1), (1, 0)]
+    X = ArmSet(arms=tuple(tuple(utility_map(desk_instance, p, 0.125)) for p in pays))
+    w = np.asarray(g_optimal_design(X).weights)
+    assert _leverages(X, w, rcond=1e-10).max() <= 1.05 * 7 * (1 + 1e-9)
+    assert _leverages(X, np.asarray(full_inverse_design(X).weights)).max() == math.inf
+
+
+@st.composite
+def design_arm_sets(draw) -> ArmSet:
+    """Arm sets with d = 1..6 and k = d..4d: rows are integer combinations
+    of r <= d integer basis rows (rank-deficient when r < d), some rows
+    zeroed, some copied from others, all scaled into [-1, 1]."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(d, 4 * d))
+    r = draw(st.integers(1, d))
+
+    def matrix(rows: int, cols: int) -> np.ndarray:
+        row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+        return np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+    A = (matrix(k, r) @ matrix(r, d)).astype(float)
+    index = st.integers(0, k - 1)
+    for i in draw(st.lists(index, max_size=k // 3)):
+        A[i] = 0.0
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=k // 2)):
+        A[i] = A[j]
+    if not A.any():
+        A[0, 0] = 1.0
+    A /= np.abs(A).max()
+    return ArmSet(arms=tuple(tuple(row) for row in A))
+
+
+def _check_design(
+    X: ArmSet, design: DesignWeights, tol: float, rank: int
+) -> np.ndarray:
+    w = np.asarray(design.weights)
+    assert (w >= 0).all() and abs(w.sum() - 1.0) <= 1e-9
+    assert design.support_size <= max(block_constant(X.dim), rank)
+    assert _leverages(X, w, rcond=1e-10).max() <= (1 + tol) * rank * (1 + 1e-9)
+    return w
+
+
+@settings(max_examples=40)
+@given(X=design_arm_sets(), tol=st.sampled_from((0.01, 0.05)))
+def test_design_bound_property(X, tol):
+    rank = int(np.linalg.matrix_rank(X.matrix))
+    w = _check_design(X, g_optimal_design(X, tol=tol), tol, rank)
+    # the full-inverse oracle can accept a removal whose Gram matrix is
+    # singular but whose float inverse does not fail (see the DESK subset
+    # test above); it is held to the same bound whenever its design spans
+    oracle = full_inverse_design(X, tol=tol)
+    if np.isfinite(_leverages(X, np.asarray(oracle.weights), rcond=1e-10)).all():
+        _check_design(X, oracle, tol, rank)
+    # every pruning trial on the returned support: rejected exactly when
+    # the remaining Gram matrix is singular, else the fresh-inverse leverages
+    Z = X.matrix @ np.linalg.svd(X.matrix)[2][:rank].T
+    M, lev = _inverse_leverages(Z, w)
+    for i in np.flatnonzero(w):
+        got = _removal_leverages(Z, M, lev, w, int(i))
+        trial = w.copy()
+        trial[i] = 0.0
+        G = Z.T @ (Z * trial[:, None])
+        if np.linalg.matrix_rank(G) < rank:
+            assert got is None
+            continue
+        assert got is not None
+        want = np.einsum("ij,jk,ik->i", Z, np.linalg.inv(G / trial.sum()), Z)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

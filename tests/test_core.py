@@ -346,7 +346,7 @@ def atom_distributions(draw, denom: int = 12) -> Discrete:
     )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     inst=rational_instances(),
     gamma=piecewise_densities(),

@@ -208,7 +208,7 @@ def rational_type_grids(draw, max_types: int) -> DiscreteTypeInstance:
     )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(inst=tied_cost_instances(), bounded=st.booleans(), data=st.data())
 def test_chain_enumeration_matches_full_product(inst, bounded, data):
     # four actions get at most four types: with all four costs equal, the
