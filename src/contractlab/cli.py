@@ -231,7 +231,6 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     lp = RationalLP(
         objective=(Fraction(1),),
         constraints=(((Fraction(1),), "<=", Fraction(3, 7)),),
-        lower_bounds=(Fraction(0),),
     )
     res = lp_solve(lp)
     checks.append(("lp-ceiling", res.status == "optimal" and res.value == Fraction(3, 7)))

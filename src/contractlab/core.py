@@ -119,9 +119,49 @@ def principal_utility(inst: Instance, p: Sequence[Num], a: int) -> Num:
     return sum(f * (rw - x) for f, rw, x in zip(row, inst.r, p))
 
 
-def _tie_tol(inst: Instance, p: Sequence[Num], theta: Num) -> Num:
-    exact = inst.exact and is_exact(theta, *p)
-    return 0 if exact else TIE_TOL
+class ResponseTable:
+    """Best responses to one contract p, for any type.
+
+    Validates p once and stores fp[a] = F_a.p and pu[a] = F_a.(r - p) by the
+    expressions of ``agent_utility`` and ``principal_utility``, so values are
+    bit-identical to theirs.  One table serves every type: with p fixed, the
+    agent utility fp[a] - theta c[a] is affine in theta and the principal
+    utility pu[a] does not depend on theta, so fp, pu and c decide the best
+    response of any type, ties included.
+    """
+
+    __slots__ = ("inst", "fp", "pu", "exact")
+
+    def __init__(self, inst: Instance, p: Sequence[Num]) -> None:
+        _check_contract(inst, p)
+        self.inst = inst
+        margin = [rw - x for rw, x in zip(inst.r, p)]
+        self.fp = [sum(f * x for f, x in zip(row, p)) for row in inst.F]
+        self.pu = [sum(f * d for f, d in zip(row, margin)) for row in inst.F]
+        self.exact = inst.exact and is_exact(*p)
+
+    def eps_set(self, theta: Num, eps: Num) -> tuple[list[Num], list[int], Num]:
+        """Agent utilities at theta, the actions within eps of the best, and
+        the tie tolerance: 0 on rational data, TIE_TOL otherwise."""
+        c = self.inst.c
+        utils = [f - theta * c[a] for a, f in enumerate(self.fp)]
+        tol = 0 if self.exact and is_exact(theta) else TIE_TOL
+        cutoff = max(utils) - eps - tol
+        return utils, [a for a, u in enumerate(utils) if u >= cutoff], tol
+
+    def respond(self, theta: Num) -> BestResponse:
+        """Agent-optimal action; ties favor the principal, then the lowest
+        index."""
+        utils, ic, tol = self.eps_set(theta, 0)
+        pu = self.pu
+        best = max(pu[a] for a in ic)
+        action = min(a for a in ic if pu[a] >= best - tol)
+        return BestResponse(
+            action=action,
+            agent_utility=utils[action],
+            principal_utility=pu[action],
+            ic_set=frozenset(ic),
+        )
 
 
 def eps_best_responses(
@@ -131,25 +171,12 @@ def eps_best_responses(
     on rational data, within 1e-9 on float data)."""
     if eps < 0:
         raise UsageError("eps must be nonnegative")
-    _check_contract(inst, p)
-    utils = [agent_utility(inst, p, a, theta) for a in range(inst.n_actions)]
-    cutoff = max(utils) - eps - _tie_tol(inst, p, theta)
-    return [a for a, u in enumerate(utils) if u >= cutoff]
+    return ResponseTable(inst, p).eps_set(theta, eps)[1]
 
 
 def best_response(inst: Instance, p: Sequence[Num], theta: Num) -> BestResponse:
     """Agent-optimal action; ties favor the principal, then the lowest index."""
-    ic = eps_best_responses(inst, p, theta, 0)
-    tol = _tie_tol(inst, p, theta)
-    pus = {a: principal_utility(inst, p, a) for a in ic}
-    best = max(pus.values())
-    action = min(a for a in ic if pus[a] >= best - tol)
-    return BestResponse(
-        action=action,
-        agent_utility=agent_utility(inst, p, action, theta),
-        principal_utility=pus[action],
-        ic_set=frozenset(ic),
-    )
+    return ResponseTable(inst, p).respond(theta)
 
 
 def robustify(
@@ -175,11 +202,12 @@ def expected_principal_utility(
     inst: Instance, dti: DiscreteTypeInstance, p: Sequence[Num]
 ) -> Num:
     """sum_i gamma_i * principal utility at type theta_i's best response."""
+    table = ResponseTable(inst, p)
     total = 0
     for theta, w in zip(dti.types, dti.weights):
         if w == 0:
             continue
-        total += w * best_response(inst, p, theta).principal_utility
+        total += w * table.respond(theta).principal_utility
     return total
 
 
@@ -228,9 +256,10 @@ def expected_principal_utility_continuous(
     cuts = {0, 1, *gamma.breakpoints, *best_response_breakpoints(inst, p)}
     exact = inst.exact and is_exact(*p, *gamma.breakpoints, *gamma.densities)
     pts = sorted(as_fraction(x) if exact else float(x) for x in cuts)
+    table = ResponseTable(inst, p)
     total = Fraction(0) if exact else 0.0
     for lo, hi in zip(pts, pts[1:]):
         mass = interval_mass(gamma, lo, hi)
         if mass != 0:
-            total += mass * best_response(inst, p, (lo + hi) / 2).principal_utility
+            total += mass * table.respond((lo + hi) / 2).principal_utility
     return total

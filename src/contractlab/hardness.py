@@ -250,17 +250,6 @@ def gap_value(n: int, m: int) -> Fraction:
     return Fraction(1, n**15 * m)
 
 
-def _exact_contract(ri: ReducedInstance, p: Sequence[Num]) -> tuple[Fraction, ...]:
-    if len(p) != ri.sc.m + 2:
-        raise UsageError(
-            f"contract length {len(p)} does not match outcome count {ri.sc.m + 2}"
-        )
-    q = tuple(as_fraction(x) for x in p)
-    if any(x < 0 for x in q):
-        raise UsageError("payments must be nonnegative")
-    return q
-
-
 @dataclass(frozen=True)
 class TypeCheck:
     """Best-response facts for one realized type under a cover contract."""
@@ -303,53 +292,38 @@ def verify_if_direction(ri: ReducedInstance, cover: Iterable[int]) -> IfDirectio
     p = cover_contract(ri, ids)
     k = len(ids)
 
-    checks: list[TypeCheck] = []
-    br0 = core.best_response(ri.inst, p, _ZERO)
+    table, responses = _responses(ri, p)
     theta0_value = -eps * sum(p[:m], _ZERO) + (1 - m * eps) * (Fraction(1, n) - p[m])
-    checks.append(
-        TypeCheck(
-            theta=_ZERO,
-            action=br0.action,
-            agent_utility=as_fraction(br0.agent_utility),
-            principal_utility=as_fraction(br0.principal_utility),
-            in_target_family=br0.action == ri.star_action,
-            value_matches=br0.principal_utility == theta0_value,
-        )
-    )
-    interior_capped = True
-    for i in range(1, n + 1):
-        theta = Fraction(i, n)
-        br = core.best_response(ri.inst, p, theta)
-        family = {
-            ri.interior_actions[(i, s)]
-            for s in ids
-            if (i, s) in ri.interior_actions
-        }
+    checks: list[TypeCheck] = []
+    for i, (theta, br) in enumerate(zip(ri.dti.types, responses)):
+        if i == 0:
+            in_family = br.action == ri.star_action
+            value = theta0_value
+        else:
+            in_family = any(ri.interior_actions.get((i, s)) in br.ic_set for s in ids)
+            value = mu / (2 * i * n)
         checks.append(
             TypeCheck(
                 theta=theta,
                 action=br.action,
-                agent_utility=as_fraction(br.agent_utility),
-                principal_utility=as_fraction(br.principal_utility),
-                in_target_family=bool(family & br.ic_set),
-                value_matches=br.principal_utility == mu / (2 * i * n),
+                agent_utility=br.agent_utility,
+                principal_utility=br.principal_utility,
+                in_target_family=in_family,
+                value_matches=br.principal_utility == value,
             )
         )
-        cap = mu / (4 * i * n)
-        for action in ri.interior_actions.values():
-            if core.agent_utility(ri.inst, p, action, theta) > cap:
-                interior_capped = False
-
-    star_payment = k * eps / Fraction(n)
-    interior_payments = [
-        sum(f * x for f, x in zip(ri.inst.F[a], p))
+    interior_capped = all(
+        table.fp[a] - Fraction(i, n) * ri.inst.c[a] <= mu / (4 * i * n)
+        for i in range(1, n + 1)
         for a in ri.interior_actions.values()
-    ]
-    payment_ok = star_payment > mu / n and all(
-        x <= mu / n for x in interior_payments
     )
 
-    total = as_fraction(core.expected_principal_utility(ri.inst, ri.dti, p))
+    star_payment = k * eps / Fraction(n)
+    payment_ok = star_payment > mu / n and all(
+        table.fp[a] <= mu / n for a in ri.interior_actions.values()
+    )
+
+    total = _expected_value(ri, responses)
     ell = ell_value(n, m, k)
     ok = (
         all(t.in_target_family and t.value_matches for t in checks)
@@ -378,15 +352,39 @@ class TypePartition:
     e3: frozenset[int]
 
 
-def classify_types(ri: ReducedInstance, p: Sequence[Num]) -> TypePartition:
-    """Partition elements: own productive action, another element's, neither."""
-    q = _exact_contract(ri, p)
+def _responses(
+    ri: ReducedInstance, q: Sequence[Fraction]
+) -> tuple[core.ResponseTable, list[core.BestResponse]]:
+    """One response table for q (it validates q), and the best responses of
+    the types 0, 1/n, ..., 1 read from it."""
+    table = core.ResponseTable(ri.inst, q)
+    return table, [table.respond(theta) for theta in ri.dti.types]
+
+
+def _expected_value(
+    ri: ReducedInstance, responses: Sequence[core.BestResponse]
+) -> Fraction:
+    """``core.expected_principal_utility`` from the types' responses (every
+    type weight is positive)."""
+    return sum(w * br.principal_utility for w, br in zip(ri.dti.weights, responses))
+
+
+def classify_types(
+    ri: ReducedInstance,
+    p: Sequence[Num],
+    responses: Sequence[core.BestResponse] | None = None,
+) -> TypePartition:
+    """Partition elements: own productive action, another element's, neither.
+
+    ``responses`` are the best responses of the types 0, 1/n, ..., 1 to p,
+    when the caller already has them."""
+    if responses is None:
+        responses = _responses(ri, tuple(map(as_fraction, p)))[1]
     e1: set[int] = set()
     e2: set[int] = set()
     e3: set[int] = set()
     for i in range(1, ri.sc.n + 1):
-        br = core.best_response(ri.inst, q, Fraction(i, ri.sc.n))
-        owner = ri.interior_owner.get(br.action)
+        owner = ri.interior_owner.get(responses[i].action)
         if owner is None:
             e3.add(i)
         elif owner[0] == i:
@@ -457,7 +455,8 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
     Scale inequalities that need a large universe (the payment coefficient
     sign chain and the 1/(16 n^14 m) step) are reported, not asserted.
     """
-    q = _exact_contract(ri, p)
+    q = tuple(map(as_fraction, p))
+    responses = _responses(ri, q)[1]  # the table validates q
     n, m = ri.sc.n, ri.sc.m
     mu, eta, eps, rho = (
         ri.params.mu,
@@ -467,15 +466,14 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
     )
     pstar = q[ri.star_outcome]
     pbar = q[ri.bar_outcome]
-    part = classify_types(ri, q)
+    part = classify_types(ri, q, responses)
 
     checks: list[OnlyIfTypeCheck] = []
     floors_ok = True
     bars_ok = True
     for i in range(1, n + 1):
-        theta = Fraction(i, n)
-        br = core.best_response(ri.inst, q, theta)
-        util = as_fraction(br.principal_utility)
+        br = responses[i]
+        util = br.principal_utility
         owner = ri.interior_owner.get(br.action)
         floor_ok: bool | None = None
         sharp_ok: bool | None = None
@@ -519,8 +517,8 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
             )
         )
 
-    br0 = core.best_response(ri.inst, q, _ZERO)
-    theta0_utility = as_fraction(br0.principal_utility)
+    br0 = responses[0]
+    theta0_utility = br0.principal_utility
     theta0_formula = -eps * sum(q[:m], _ZERO) + (1 - m * eps) * (
         Fraction(1, n) - pstar
     )
@@ -536,22 +534,16 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
     coef = -rho * (1 - m * eps) + 4 * eps * rho * len(sbar) / eta
     zero_bound = rho * (1 - m * eps) / n - eps * rho * len(sbar) / n
     for t in checks:
+        agg += weight * t.bound  # the cap of the type's class; 0 for E3
+        i = t.element
         if t.klass == "E1":
-            i = t.element
-            agg += weight * (mu / (2 * i * n) + (mu / i) * pstar * (2 / eta - 1))
             coef += weight * (mu / i) * (2 / eta - 1)
             zero_bound += weight * mu / (2 * i * n)
         elif t.klass == "E2":
-            i = t.element
-            agg += weight * mu * (
-                Fraction(1, 2 * i * n) - Fraction(1, 8 * n**4) + 2 * pstar / eta
-            )
             coef += weight * mu * 2 / eta
-            zero_bound += weight * mu * (
-                Fraction(1, 2 * i * n) - Fraction(1, 8 * n**4)
-            )
+            zero_bound += weight * mu * (Fraction(1, 2 * i * n) - Fraction(1, 8 * n**4))
 
-    total = as_fraction(core.expected_principal_utility(ri.inst, ri.dti, q))
+    total = _expected_value(ri, responses)
     chain = 2 * Fraction(1, n**7) - Fraction(1, 2 * n**6) + 4 * Fraction(1, n**12)
     ok = (
         all(t.within_bound for t in checks)

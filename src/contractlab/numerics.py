@@ -19,11 +19,7 @@ LPStatus: TypeAlias = Literal["optimal", "infeasible", "unbounded"]
 
 def as_fraction(x: Num) -> Fraction:
     """Exact conversion; floats map to their exact binary value."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def is_exact(*values: object) -> bool:
@@ -46,7 +42,7 @@ def is_exact(*values: object) -> bool:
 
 @dataclass(frozen=True)
 class RationalLP:
-    """maximize objective . x  subject to rows, x >= lower (default 0).
+    """maximize objective . x  subject to rows, x >= 0.
 
     constraints: (coefficients, relation, rhs) rows. upper_bounds entries may
     be None for free-above variables. constant is added to the optimal value.
@@ -54,7 +50,6 @@ class RationalLP:
 
     objective: tuple[Fraction, ...]
     constraints: tuple[tuple[tuple[Fraction, ...], Relation, Fraction], ...]
-    lower_bounds: tuple[Fraction, ...] | None = None
     upper_bounds: tuple[Fraction | None, ...] | None = None
     constant: Fraction = Fraction(0)
 
@@ -62,7 +57,6 @@ class RationalLP:
     def build(
         objective: Sequence[Num],
         constraints: Sequence[tuple[Sequence[Num], Relation, Num]],
-        lower_bounds: Sequence[Num] | None = None,
         upper_bounds: Sequence[Num | None] | None = None,
         constant: Num = 0,
     ) -> "RationalLP":
@@ -78,17 +72,12 @@ class RationalLP:
             rows.append(
                 (tuple(as_fraction(x) for x in coeffs), rel, as_fraction(rhs))
             )
-        lb = None
-        if lower_bounds is not None:
-            if len(lower_bounds) != len(obj):
-                raise UsageError("lower_bounds length mismatch")
-            lb = tuple(as_fraction(x) for x in lower_bounds)
         ub = None
         if upper_bounds is not None:
             if len(upper_bounds) != len(obj):
                 raise UsageError("upper_bounds length mismatch")
             ub = tuple(None if x is None else as_fraction(x) for x in upper_bounds)
-        return RationalLP(obj, tuple(rows), lb, ub, as_fraction(constant))
+        return RationalLP(obj, tuple(rows), ub, as_fraction(constant))
 
 
 @dataclass(frozen=True)
@@ -160,32 +149,20 @@ def lp_solve(lp: RationalLP) -> LPResult:
     for coeffs, _, _ in lp.constraints:
         if len(coeffs) != n:
             raise UsageError("constraint dimension mismatch")
-    lb = lp.lower_bounds or tuple(_ZERO for _ in range(n))
-    if len(lb) != n:
-        raise UsageError("lower_bounds length mismatch")
 
-    # shift x = y + lb so that y >= 0; fold upper bounds in as y <= ub - lb
-    rows_in: list[tuple[list[Fraction], Relation, Fraction]] = []
-    for coeffs, rel, rhs in lp.constraints:
-        shift = sum(c * l for c, l in zip(coeffs, lb))
-        rows_in.append((list(coeffs), rel, rhs - shift))
+    # fold upper bounds in as rows x_j <= ub_j
+    rows_in: list[tuple[list[Fraction], Relation, Fraction]] = [
+        (list(coeffs), rel, rhs) for coeffs, rel, rhs in lp.constraints
+    ]
     if lp.upper_bounds is not None:
         for j, ub in enumerate(lp.upper_bounds):
             if ub is None:
                 continue
-            if ub < lb[j]:
+            if ub < 0:
                 return LPResult("infeasible", None, None)
             unit = [_ZERO] * n
             unit[j] = _ONE
-            rows_in.append((unit, "<=", ub - lb[j]))
-
-    if not rows_in:
-        if any(c > 0 for c in lp.objective):
-            return LPResult("unbounded", None, None)
-        value = sum(
-            (c * l for c, l in zip(lp.objective, lb)), start=_ZERO
-        ) + lp.constant
-        return LPResult("optimal", tuple(lb), value)
+            rows_in.append((unit, "<=", ub))
 
     m = len(rows_in)
     n_slack = sum(1 for _, rel, _ in rows_in if rel != "==")
@@ -261,7 +238,7 @@ def lp_solve(lp: RationalLP) -> LPResult:
     y = [_ZERO] * total
     for i, b in enumerate(basis):
         y[b] = rows[i][-1]
-    point = tuple(y[j] + lb[j] for j in range(n))
+    point = tuple(y[:n])
     value = sum(
         (c * v for c, v in zip(lp.objective, point)), start=_ZERO
     ) + lp.constant

@@ -17,8 +17,10 @@ import numpy as np
 from contractlab import (
     DiscreteTypeInstance,
     Instance,
+    agent_utility,
     best_response,
     expected_principal_utility,
+    principal_utility,
 )
 from contractlab.bandit import (
     _DESIGN_MAX_ITERS,
@@ -29,9 +31,11 @@ from contractlab.bandit import (
     _greedy_basis,
     block_constant,
 )
+from contractlab.core import TIE_TOL, BestResponse
 from contractlab.dist import Discrete, PiecewiseConstant, cdf
 from contractlab.errors import UsageError
 from contractlab.hardness import SetCoverInput
+from contractlab.numerics import is_exact
 from contractlab.solver import contract_for_tuple
 
 
@@ -220,9 +224,12 @@ def full_product_solve(
     return expected_principal_utility(inst, dti, best_point), best_point, statuses
 
 
-def brute_best_response(inst: Instance, p, theta) -> tuple[int, object, object]:
+def brute_best_response(
+    inst: Instance, p, theta
+) -> tuple[int, object, object, frozenset[int]]:
     """Exact-arithmetic reference: scan all actions, keep agent maximizers,
-    break ties by principal utility then lowest index."""
+    break ties by principal utility then lowest index.  Returns the action,
+    its agent and principal utilities, and the set of agent maximizers."""
     scored = []
     for a in range(inst.n_actions):
         au = sum(f * x for f, x in zip(inst.F[a], p)) - theta * inst.c[a]
@@ -234,7 +241,29 @@ def brute_best_response(inst: Instance, p, theta) -> tuple[int, object, object]:
     winner = min(s[0] for s in tied if s[2] == best_pu)
     au = scored[winner][1]
     pu = scored[winner][2]
-    return winner, au, pu
+    return winner, au, pu, frozenset(s[0] for s in tied)
+
+
+def per_action_best_response(inst: Instance, p, theta) -> BestResponse:
+    """Slow reference for ``best_response``: the per-action scan the library
+    used before its response table, recomputing F_a.p through
+    ``agent_utility`` for every action, with the same tie rule (exact on
+    rational data, TIE_TOL otherwise, then principal utility, then the lowest
+    index)."""
+    exact = inst.exact and is_exact(theta, *p)
+    tol = 0 if exact else TIE_TOL
+    utils = [agent_utility(inst, p, a, theta) for a in range(inst.n_actions)]
+    cutoff = max(utils) - tol
+    ic = [a for a, u in enumerate(utils) if u >= cutoff]
+    pus = {a: principal_utility(inst, p, a) for a in ic}
+    best = max(pus.values())
+    action = min(a for a in ic if pus[a] >= best - tol)
+    return BestResponse(
+        action=action,
+        agent_utility=agent_utility(inst, p, action, theta),
+        principal_utility=pus[action],
+        ic_set=frozenset(ic),
+    )
 
 
 def _full_inverse_max_leverage(Z: np.ndarray, w: np.ndarray) -> float:

@@ -22,10 +22,11 @@ from contractlab import (
     principal_utility,
     robustify,
 )
-from contractlab.core import best_response_breakpoints
+from contractlab.core import ResponseTable, best_response_breakpoints
 from contractlab.dist import PiecewiseConstant, cdf
 from helpers import (
     brute_best_response,
+    per_action_best_response,
     quadrature_expectation,
     random_contract,
     random_dti,
@@ -133,7 +134,7 @@ def test_best_response_matches_bruteforce():
         p = random_contract(gen, inst.n_outcomes)
         theta = F(gen.randrange(0, 13), 12)
         got = best_response(inst, p, theta)
-        want_action, want_au, want_pu = brute_best_response(inst, p, theta)
+        want_action, want_au, want_pu, _ = brute_best_response(inst, p, theta)
         assert got.action == want_action
         assert got.agent_utility == want_au
         assert got.principal_utility == want_pu
@@ -346,6 +347,10 @@ def atom_distributions(draw, denom: int = 12) -> Discrete:
     )
 
 
+def _contract(data, m: int) -> tuple[Fraction, ...]:
+    return data.draw(st.tuples(*[st.integers(0, 24).map(lambda x: F(x, 24))] * m))
+
+
 @settings(max_examples=60)
 @given(
     inst=rational_instances(),
@@ -354,12 +359,53 @@ def atom_distributions(draw, denom: int = 12) -> Discrete:
     data=st.data(),
 )
 def test_continuous_value_segment_sum_property(inst, gamma, atoms, data):
-    p = data.draw(
-        st.tuples(*[st.integers(0, 24).map(lambda x: F(x, 24))] * inst.n_outcomes)
-    )
+    p = _contract(data, inst.n_outcomes)
     got = expected_principal_utility_continuous(inst, gamma, p)
     assert isinstance(got, Fraction)
     assert abs(float(got) - quadrature_expectation(inst, gamma, p)) <= 1e-9
     dti = DiscreteTypeInstance(atoms.points, atoms.weights)
     on_atoms = expected_principal_utility_continuous(inst, atoms, p)
     assert on_atoms == expected_principal_utility(inst, dti, p)
+
+
+# One table per contract serves every type: with p fixed, the agent utility
+# F_a.p - theta c_a is affine in theta and depends on p only through F_a.p,
+# and the principal utility F_a.(r - p) does not depend on theta at all.  So
+# the table's fp, pu and c decide the best response of any type, ties
+# included.  The types below are a grid plus every pairwise crossing of the
+# agent utilities, where two of them are equal, so ties are common.
+
+
+@settings(max_examples=60)
+@given(inst=rational_instances(), data=st.data())
+def test_response_table_matches_bruteforce(inst, data):
+    p = _contract(data, inst.n_outcomes)
+    table = ResponseTable(inst, p)
+    crossings = best_response_breakpoints(inst, p)
+    for theta in [F(k, 12) for k in range(13)] + crossings:
+        got = table.respond(theta)
+        action, au, pu, ic = brute_best_response(inst, p, theta)
+        assert (got.action, got.agent_utility, got.principal_utility) == (action, au, pu)
+        assert got.ic_set == ic
+        assert isinstance(got.agent_utility, Fraction)
+        assert isinstance(got.principal_utility, Fraction)
+
+
+@settings(max_examples=60)
+@given(inst=rational_instances(), data=st.data())
+def test_response_table_float_mode_matches_per_action_scan(inst, data):
+    finst = Instance(
+        F=tuple(tuple(float(f) for f in row) for row in inst.F),
+        r=tuple(float(x) for x in inst.r),
+        c=tuple(float(x) for x in inst.c),
+    )
+    p = tuple(float(x) for x in _contract(data, inst.n_outcomes))
+    table = ResponseTable(finst, p)
+    thetas = [k / 12 for k in range(13)] + best_response_breakpoints(finst, p)
+    for theta in thetas:
+        want = per_action_best_response(finst, p, theta)
+        got = table.respond(theta)
+        assert got == want
+        assert type(got.agent_utility) is type(want.agent_utility) is float
+        assert type(got.principal_utility) is type(want.principal_utility) is float
+        assert best_response(finst, p, theta) == want

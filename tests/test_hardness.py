@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from contractlab import UsageError, eps_best_responses
+from contractlab import UsageError, agent_utility, eps_best_responses
 from contractlab.hardness import (
     ReductionParams,
     SetCoverInput,
@@ -21,7 +21,13 @@ from contractlab.hardness import (
     verify_if_direction,
     verify_onlyif_bounds,
 )
-from helpers import three_element_setcover, min_cover, random_setcover
+from helpers import (
+    min_cover,
+    per_action_best_response,
+    random_contract,
+    random_setcover,
+    three_element_setcover,
+)
 
 F = Fraction
 
@@ -198,6 +204,28 @@ def test_if_direction_random_systems():
         assert rep.total == ell_value(sc.n, sc.m, len(cover))
 
 
+def test_if_direction_matches_per_action_scan():
+    gen = random.Random(89)
+    for _ in range(4):
+        sc = random_setcover(gen)
+        ri = reduce(sc)
+        cover = min_cover(sc)
+        p = cover_contract(ri, cover)
+        rep = verify_if_direction(ri, cover)
+        slow = [per_action_best_response(ri.inst, p, t) for t in ri.dti.types]
+        assert [t.action for t in rep.per_type] == [b.action for b in slow]
+        assert [t.agent_utility for t in rep.per_type] == [b.agent_utility for b in slow]
+        assert rep.total == sum(
+            w * b.principal_utility for w, b in zip(ri.dti.weights, slow)
+        )
+        capped = all(
+            agent_utility(ri.inst, p, a, F(i, sc.n)) <= ri.params.mu / (4 * i * sc.n)
+            for i in range(1, sc.n + 1)
+            for a in ri.interior_actions.values()
+        )
+        assert rep.interior_utility_capped == capped
+
+
 # ---------------------------------------------------------------------------
 # Only-if direction
 # ---------------------------------------------------------------------------
@@ -237,6 +265,29 @@ def test_onlyif_random_contract_stress(three_element_reduced):
         assert rep.ok
         assert all(t.within_bound for t in rep.per_type)
         assert rep.theta0_within_formula
+
+
+def test_onlyif_matches_per_action_scan():
+    # one table answers each type once; the report must agree with an
+    # independent per-type scan on actions, utilities, classes and total
+    gen = random.Random(83)
+    for _ in range(4):
+        sc = random_setcover(gen)
+        ri = reduce(sc)
+        for _ in range(10):
+            q = random_contract(gen, sc.m + 2)
+            rep = verify_onlyif_bounds(ri, q)
+            slow = [per_action_best_response(ri.inst, q, t) for t in ri.dti.types]
+            assert rep.theta0_action == slow[0].action
+            assert rep.theta0_utility == slow[0].principal_utility
+            assert [t.action for t in rep.per_type] == [b.action for b in slow[1:]]
+            assert [t.principal_utility for t in rep.per_type] == [
+                b.principal_utility for b in slow[1:]
+            ]
+            assert rep.total == sum(
+                w * b.principal_utility for w, b in zip(ri.dti.weights, slow)
+            )
+            assert rep.partition == classify_types(ri, q)
 
 
 def test_onlyif_chain_sign_flips_at_larger_universe():
