@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import core, dist, solver
-from .core import TIE_TOL, Contract, Instance
+from .core import Contract, Instance
 from .dist import TypeDistribution
 from .errors import ResourceGuardError, UsageError
 from .numerics import Num, Rng, llog2, rng_new
@@ -52,6 +52,7 @@ _ARM_TOL = 1e-9
 _RANK_TOL = 1e-12
 _DESIGN_REFRESH = 256
 _DESIGN_MAX_ITERS = 20_000
+_DESIGN_TOL = 0.05
 
 
 def utility_map(inst: Instance, p: Sequence[Num], eps: float) -> np.ndarray:
@@ -59,29 +60,11 @@ def utility_map(inst: Instance, p: Sequence[Num], eps: float) -> np.ndarray:
     if not 0 < eps <= 1:
         raise UsageError(f"grid width must lie in (0,1], got {eps}")
     thetas = np.asarray(dist.grid_points(float(eps)), dtype=float)
-    return _utilities_at(inst, p, thetas)
+    return _utilities_at(core.ResponseTable(inst, p), thetas)
 
 
-def _utilities_at(inst: Instance, p: Sequence[Num], thetas: np.ndarray) -> np.ndarray:
-    p_arr = np.asarray([float(x) for x in p], dtype=float)
-    if p_arr.shape != (inst.n_outcomes,):
-        raise UsageError(
-            f"contract length {p_arr.size} does not match outcome count {inst.n_outcomes}"
-        )
-    fp = inst.F_arr @ p_arr
-    pu = inst.F_arr @ (inst.r_arr - p_arr)
-    return pu[_best_actions_at(fp, pu, inst.c_arr, thetas)]
-
-
-def _best_actions_at(
-    fp: np.ndarray, pu: np.ndarray, c_arr: np.ndarray, thetas: np.ndarray
-) -> np.ndarray:
-    """Best response at each type: agent maximizers within TIE_TOL, then the
-    highest principal utility, then the lowest index."""
-    agent = fp[None, :] - np.outer(thetas, c_arr)
-    eligible = agent >= agent.max(axis=1, keepdims=True) - TIE_TOL
-    scores = np.where(eligible, pu[None, :], -np.inf)
-    return np.argmax(scores, axis=1)
+def _utilities_at(table: core.ResponseTable, thetas: np.ndarray) -> np.ndarray:
+    return table.pu_arr[table.actions(thetas)]
 
 
 @dataclass(frozen=True)
@@ -120,10 +103,10 @@ class ArmSet:
         return np.asarray(self.arms, dtype=float)
 
     @cached_property
-    def design_cache(self) -> dict[tuple[frozenset[int], float], np.ndarray]:
-        """Design weights of ``phased_elimination`` keyed by (active arms,
-        design tolerance); ``g_optimal_design`` is deterministic, so runs
-        sharing this arm set compute each design once."""
+    def design_cache(self) -> dict[frozenset[int], np.ndarray]:
+        """Design weights of ``phased_elimination`` keyed by the active arms;
+        ``g_optimal_design`` is deterministic, so runs sharing this arm set
+        compute each design once."""
         return {}
 
 
@@ -345,22 +328,9 @@ class ContractEnvironment(Environment):
         self.gamma = gamma
         self.eps = float(eps)
         self.arms = arms
-        self._cum_f = np.cumsum(inst.F_arr, axis=1)
-        self._per_arm: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._cum_f = np.cumsum(np.asarray(inst.F, dtype=float), axis=1)
+        self._tables: dict[int, core.ResponseTable] = {}
         self._means: dict[int, float] = {}
-
-    def _arm_tables(self, arm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        tables = self._per_arm.get(arm)
-        if tables is None:
-            p_arr = np.asarray(
-                [float(x) for x in self.arms.contracts[arm]], dtype=float
-            )
-            fp = self.inst.F_arr @ p_arr
-            rp = self.inst.r_arr - p_arr
-            pu = self.inst.F_arr @ rp
-            tables = (fp, pu, rp)
-            self._per_arm[arm] = tables
-        return tables
 
     def pull(self, arm: int, rng: Rng) -> float:
         return self.pull_sum(arm, 1, rng)
@@ -368,9 +338,13 @@ class ContractEnvironment(Environment):
     def pull_sum(self, arm: int, count: int, rng: Rng) -> float:
         if count == 0:
             return 0.0
-        fp, pu, rp = self._arm_tables(arm)
+        table = self._tables.get(arm)
+        if table is None:
+            table = core.ResponseTable(self.inst, self.arms.contracts[arm])
+            self._tables[arm] = table
         thetas = dist.sample_many(self.gamma, rng, count)
-        actions = _best_actions_at(fp, pu, self.inst.c_arr, thetas)
+        actions = table.actions(thetas)
+        rp = table.rp_arr
         total = 0.0
         last = self.inst.n_outcomes - 1
         for a in np.unique(actions):
@@ -398,25 +372,21 @@ class ContractEnvironment(Environment):
         return self.arms.k
 
 
-def _candidate_arms(inst: Instance, eps: float) -> ArmSet:
-    """Arm vectors of the candidate contracts over the eps type grid."""
-    grid = np.asarray(dist.grid_points(float(eps)), dtype=float)
-    types = tuple(Fraction(float(t)) for t in grid)
-    contracts = solver.candidate_contract_set(inst, types, bounded=True)
-    rows = tuple(
-        tuple(float(v) for v in _utilities_at(inst, p, grid)) for p in contracts
-    )
-    return ArmSet(arms=rows, contracts=tuple(contracts))
-
-
 def contract_environment(
-    inst: Instance, gamma: TypeDistribution, eps: float
+    inst: Instance, gamma: TypeDistribution, eps: Num
 ) -> ContractEnvironment:
-    """Build the candidate-contract arm set and its sampling environment."""
+    """Build the candidate-contract arm set over the eps type grid and its
+    sampling environment, which keeps the response tables of the arms."""
     if not 0 < eps <= 1:
         raise UsageError(f"grid width must lie in (0,1], got {eps}")
-    arms = _candidate_arms(inst, eps)
-    return ContractEnvironment(inst, gamma, eps, arms)
+    types = dist.grid_points(eps)
+    grid = np.asarray(types, dtype=float)
+    contracts = solver.candidate_contract_set(inst, types)
+    tables = [core.ResponseTable(inst, p) for p in contracts]
+    rows = tuple(tuple(_utilities_at(t, grid).tolist()) for t in tables)
+    env = ContractEnvironment(inst, gamma, eps, ArmSet(arms=rows, contracts=contracts))
+    env._tables.update(enumerate(tables))
+    return env
 
 
 def block_constant(d: int) -> int:
@@ -478,7 +448,6 @@ def phased_elimination(
     *,
     max_blocks: int | None = None,
     block_budget: bool = False,
-    design_tol: float = 0.05,
 ) -> tuple[tuple[tuple[int, int, float], ...], EliminationState]:
     """Block-structured elimination over the arm set up to the horizon.
 
@@ -516,11 +485,11 @@ def phased_elimination(
     while remaining > 0 and (max_blocks is None or ell < max_blocks):
         ell += 1
         t_ell = block_length(d, ell)
-        key = (frozenset(active), design_tol)
+        key = frozenset(active)
         weights = X.design_cache.get(key)
         if weights is None:
             sub = ArmSet(arms=tuple(X.arms[i] for i in active))
-            sub_w = g_optimal_design(sub, tol=design_tol).weights
+            sub_w = g_optimal_design(sub, tol=_DESIGN_TOL).weights
             weights = np.zeros(k0)
             for pos, arm in enumerate(active):
                 weights[arm] = sub_w[pos]
@@ -612,7 +581,6 @@ def algorithm1_regret(
     horizon: int,
     seed: int,
     *,
-    design_tol: float = 0.05,
     env: ContractEnvironment | None = None,
 ) -> RegretRun:
     """Cumulative pseudo-regret of phased elimination over candidate arms.
@@ -634,9 +602,7 @@ def algorithm1_regret(
         )
     X = env.arms
     rng = rng_new(seed)
-    _, state = phased_elimination(
-        env, X, horizon, 1.0 / horizon, rng, design_tol=design_tol
-    )
+    _, state = phased_elimination(env, X, horizon, 1.0 / horizon, rng)
     means = np.asarray([env.true_mean(a) for a in range(X.k)], dtype=float)
     opt_ref = float(means.max())
     per_round = np.concatenate(
@@ -695,7 +661,6 @@ def pac_best_arm(
     rng: Rng,
     *,
     alpha: float = 0.0,
-    design_tol: float = 0.05,
 ) -> PacResult:
     """Identify an eta-optimal arm by running a fixed number of blocks.
 
@@ -717,7 +682,6 @@ def pac_best_arm(
         rng,
         max_blocks=blocks_needed,
         block_budget=True,
-        design_tol=design_tol,
     )
     phi = np.asarray(state.phi_hat, dtype=float)
     active = state.active
@@ -755,7 +719,7 @@ class PacContractResult:
 def pac_best_contract(
     inst: Instance,
     gamma: TypeDistribution,
-    eta: float,
+    eta: Num,
     delta: float,
     seed: int,
 ) -> PacContractResult:
@@ -764,25 +728,27 @@ def pac_best_contract(
 
     The grid width is (eta / (24 beta n))^2 with beta the density bound and
     n the action count; the induced misspecification is 2 beta n eps, which
-    leaves slack eta/2 in the block-count calculation.  Guards refuse grids
-    whose dimension would make candidate enumeration explode.
+    leaves slack eta/2 in the block-count calculation.  Both are exact
+    Fractions, and so is the type grid, when the density is rational.
+    Guards refuse grids whose dimension would make candidate enumeration
+    explode.
     """
     if eta <= 0:
         raise UsageError(f"suboptimality target must be positive, got {eta}")
-    beta = float(dist.density_bound(gamma))
+    beta = dist.density_bound(gamma)
     n = inst.n_actions
-    eps = min(1.0, (eta / (24.0 * beta * n)) ** 2)
+    eps = min(1, (Fraction(eta) / (24 * beta * n)) ** 2)
     d = len(dist.grid_points(eps))
     if d > PAC_MAX_DIMENSION:
         raise ResourceGuardError(
-            f"type grid too fine for exact candidate enumeration: eps={eps:.3g} "
+            f"type grid too fine for exact candidate enumeration: eps={float(eps):.3g} "
             f"gives dimension {d} > {PAC_MAX_DIMENSION}; the candidate pool grows "
             "combinatorially in the grid size"
         )
-    alpha = 2.0 * beta * n * eps
+    alpha = float(2 * beta * n * eps)
     env = contract_environment(inst, gamma, eps)
     rng = rng_new(seed)
-    res = pac_best_arm(env, env.arms, eta, delta, rng, alpha=alpha)
+    res = pac_best_arm(env, env.arms, float(eta), delta, rng, alpha=alpha)
     return PacContractResult(
         contract=env.arms.contracts[res.arm],
         arm=res.arm,

@@ -208,7 +208,7 @@ def _regret_csv(args: argparse.Namespace) -> str:
 def _cmd_bandit_pac(args: argparse.Namespace) -> dict[str, Any]:
     inst = serialize.load_instance(args.instance, args.mode)
     gamma = serialize.load_distribution(args.dist, args.mode)
-    eta = float(_flag_number(args.eta, "float", "--eta"))
+    eta = _flag_number(args.eta, args.mode, "--eta")
     delta = float(_flag_number(args.delta, "float", "--delta"))
     res = bandit.pac_best_contract(inst, gamma, eta, delta, args.seed)
     return {

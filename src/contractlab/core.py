@@ -69,14 +69,6 @@ class Instance:
         return is_exact(*self.F, *self.r, *self.c)
 
     @cached_property
-    def F_arr(self) -> np.ndarray:
-        return np.asarray(self.F, dtype=float)
-
-    @cached_property
-    def r_arr(self) -> np.ndarray:
-        return np.asarray(self.r, dtype=float)
-
-    @cached_property
     def c_arr(self) -> np.ndarray:
         return np.asarray(self.c, dtype=float)
 
@@ -122,23 +114,50 @@ def principal_utility(inst: Instance, p: Sequence[Num], a: int) -> Num:
 class ResponseTable:
     """Best responses to one contract p, for any type.
 
-    Validates p once and stores fp[a] = F_a.p and pu[a] = F_a.(r - p) by the
-    expressions of ``agent_utility`` and ``principal_utility``, so values are
-    bit-identical to theirs.  One table serves every type: with p fixed, the
-    agent utility fp[a] - theta c[a] is affine in theta and the principal
-    utility pu[a] does not depend on theta, so fp, pu and c decide the best
-    response of any type, ties included.
+    Validates p once and stores rp[w] = r[w] - p[w], fp[a] = F_a.p and
+    pu[a] = F_a.(r - p) by the expressions of ``agent_utility`` and
+    ``principal_utility``, so values are bit-identical to theirs.  One table
+    serves every type: with p fixed, the agent utility fp[a] - theta c[a] is
+    affine in theta and the principal utility pu[a] does not depend on theta,
+    so fp, pu and c decide the best response of any type, ties included.
+    The ``*_arr`` float arrays are these lists converted, not recomputed.
     """
-
-    __slots__ = ("inst", "fp", "pu", "exact")
 
     def __init__(self, inst: Instance, p: Sequence[Num]) -> None:
         _check_contract(inst, p)
         self.inst = inst
-        margin = [rw - x for rw, x in zip(inst.r, p)]
+        self.rp = [rw - x for rw, x in zip(inst.r, p)]
         self.fp = [sum(f * x for f, x in zip(row, p)) for row in inst.F]
-        self.pu = [sum(f * d for f, d in zip(row, margin)) for row in inst.F]
+        self.pu = [sum(f * d for f, d in zip(row, self.rp)) for row in inst.F]
         self.exact = inst.exact and is_exact(*p)
+
+    @cached_property
+    def fp_arr(self) -> np.ndarray:
+        return np.asarray(self.fp, dtype=float)
+
+    @cached_property
+    def pu_arr(self) -> np.ndarray:
+        return np.asarray(self.pu, dtype=float)
+
+    @cached_property
+    def rp_arr(self) -> np.ndarray:
+        return np.asarray(self.rp, dtype=float)
+
+    @cached_property
+    def _near(self) -> np.ndarray | None:
+        """near[b, a] is respond's test pu[a] >= pu[b] - TIE_TOL, whose
+        right side is the float thr[b] = float(pu[b]) - TIE_TOL.  Rounding
+        is monotone, so float(pu[a]) decides the test unless it equals
+        thr[b]; those entries are settled on pu[a] itself.  None when near
+        is just pu_arr[a] >= pu_arr[b]: then the lowest eligible action that
+        passes the test against the best is the first eligible maximum of
+        pu_arr, which is the best itself."""
+        pu = self.pu_arr
+        thr = pu - TIE_TOL
+        near = pu[None, :] >= thr[:, None]
+        for b, a in zip(*np.nonzero(pu[None, :] == thr[:, None])):
+            near[b, a] = self.pu[a] >= thr[b]
+        return None if np.array_equal(near, pu[None, :] >= pu[:, None]) else near
 
     def eps_set(self, theta: Num, eps: Num) -> tuple[list[Num], list[int], Num]:
         """Agent utilities at theta, the actions within eps of the best, and
@@ -162,6 +181,42 @@ class ResponseTable:
             principal_utility=pu[action],
             ic_set=frozenset(ic),
         )
+
+    def actions(self, thetas: np.ndarray) -> np.ndarray:
+        """``respond(theta).action`` for each float theta, bit for bit.
+
+        The rule is respond's: agent utilities within TIE_TOL of the best,
+        then principal utilities within TIE_TOL of the best eligible one,
+        then the lowest index.  The agent step uses the same floats: a float
+        theta makes respond compute float(fp[a]) - theta * float(c[a]) (a
+        Fraction minus a float rounds to float first, as numpy does), and
+        fp_arr holds exactly those float(fp[a]).  In the principal step,
+        respond's threshold is float(best) - TIE_TOL, and float(best) is the
+        largest eligible entry of pu_arr, since rounding is monotone; the
+        test against it is ``_near``.
+        """
+        agent = self.fp_arr - thetas[:, None] * self.inst.c_arr
+        eligible = agent >= agent.max(axis=1, keepdims=True) - TIE_TOL
+        best = np.where(eligible, self.pu_arr, -np.inf).argmax(axis=1)
+        near = self._near
+        return best if near is None else (eligible & near[best]).argmax(axis=1)
+
+    def breakpoints(self) -> list[Num]:
+        """Types in (0,1) where two affine agent utilities cross,
+        t = (fp[a] - fp[b]) / (c[a] - c[b]), sorted.  Exact Fractions on
+        rational inputs, floats otherwise."""
+        conv = as_fraction if self.exact else float
+        fp = [conv(x) for x in self.fp]
+        c = [conv(x) for x in self.inst.c]
+        pts = set()
+        n = len(fp)
+        for a in range(n):
+            for b in range(a + 1, n):
+                if c[a] != c[b]:
+                    t = (fp[a] - fp[b]) / (c[a] - c[b])
+                    if 0 < t < 1:
+                        pts.add(t)
+        return sorted(pts)
 
 
 def eps_best_responses(
@@ -215,22 +270,7 @@ def best_response_breakpoints(inst: Instance, p: Sequence[Num]) -> list[Num]:
     """Types in (0,1) where two affine agent utilities cross,
     t = (F_a.p - F_b.p) / (c_a - c_b), sorted.  Exact Fractions on rational
     inputs, floats otherwise."""
-    _check_contract(inst, p)
-    if inst.exact and is_exact(*p):
-        fp = [as_fraction(sum(f * x for f, x in zip(row, p))) for row in inst.F]
-        c = [as_fraction(x) for x in inst.c]
-    else:
-        fp = [float(x) for x in inst.F_arr @ np.asarray(p, dtype=float)]
-        c = [float(x) for x in inst.c_arr]
-    pts = set()
-    n = inst.n_actions
-    for a in range(n):
-        for b in range(a + 1, n):
-            if c[a] != c[b]:
-                t = (fp[a] - fp[b]) / (c[a] - c[b])
-                if 0 < t < 1:
-                    pts.add(t)
-    return sorted(pts)
+    return ResponseTable(inst, p).breakpoints()
 
 
 def expected_principal_utility_continuous(
@@ -253,10 +293,10 @@ def expected_principal_utility_continuous(
         return expected_principal_utility(
             inst, DiscreteTypeInstance(gamma.points, gamma.weights), p
         )
-    cuts = {0, 1, *gamma.breakpoints, *best_response_breakpoints(inst, p)}
-    exact = inst.exact and is_exact(*p, *gamma.breakpoints, *gamma.densities)
-    pts = sorted(as_fraction(x) if exact else float(x) for x in cuts)
     table = ResponseTable(inst, p)
+    cuts = {0, 1, *gamma.breakpoints, *table.breakpoints()}
+    exact = table.exact and is_exact(*gamma.breakpoints, *gamma.densities)
+    pts = sorted(as_fraction(x) if exact else float(x) for x in cuts)
     total = Fraction(0) if exact else 0.0
     for lo, hi in zip(pts, pts[1:]):
         mass = interval_mass(gamma, lo, hi)

@@ -53,32 +53,6 @@ class RationalLP:
     upper_bounds: tuple[Fraction | None, ...] | None = None
     constant: Fraction = Fraction(0)
 
-    @staticmethod
-    def build(
-        objective: Sequence[Num],
-        constraints: Sequence[tuple[Sequence[Num], Relation, Num]],
-        upper_bounds: Sequence[Num | None] | None = None,
-        constant: Num = 0,
-    ) -> "RationalLP":
-        obj = tuple(as_fraction(x) for x in objective)
-        rows = []
-        for coeffs, rel, rhs in constraints:
-            if len(coeffs) != len(obj):
-                raise UsageError(
-                    f"constraint has {len(coeffs)} coefficients, expected {len(obj)}"
-                )
-            if rel not in ("<=", ">=", "=="):
-                raise UsageError(f"unknown relation {rel!r}")
-            rows.append(
-                (tuple(as_fraction(x) for x in coeffs), rel, as_fraction(rhs))
-            )
-        ub = None
-        if upper_bounds is not None:
-            if len(upper_bounds) != len(obj):
-                raise UsageError("upper_bounds length mismatch")
-            ub = tuple(None if x is None else as_fraction(x) for x in upper_bounds)
-        return RationalLP(obj, tuple(rows), ub, as_fraction(constant))
-
 
 @dataclass(frozen=True)
 class LPResult:
@@ -146,9 +120,13 @@ def lp_solve(lp: RationalLP) -> LPResult:
     """Exact two-phase simplex. Returns a basic feasible optimum (a vertex of
     the feasible region) with every constraint satisfied exactly."""
     n = len(lp.objective)
-    for coeffs, _, _ in lp.constraints:
+    for coeffs, rel, _ in lp.constraints:
         if len(coeffs) != n:
             raise UsageError("constraint dimension mismatch")
+        if rel not in ("<=", ">=", "=="):
+            raise UsageError(f"unknown relation {rel!r}")
+    if lp.upper_bounds is not None and len(lp.upper_bounds) != n:
+        raise UsageError("upper_bounds length mismatch")
 
     # fold upper bounds in as rows x_j <= ub_j
     rows_in: list[tuple[list[Fraction], Relation, Fraction]] = [

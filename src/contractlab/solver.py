@@ -192,14 +192,12 @@ def _canonical_row(
 
 
 def candidate_contract_set(
-    inst: Instance, types: Sequence[Num], bounded: bool = True
+    inst: Instance, types: Sequence[Num]
 ) -> tuple[Contract, ...]:
     """Finite set of contracts in [0,1]^m containing an expected-utility
     maximizer for every weight vector over the given types: all basic
     solutions of m constraints drawn from the incentive hyperplanes and the
     box facets, filtered to the box and deduplicated exactly."""
-    if not bounded:
-        raise UsageError("the candidate set is defined for the bounded regime")
     m = inst.n_outcomes
     if m > CANDIDATE_MAX_OUTCOMES:
         raise ResourceGuardError(

@@ -122,6 +122,11 @@ def three_element_setcover() -> SetCoverInput:
 # ---------------------------------------------------------------------------
 
 
+def float_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F, r and c of an instance as float arrays, converted here."""
+    return tuple(np.asarray(x, dtype=float) for x in (inst.F, inst.r, inst.c))
+
+
 def payment_grid(m: int, step: float) -> np.ndarray:
     pts = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
     mesh = np.meshgrid(*([pts] * m), indexing="ij")
@@ -133,7 +138,7 @@ def grid_values(
 ) -> np.ndarray:
     """Expected principal utility of every payment row of P, recomputed from
     scratch: agent utilities, favorable tie-break within tol, weighted sum."""
-    F, r, c = inst.F_arr, inst.r_arr, inst.c_arr
+    F, r, c = float_arrays(inst)
     pay = P @ F.T
     base = F @ r
     total = np.zeros(len(P))
@@ -151,13 +156,54 @@ def grid_best(inst: Instance, dti: DiscreteTypeInstance, step: float = 0.01) -> 
 def grid_best_continuous(
     inst: Instance, gamma, step: float = 0.01, cells: int = 2000
 ) -> float:
-    """Best grid-contract value against a continuous distribution, using a
-    fine type discretization (cell masses from the distribution's CDF)."""
+    """Best grid-contract value against a continuous distribution: the same
+    per-cell quantity as ``grid_best_continuous_loop``, summed per payment
+    row over the sub-intervals between the types where eligibility can
+    change.
+
+    Action a stays within 1e-9 of action b's agent utility exactly while
+    pay_a - pay_b + 1e-9 >= theta (c_a - c_b), so the eligible set, and with
+    it the principal value, is constant between consecutive cuts
+    (pay_a - pay_b + 1e-9) / (c_a - c_b).  Each sub-interval tests
+    eligibility once, at its midpoint, by the loop's own rule, and takes the
+    mass of the cells whose midpoints it holds from the cumulative cell
+    masses.  The two agree up to float summation order.
+    """
+    edges = np.linspace(0.0, 1.0, cells + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(cdf(gamma, edges)))))
+    P = payment_grid(inst.n_outcomes, step)
+    F, r, c = float_arrays(inst)
+    pay = P @ F.T
+    base = F @ r
+    cuts = [np.zeros(len(P)), np.ones(len(P))]
+    for a, b in itertools.permutations(range(inst.n_actions), 2):
+        if c[a] != c[b]:
+            t = (pay[:, a] - pay[:, b] + 1e-9) / (c[a] - c[b])
+            cuts.append(np.clip(t, 0.0, 1.0))
+    pts = np.sort(np.stack(cuts, axis=1), axis=1)
+    lo, hi = pts[:, :-1], pts[:, 1:]
+    au = pay[:, None, :] - (0.5 * (lo + hi))[:, :, None] * c
+    eligible = au >= au.max(axis=2, keepdims=True) - 1e-9
+    value = np.where(eligible, (base - pay)[:, None, :], -np.inf).max(axis=2)
+    mass = (
+        cum[np.searchsorted(mids, hi, side="right")]
+        - cum[np.searchsorted(mids, lo, side="right")]
+    )
+    return float((mass * value).sum(axis=1).max())
+
+
+def grid_best_continuous_loop(
+    inst: Instance, gamma, step: float = 0.01, cells: int = 2000
+) -> float:
+    """Slow reference for ``grid_best_continuous``: best grid-contract value
+    against a continuous distribution, using a fine type discretization
+    (cell masses from the distribution's CDF), one type cell at a time."""
     edges = np.linspace(0.0, 1.0, cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     masses = np.diff(cdf(gamma, edges))
     P = payment_grid(inst.n_outcomes, step)
-    F, r, c = inst.F_arr, inst.r_arr, inst.c_arr
+    F, r, c = float_arrays(inst)
     pay = P @ F.T
     base = F @ r
     total = np.zeros(len(P))
@@ -183,9 +229,9 @@ def quadrature_expectation(inst: Instance, gamma, p, resolution: float = 1e-5) -
             )
         )
     pv = np.asarray(p, dtype=float)
-    fp = inst.F_arr @ pv
-    fq = inst.F_arr @ (inst.r_arr - pv)
-    c = inst.c_arr
+    F, r, c = float_arrays(inst)
+    fp = F @ pv
+    fq = F @ (r - pv)
     edges = set(np.linspace(0.0, 1.0, int(math.ceil(1.0 / resolution)) + 1))
     edges.update(float(b) for b in gamma.breakpoints)
     for a, b in itertools.combinations(range(inst.n_actions), 2):

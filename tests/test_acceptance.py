@@ -54,6 +54,7 @@ from helpers import (
     three_element_setcover,
     grid_best,
     grid_best_continuous,
+    grid_best_continuous_loop,
     min_cover,
     random_contract,
     random_dti,
@@ -182,13 +183,16 @@ def test_criterion_4_ptas_additive_guarantee():
     cfg = PtasConfig.from_eps(Fraction(1), delta=Fraction(1, 4), alpha=Fraction(1, 2))
     allowance = float(cfg.error_bound) + 0.05
     start = time.perf_counter()
+    oracle_s = 0.0
     worst = -math.inf
     for i in range(20):
         inst = random_instance(gen, gen.randrange(2, 5), 2)
         gamma = uniform_distribution() if i % 2 == 0 else random_piecewise(gen)
         contract, _ = ptas_contract(inst, gamma, cfg)
         achieved = expected_principal_utility_continuous(inst, gamma, contract)
+        oracle_start = time.perf_counter()
         opt = grid_best_continuous(inst, gamma, step=0.01, cells=2000)
+        oracle_s += time.perf_counter() - oracle_start
         worst = max(worst, opt - achieved)
     elapsed = time.perf_counter() - start
     ok = worst <= allowance and elapsed <= 300
@@ -197,8 +201,21 @@ def test_criterion_4_ptas_additive_guarantee():
         "ptas-guarantee",
         ok,
         f"20 instances, worst optimality gap {worst:.4f} <= {allowance}, "
-        f"{elapsed:.1f}s <= 300s",
+        f"{elapsed:.1f}s <= 300s (product {elapsed - oracle_s:.2f}s, "
+        f"grid oracle {oracle_s:.2f}s)",
     )
+
+
+def test_grid_oracle_matches_cell_loop():
+    # criterion 4's oracle sums between eligibility cuts; the cell-by-cell
+    # loop it replaced must give the same value up to summation order
+    gen = random.Random(41)
+    for i in range(6):
+        inst = random_instance(gen, gen.randrange(2, 5), 2)
+        gamma = uniform_distribution() if i % 2 == 0 else random_piecewise(gen)
+        fast = grid_best_continuous(inst, gamma, step=0.01, cells=200)
+        loop = grid_best_continuous_loop(inst, gamma, step=0.01, cells=200)
+        assert abs(fast - loop) <= 1e-12, (i, fast, loop)
 
 
 def test_criterion_5_reduction_verifiers():

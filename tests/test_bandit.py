@@ -18,6 +18,7 @@ from contractlab import (
     ResourceGuardError,
     UsageError,
     algorithm1_regret,
+    best_response,
     contract_environment,
     g_optimal_design,
     pac_best_arm,
@@ -64,6 +65,16 @@ def test_utility_map_values(desk_instance):
     assert np.allclose(full, [0.0, 0.0])
     with pytest.raises(UsageError):
         utility_map(desk_instance, (0.0, 0.0), 0.0)
+
+
+def test_utility_map_near_tie_takes_lower_index():
+    # At theta = 1/2 both actions give the agent 0, and the principal
+    # utilities 0.5 and 0.5 + 5e-10 lie within TIE_TOL, so the best response
+    # takes the lower index; the arm coordinate must be its utility.
+    inst = Instance(F=((1.0, 0.0), (0.0, 1.0)), r=(0.5, 0.75 + 5e-10), c=(0.0, 0.5))
+    p = (0.0, 0.25)
+    assert best_response(inst, p, 0.5).principal_utility == 0.5
+    assert utility_map(inst, p, 1.0)[0] == 0.5
 
 
 def test_armset_validation():

@@ -5,10 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
+from contractlab import serialize
 from contractlab.cli import main
+from contractlab.dist import grid_points
+from contractlab.solver import candidate_contract_set
 
 DESK = {
     "F": [["1", "0"], ["0", "1"]],
@@ -208,6 +212,29 @@ def test_bandit_pac_success_and_guard(files, capsys):
     )
     assert code2 == 3
     assert "error:" in err
+
+
+def test_bandit_pac_contract_is_an_exact_candidate(files, capsys):
+    # eta = 8 on DESK/uniform gives the grid width (8 / 48)^2 = 1/36; the
+    # printed contract is one of the exact candidates on that grid
+    code, out, _ = run(
+        capsys,
+        "bandit-pac",
+        "--instance",
+        files["instance"],
+        "--dist",
+        files["uniform"],
+        "--eta",
+        "8",
+        "--delta",
+        "0.1",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["eps"] == 1 / 36
+    contract = tuple(Fraction(x) for x in payload["contract"])
+    desk = serialize.load_instance(files["instance"], "rational")
+    assert contract in candidate_contract_set(desk, grid_points(Fraction(1, 36)))
 
 
 def test_selftest(capsys):

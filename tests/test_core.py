@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from contractlab import (
     principal_utility,
     robustify,
 )
-from contractlab.core import ResponseTable, best_response_breakpoints
+from contractlab.core import TIE_TOL, ResponseTable, best_response_breakpoints
 from contractlab.dist import PiecewiseConstant, cdf
 from helpers import (
     brute_best_response,
@@ -409,3 +410,47 @@ def test_response_table_float_mode_matches_per_action_scan(inst, data):
         assert type(got.agent_utility) is type(want.agent_utility) is float
         assert type(got.principal_utility) is type(want.principal_utility) is float
         assert best_response(finst, p, theta) == want
+
+
+def test_response_table_actions_compare_principal_utilities_exactly():
+    # Both actions tie for the agent at theta = 1/2.  pu[0] lies 1e-18 below
+    # the float y = 0.5 - TIE_TOL that respond compares it with, so respond
+    # drops action 0, although float(pu[0]) rounds up to y.  The vectorised
+    # answer must follow respond's exact comparison, not the rounded one.
+    y = F(0.5 - TIE_TOL)
+    inst = Instance(
+        F=((F(1), F(0)), (F(0), F(1))), r=(y - F(1, 10**18), F(3, 4)), c=(F(0), F(1, 2))
+    )
+    table = ResponseTable(inst, (F(0), F(1, 4)))
+    assert float(table.pu[0]) == 0.5 - TIE_TOL
+    assert table.respond(0.5).action == 1
+    assert table.actions(np.array([0.5])).tolist() == [1]
+
+
+# The vectorised ``actions`` must equal ``respond(float(theta)).action`` at
+# every type, ties included, on the rational table, on its float copy, and
+# on a float copy with one reward nudged by 5e-10, where equal principal
+# utilities become near-ties that TIE_TOL must still treat as ties.  The
+# types are the same grid and crossings as above, as floats.
+
+
+@settings(max_examples=60)
+@given(inst=rational_instances(), data=st.data())
+def test_response_table_actions_match_respond(inst, data):
+    r = [float(x) for x in inst.r]
+    w = data.draw(st.integers(0, inst.n_outcomes - 1))
+    nudged = list(r)
+    nudged[w] += 5e-10 if r[w] < 1 else -5e-10
+    F_float = tuple(tuple(float(f) for f in row) for row in inst.F)
+    c_float = tuple(float(x) for x in inst.c)
+    p = _contract(data, inst.n_outcomes)
+    for model in (
+        inst,
+        Instance(F=F_float, r=tuple(r), c=c_float),
+        Instance(F=F_float, r=tuple(nudged), c=c_float),
+    ):
+        table = ResponseTable(model, p)
+        crossings = best_response_breakpoints(model, p)
+        thetas = [k / 12 for k in range(13)] + [float(t) for t in crossings]
+        got = table.actions(np.asarray(thetas))
+        assert got.tolist() == [table.respond(t).action for t in thetas]

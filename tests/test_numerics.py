@@ -56,7 +56,7 @@ def test_llog2_values():
 
 
 def test_lp_ceiling():
-    lp = RationalLP.build(objective=[1], constraints=[([1], "<=", F(3, 7))])
+    lp = RationalLP(objective=(F(1),), constraints=(((F(1),), "<=", F(3, 7)),))
     res = lp_solve(lp)
     assert res.status == "optimal"
     assert res.value == F(3, 7)
@@ -64,9 +64,7 @@ def test_lp_ceiling():
 
 
 def test_lp_degenerate_tie_vertex():
-    lp = RationalLP.build(
-        objective=[1, 1], constraints=[([1, 1], "<=", 1)]
-    )
+    lp = RationalLP(objective=(F(1), F(1)), constraints=(((F(1), F(1)), "<=", F(1)),))
     res = lp_solve(lp)
     assert res.status == "optimal"
     assert res.value == 1
@@ -77,13 +75,13 @@ def test_lp_beale_cycling_terminates():
     # Classic degenerate tableau that cycles under naive pivoting; the
     # anti-cycling pivot rule must terminate at the optimum. Optimal vertex
     # x = (1/25, 0, 1, 0), value 3/100 + 1/50 = 1/20 (checked by hand).
-    lp = RationalLP.build(
-        objective=[F(3, 4), -150, F(1, 50), -6],
-        constraints=[
-            ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
-            ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
-            ([0, 0, 1, 0], "<=", 1),
-        ],
+    lp = RationalLP(
+        objective=(F(3, 4), F(-150), F(1, 50), F(-6)),
+        constraints=(
+            ((F(1, 4), F(-60), F(-1, 25), F(9)), "<=", F(0)),
+            ((F(1, 2), F(-90), F(-1, 50), F(3)), "<=", F(0)),
+            ((F(0), F(0), F(1), F(0)), "<=", F(1)),
+        ),
     )
     res = lp_solve(lp)
     assert res.status == "optimal"
@@ -91,38 +89,39 @@ def test_lp_beale_cycling_terminates():
 
 
 def test_lp_infeasible_and_unbounded():
-    infeasible = RationalLP.build(
-        objective=[1],
-        constraints=[([1], "<=", 1), ([1], ">=", 2)],
+    infeasible = RationalLP(
+        objective=(F(1),),
+        constraints=(((F(1),), "<=", F(1)), ((F(1),), ">=", F(2))),
     )
     assert lp_solve(infeasible).status == "infeasible"
-    unbounded = RationalLP.build(objective=[1], constraints=[([1], ">=", 0)])
+    unbounded = RationalLP(objective=(F(1),), constraints=(((F(1),), ">=", F(0)),))
     assert lp_solve(unbounded).status == "unbounded"
 
 
 def test_lp_equality_and_bounds():
-    lp = RationalLP.build(
-        objective=[2, 3],
-        constraints=[([1, 1], "==", 1)],
-        upper_bounds=[F(1, 4), None],
+    row = ((F(1), F(1)), "==", F(1))
+    lp = RationalLP(
+        objective=(F(2), F(3)), constraints=(row,), upper_bounds=(F(1, 4), None)
     )
     res = lp_solve(lp)
     assert res.status == "optimal"
     assert res.value == 3  # x = (0, 1)
-    lp2 = RationalLP.build(
-        objective=[1, 0],
-        constraints=[([1, 1], "==", 1)],
-        upper_bounds=[F(1, 4), None],
+    lp2 = RationalLP(
+        objective=(F(1), F(0)), constraints=(row,), upper_bounds=(F(1, 4), None)
     )
     res2 = lp_solve(lp2)
     assert res2.value == F(1, 4)
 
 
-def test_lp_build_validation():
-    with pytest.raises(UsageError):
-        RationalLP.build(objective=[1], constraints=[([1, 2], "<=", 1)])
-    with pytest.raises(UsageError):
-        RationalLP.build(objective=[1], constraints=[([1], "<", 1)])
+def test_lp_solve_validation():
+    one = (F(1),)
+    with pytest.raises(UsageError, match="dimension"):
+        lp_solve(RationalLP(objective=one, constraints=(((F(1), F(2)), "<=", F(1)),)))
+    # an unknown relation is refused, not solved as an equality
+    with pytest.raises(UsageError, match="unknown relation '<'"):
+        lp_solve(RationalLP(objective=one, constraints=((one, "<", F(1)),)))
+    with pytest.raises(UsageError, match="upper_bounds"):
+        lp_solve(RationalLP(objective=one, constraints=(), upper_bounds=(F(1), F(1))))
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +195,10 @@ def test_lp_matches_basis_enumeration_oracle():
             rel = gen.choice(["<=", ">="])
             rhs = F(gen.randrange(-2, 5), gen.choice([1, 2]))
             rows.append((tuple(co), rel, rhs))
-        lp = RationalLP.build(
-            objective=objective,
-            constraints=rows,
-            upper_bounds=[upper] * nv,
+        lp = RationalLP(
+            objective=tuple(objective),
+            constraints=tuple(rows),
+            upper_bounds=(upper,) * nv,
         )
         res = lp_solve(lp)
         status, value = _oracle_lp(objective, rows, upper)

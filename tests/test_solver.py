@@ -289,6 +289,3 @@ def test_candidates_guards():
     wide = random_instance(gen, 2, 5)
     with pytest.raises(ResourceGuardError):
         candidate_contract_set(wide, (F(1, 2),))
-    inst = random_instance(gen, 2, 2)
-    with pytest.raises(UsageError):
-        candidate_contract_set(inst, (F(1, 2),), bounded=False)
