@@ -21,7 +21,6 @@ from .core import (
 )
 from .dist import (
     Discrete,
-    DiscreteTypeInstance,
     PiecewiseConstant,
     density_bound,
     discretize,
@@ -64,7 +63,6 @@ __all__ = [
     "ContractEnvironment",
     "DesignWeights",
     "Discrete",
-    "DiscreteTypeInstance",
     "InputError",
     "Instance",
     "LPResult",

@@ -335,13 +335,17 @@ class ContractEnvironment(Environment):
     def pull(self, arm: int, rng: Rng) -> float:
         return self.pull_sum(arm, 1, rng)
 
-    def pull_sum(self, arm: int, count: int, rng: Rng) -> float:
-        if count == 0:
-            return 0.0
+    def _table(self, arm: int) -> core.ResponseTable:
         table = self._tables.get(arm)
         if table is None:
             table = core.ResponseTable(self.inst, self.arms.contracts[arm])
             self._tables[arm] = table
+        return table
+
+    def pull_sum(self, arm: int, count: int, rng: Rng) -> float:
+        if count == 0:
+            return 0.0
+        table = self._table(arm)
         thetas = dist.sample_many(self.gamma, rng, count)
         actions = table.actions(thetas)
         rp = table.rp_arr
@@ -359,11 +363,7 @@ class ContractEnvironment(Environment):
     def true_mean(self, arm: int) -> float:
         mean = self._means.get(arm)
         if mean is None:
-            mean = float(
-                core.expected_principal_utility_continuous(
-                    self.inst, self.gamma, self.arms.contracts[arm]
-                )
-            )
+            mean = float(self._table(arm).expected_utility(self.gamma))
             self._means[arm] = mean
         return mean
 
@@ -738,7 +738,7 @@ def pac_best_contract(
     beta = dist.density_bound(gamma)
     n = inst.n_actions
     eps = min(1, (Fraction(eta) / (24 * beta * n)) ** 2)
-    d = len(dist.grid_points(eps))
+    d = dist.grid_size(eps)
     if d > PAC_MAX_DIMENSION:
         raise ResourceGuardError(
             f"type grid too fine for exact candidate enumeration: eps={float(eps):.3g} "

@@ -59,8 +59,8 @@ def _flag_number(raw: str, mode: serialize.NumberMode, flag: str):
 
 def _cmd_solve_discrete(args: argparse.Namespace) -> dict[str, Any]:
     inst = serialize.load_instance(args.instance, args.mode)
-    dti = serialize.load_type_instance(args.dist, args.mode)
-    report = solver.solve_discrete_optimal(inst, dti, bounded=args.bounded)
+    gamma = serialize.load_type_instance(args.dist, args.mode)
+    report = solver.solve_discrete_optimal(inst, gamma, bounded=args.bounded)
     return {
         "config": _config(args, ["instance", "dist", "mode", "bounded"]),
         "value": serialize.format_number(report.value),
@@ -118,11 +118,7 @@ def _cmd_reduce_setcover(args: argparse.Namespace) -> dict[str, Any]:
     return {
         "config": _config(args, ["universe", "sets"]),
         "instance": serialize.instance_payload(ri.inst),
-        "type_instance": {
-            "kind": "discrete",
-            "points": [serialize.format_number(t) for t in ri.dti.types],
-            "weights": [serialize.format_number(w) for w in ri.dti.weights],
-        },
+        "type_instance": serialize.distribution_payload(ri.gamma),
         "params": {
             "rho": str(ri.params.rho),
             "eta": str(ri.params.eta),
@@ -132,7 +128,7 @@ def _cmd_reduce_setcover(args: argparse.Namespace) -> dict[str, Any]:
         "counts": {
             "actions": ri.inst.n_actions,
             "outcomes": ri.inst.n_outcomes,
-            "types": len(ri.dti.types),
+            "types": len(ri.gamma.points),
         },
     }
 
@@ -239,7 +235,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     checks.append(
         (
             "half-grid",
-            grid.types == (Fraction(1, 4), Fraction(3, 4))
+            grid.points == (Fraction(1, 4), Fraction(3, 4))
             and grid.weights == (Fraction(1, 2), Fraction(1, 2)),
         )
     )
@@ -263,7 +259,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
             "reduction-counts",
             ri.inst.n_actions == 14
             and ri.inst.n_outcomes == 6
-            and len(ri.dti.types) == 4,
+            and len(ri.gamma.points) == 4,
         )
     )
     checks.append(("cover-value", rep.ok and rep.total == hardness.ell_value(3, 4, 2)))

@@ -10,7 +10,7 @@ from typing import Sequence, TypeAlias
 
 import numpy as np
 
-from .dist import Discrete, DiscreteTypeInstance, TypeDistribution, interval_mass
+from .dist import Discrete, TypeDistribution, interval_mass
 from .errors import UsageError
 from .numerics import Num, as_fraction, is_exact
 
@@ -218,6 +218,37 @@ class ResponseTable:
                         pts.add(t)
         return sorted(pts)
 
+    def expected_utility(self, gamma: TypeDistribution) -> Num:
+        """E_{theta ~ Gamma}[U^P(p, theta)], the principal's expected utility.
+
+        On atoms, the weighted sum over the types of the principal utility
+        of each type's best response, zero weights skipped.  On a density, a
+        finite segment sum: the segments are cut at 0, 1, the density
+        breakpoints and every pairwise best-response crossing, and each adds
+        its mass times the principal utility of the best response at its
+        midpoint.  Agent utilities are affine in theta, so the set of agent
+        maximizers, and with it the principal-favorable tie-break, is
+        constant between consecutive crossings; the density is constant
+        between its breakpoints; and the cut points themselves carry no mass
+        under a bounded density.  Exact Fractions on rational inputs; float
+        inputs keep the TIE_TOL rule of ``respond``.
+        """
+        if isinstance(gamma, Discrete):
+            total = 0
+            for theta, w in zip(gamma.points, gamma.weights):
+                if w != 0:
+                    total += w * self.respond(theta).principal_utility
+            return total
+        cuts = {0, 1, *gamma.breakpoints, *self.breakpoints()}
+        exact = self.exact and is_exact(*gamma.breakpoints, *gamma.densities)
+        pts = sorted(as_fraction(x) if exact else float(x) for x in cuts)
+        total = Fraction(0) if exact else 0.0
+        for lo, hi in zip(pts, pts[1:]):
+            mass = interval_mass(gamma, lo, hi)
+            if mass != 0:
+                total += mass * self.respond((lo + hi) / 2).principal_utility
+        return total
+
 
 def eps_best_responses(
     inst: Instance, p: Sequence[Num], theta: Num, eps: Num
@@ -234,72 +265,28 @@ def best_response(inst: Instance, p: Sequence[Num], theta: Num) -> BestResponse:
     return ResponseTable(inst, p).respond(theta)
 
 
-def robustify(
-    inst: Instance, p: Sequence[Num], alpha: Num, bounded: bool = False
-) -> Contract:
-    """Mix the contract toward the reward vector: p + alpha (r - p).
-    Negative components clamp to 0; in the bounded regime entries cap at 1."""
+def robustify(inst: Instance, p: Sequence[Num], alpha: Num) -> Contract:
+    """Mix the contract toward the reward vector: p + alpha (r - p)."""
     if alpha < 0 or alpha > 1:
         raise UsageError(f"alpha must lie in [0,1], got {alpha}")
     _check_contract(inst, p)
-    out = []
-    for x, rw in zip(p, inst.r):
-        v = x + alpha * (rw - x)
-        if v < 0:
-            v = 0
-        if bounded and v > 1:
-            v = 1
-        out.append(v)
-    return tuple(out)
+    # No entry is negative: p >= 0, r >= 0 and alpha in [0,1] give
+    # p + alpha (r - p) >= min(p, r) >= 0, and rounding is monotone, so
+    # each float step stays above its bound too.
+    return tuple(x + alpha * (rw - x) for x, rw in zip(p, inst.r))
 
 
 def expected_principal_utility(
-    inst: Instance, dti: DiscreteTypeInstance, p: Sequence[Num]
+    inst: Instance, gamma: TypeDistribution, p: Sequence[Num]
 ) -> Num:
-    """sum_i gamma_i * principal utility at type theta_i's best response."""
-    table = ResponseTable(inst, p)
-    total = 0
-    for theta, w in zip(dti.types, dti.weights):
-        if w == 0:
-            continue
-        total += w * table.respond(theta).principal_utility
-    return total
-
-
-def best_response_breakpoints(inst: Instance, p: Sequence[Num]) -> list[Num]:
-    """Types in (0,1) where two affine agent utilities cross,
-    t = (F_a.p - F_b.p) / (c_a - c_b), sorted.  Exact Fractions on rational
-    inputs, floats otherwise."""
-    return ResponseTable(inst, p).breakpoints()
+    """sum_i gamma_i * principal utility at type theta_i's best response
+    (see ``ResponseTable.expected_utility``)."""
+    return ResponseTable(inst, p).expected_utility(gamma)
 
 
 def expected_principal_utility_continuous(
     inst: Instance, gamma: TypeDistribution, p: Sequence[Num]
 ) -> Num:
-    """E_{theta ~ Gamma}[U^P(p, theta)] as a finite segment sum.
-
-    The segments are cut at 0, 1, the density breakpoints and every pairwise
-    best-response crossing; each adds its mass times the principal utility
-    of the best response at its midpoint.  Agent utilities are affine in
-    theta, so the set of agent maximizers, and with it the
-    principal-favorable tie-break, is constant between consecutive
-    crossings; the density is constant between its breakpoints; and the cut
-    points themselves carry no mass under a bounded density.  Exact
-    Fractions on rational inputs; float inputs keep the TIE_TOL rule of
-    ``best_response``.  Atoms reduce to the finite sum of
-    ``expected_principal_utility``.
-    """
-    if isinstance(gamma, Discrete):
-        return expected_principal_utility(
-            inst, DiscreteTypeInstance(gamma.points, gamma.weights), p
-        )
-    table = ResponseTable(inst, p)
-    cuts = {0, 1, *gamma.breakpoints, *table.breakpoints()}
-    exact = table.exact and is_exact(*gamma.breakpoints, *gamma.densities)
-    pts = sorted(as_fraction(x) if exact else float(x) for x in cuts)
-    total = Fraction(0) if exact else 0.0
-    for lo, hi in zip(pts, pts[1:]):
-        mass = interval_mass(gamma, lo, hi)
-        if mass != 0:
-            total += mass * table.respond((lo + hi) / 2).principal_utility
-    return total
+    """E_{theta ~ Gamma}[U^P(p, theta)] as a finite segment sum (see
+    ``ResponseTable.expected_utility``)."""
+    return ResponseTable(inst, p).expected_utility(gamma)

@@ -132,49 +132,31 @@ def cdf(d: TypeDistribution, x: "float | np.ndarray") -> "float | np.ndarray":
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-@dataclass(frozen=True)
-class DiscreteTypeInstance:
-    """Finite type grid theta_1 < ... < theta_k with simplex weights."""
-
-    types: tuple[Num, ...]
-    weights: tuple[Num, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.types) != len(self.weights) or not self.types:
-            raise UsageError("types and weights must be equal nonzero length")
-        if any(t < 0 or t > 1 for t in self.types):
-            raise UsageError("types must lie in [0,1]")
-        if any(a <= b for a, b in zip(self.types[1:], self.types)):
-            raise UsageError("types must be strictly increasing")
-        _check_simplex(self.weights, "weights")
-
-    @cached_property
-    def types_arr(self) -> np.ndarray:
-        return np.asarray(self.types, dtype=float)
-
-    @cached_property
-    def weights_arr(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
-
-
-def grid_points(delta: Num) -> tuple[Num, ...]:
-    """Half-offset grid theta_i = (i - 1/2) * delta for i = 1..ceil(1/delta),
-    with the last point clamped to 1 when it would overshoot."""
+def grid_size(delta: Num) -> int:
+    """Number of half-offset grid points for width delta: ceil(1/delta),
+    exact on exact widths, with a 1e-12 slack on float widths."""
     if delta <= 0 or delta > 1:
         raise UsageError(f"grid width must lie in (0,1], got {delta}")
     if is_exact(delta):
+        return math.ceil(Fraction(1) / as_fraction(delta))
+    return math.ceil(1.0 / float(delta) - 1e-12)
+
+
+def grid_points(delta: Num) -> tuple[Num, ...]:
+    """Half-offset grid theta_i = (i - 1/2) * delta for i = 1..grid_size(delta),
+    with the last point clamped to 1 when it would overshoot."""
+    k = grid_size(delta)
+    if is_exact(delta):
         dlt = as_fraction(delta)
-        k = math.ceil(Fraction(1) / dlt)
         pts = [(Fraction(2 * i - 1, 2)) * dlt for i in range(1, k + 1)]
     else:
-        k = math.ceil(1.0 / float(delta) - 1e-12)
         pts = [(i - 0.5) * float(delta) for i in range(1, k + 1)]
     if pts[-1] > 1:
         pts[-1] = Fraction(1) if is_exact(delta) else 1.0
     return tuple(pts)
 
 
-def discretize(d: TypeDistribution, delta: Num) -> DiscreteTypeInstance:
+def discretize(d: TypeDistribution, delta: Num) -> Discrete:
     """Cell masses on the tiling ((i-1)*delta, i*delta] (first cell closed at
     0, last cell clipped at 1) attached to the half-offset grid points, so the
     weights always sum to the full mass."""
@@ -188,7 +170,7 @@ def discretize(d: TypeDistribution, delta: Num) -> DiscreteTypeInstance:
         if hi > 1:
             hi = one
         weights.append(interval_mass(d, lo, hi, closed_lo=(i == 1)))
-    return DiscreteTypeInstance(tuple(pts), tuple(weights))
+    return Discrete(tuple(pts), tuple(weights))
 
 
 def sample(d: TypeDistribution, rng: Rng) -> float:

@@ -79,13 +79,13 @@ def ptas_contract(
     """Grid-solve-robustify pipeline. The returned contract is within
     2(delta/alpha + alpha) of the optimum against the continuous
     distribution; diagnostics carry the grid and the discrete-stage value."""
-    dti = discretize(gamma, cfg.delta)
-    report = solver.solve_discrete_optimal(inst, dti, bounded=False)
+    grid = discretize(gamma, cfg.delta)
+    report = solver.solve_discrete_optimal(inst, grid, bounded=False)
     contract = core.robustify(inst, report.best_contract, cfg.alpha)
     diag = PtasDiagnostics(
         delta=cfg.delta,
         alpha=cfg.alpha,
-        k=len(dti.types),
+        k=len(grid.points),
         discrete_value=report.value,
         error_bound=cfg.error_bound,
         discrete_contract=report.best_contract,
@@ -121,6 +121,7 @@ def verify_discretization_identity(
     utilities = [core.principal_utility(inst, p, a) for a in cell_actions]
 
     # route 1: direct integration of the piecewise-constant composition
+    # (its own sum, not ResponseTable.expected_utility, so the routes stay independent)
     lhs = 0
     if isinstance(gamma, Discrete):
         for point, w in zip(gamma.points, gamma.weights):

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Literal, Sequence
 
 from .core import Contract, Instance
-from .dist import Discrete, DiscreteTypeInstance, PiecewiseConstant, TypeDistribution
+from .dist import Discrete, PiecewiseConstant, TypeDistribution
 from .errors import InputError, UsageError
 from .numerics import Num
 
@@ -147,15 +147,12 @@ def load_distribution(path: str, mode: NumberMode = "rational") -> TypeDistribut
     raise InputError(path, f"unknown distribution kind {kind!r}")
 
 
-def load_type_instance(path: str, mode: NumberMode = "rational") -> DiscreteTypeInstance:
-    """Read a discrete distribution file as a finite type instance."""
+def load_type_instance(path: str, mode: NumberMode = "rational") -> Discrete:
+    """Read a discrete distribution file, refusing any other kind."""
     d = load_distribution(path, mode)
     if not isinstance(d, Discrete):
         raise InputError(path, "expected a discrete distribution (kind 'discrete')")
-    try:
-        return DiscreteTypeInstance(types=d.points, weights=d.weights)
-    except UsageError as exc:
-        raise InputError(path, str(exc)) from None
+    return d
 
 
 def instance_payload(inst: Instance) -> dict[str, Any]:

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 from . import core
 from .core import Contract, Instance
-from .dist import DiscreteTypeInstance
+from .dist import Discrete
 from .errors import ResourceGuardError, UsageError
 from .numerics import (
     LPResult,
@@ -35,25 +35,23 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class SolveReport:
     """Optimum of a discrete-type instance. tuples_solved is the number of
-    per-tuple LPs solved, one per cost-monotone action chain; per_tuple, when
-    collected, logs (tuple, LP status, LP value) for those chains in order."""
+    per-tuple LPs solved, one per cost-monotone action chain."""
 
     best_contract: Contract
     value: Num
     tuples_solved: int
-    per_tuple: tuple[tuple[tuple[int, ...], str, Fraction | None], ...] | None = None
 
 
 def contract_for_tuple(
     inst: Instance,
-    dti: DiscreteTypeInstance,
+    gamma: Discrete,
     actions: Sequence[int],
     bounded: bool = False,
 ) -> LPResult:
     """LP for one action-per-type assignment: maximize expected principal
     utility subject to every assigned action being incentive compatible for
     its type, payments >= 0 (and <= 1 in the bounded regime)."""
-    k = len(dti.types)
+    k = len(gamma.points)
     if len(actions) != k:
         raise UsageError(f"tuple has {len(actions)} entries, expected {k}")
     for a in actions:
@@ -63,16 +61,16 @@ def contract_for_tuple(
     F = [[as_fraction(x) for x in row] for row in inst.F]
     r = [as_fraction(x) for x in inst.r]
     c = [as_fraction(x) for x in inst.c]
-    gamma = [as_fraction(w) for w in dti.weights]
-    thetas = [as_fraction(t) for t in dti.types]
+    masses = [as_fraction(w) for w in gamma.weights]
+    thetas = [as_fraction(t) for t in gamma.points]
 
     # objective: const - sum_w (sum_i gamma_i F[a_i, w]) p_w
     weight = [_ZERO] * m
     const = _ZERO
     for i, a in enumerate(actions):
-        const += gamma[i] * sum(f * rw for f, rw in zip(F[a], r))
+        const += masses[i] * sum(f * rw for f, rw in zip(F[a], r))
         for w in range(m):
-            weight[w] += gamma[i] * F[a][w]
+            weight[w] += masses[i] * F[a][w]
     objective = [-x for x in weight]
 
     rows: list[tuple[list[Fraction], str, Fraction]] = []
@@ -137,17 +135,14 @@ def _iter_chains(costs: Sequence[Fraction], k: int) -> Iterator[tuple[int, ...]]
 
 
 def solve_discrete_optimal(
-    inst: Instance,
-    dti: DiscreteTypeInstance,
-    bounded: bool = False,
-    collect_per_tuple: bool = False,
+    inst: Instance, gamma: Discrete, bounded: bool = False
 ) -> SolveReport:
     """Exact maximum over the per-tuple LPs of the cost-monotone action
     chains (every other tuple is infeasible, see _iter_chains); tuple ties
     resolve in lexicographic order. The reported value is recomputed through
     the model evaluation path, which agrees with the winning LP value
     exactly; it is a Fraction on rational inputs and a float otherwise."""
-    n, k = inst.n_actions, len(dti.types)
+    n, k = inst.n_actions, len(gamma.points)
     costs = [as_fraction(x) for x in inst.c]
     count = chain_count(costs, k)
     if count > TUPLE_GUARD:
@@ -158,13 +153,10 @@ def solve_discrete_optimal(
 
     best_value: Fraction | None = None
     best_point: tuple[Fraction, ...] | None = None
-    log: list[tuple[tuple[int, ...], str, Fraction | None]] = []
     solved = 0
     for tup in _iter_chains(costs, k):
-        res = contract_for_tuple(inst, dti, tup, bounded)
+        res = contract_for_tuple(inst, gamma, tup, bounded)
         solved += 1
-        if collect_per_tuple:
-            log.append((tup, res.status, res.value))
         if res.status != "optimal":
             continue
         assert res.value is not None and res.point is not None
@@ -173,12 +165,11 @@ def solve_discrete_optimal(
             best_point = res.point
     if best_point is None:
         raise UsageError("no feasible action tuple; instance is inconsistent")
-    value = core.expected_principal_utility(inst, dti, best_point)
+    value = core.expected_principal_utility(inst, gamma, best_point)
     return SolveReport(
         best_contract=best_point,
         value=as_fraction(value) if is_exact(value) else value,
         tuples_solved=solved,
-        per_tuple=tuple(log) if collect_per_tuple else None,
     )
 
 

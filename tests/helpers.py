@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from contractlab import (
-    DiscreteTypeInstance,
     Instance,
     agent_utility,
     best_response,
@@ -31,7 +30,7 @@ from contractlab.bandit import (
     _greedy_basis,
     block_constant,
 )
-from contractlab.core import TIE_TOL, BestResponse
+from contractlab.core import TIE_TOL, BestResponse, ResponseTable
 from contractlab.dist import Discrete, PiecewiseConstant, cdf
 from contractlab.errors import UsageError
 from contractlab.hardness import SetCoverInput
@@ -62,12 +61,12 @@ def random_instance(
     return Instance(F=tuple(rows), r=r, c=tuple(c))
 
 
-def random_dti(gen: random.Random, k: int, denom: int = 12) -> DiscreteTypeInstance:
+def random_atoms(gen: random.Random, k: int, denom: int = 12) -> Discrete:
     types = sorted(gen.sample(range(denom + 1), k))
     w = [gen.randrange(1, 5) for _ in range(k)]
     s = sum(w)
-    return DiscreteTypeInstance(
-        types=tuple(Fraction(t, denom) for t in types),
+    return Discrete(
+        points=tuple(Fraction(t, denom) for t in types),
         weights=tuple(Fraction(x, s) for x in w),
     )
 
@@ -134,7 +133,7 @@ def payment_grid(m: int, step: float) -> np.ndarray:
 
 
 def grid_values(
-    inst: Instance, dti: DiscreteTypeInstance, P: np.ndarray, tol: float = 1e-9
+    inst: Instance, gamma: Discrete, P: np.ndarray, tol: float = 1e-9
 ) -> np.ndarray:
     """Expected principal utility of every payment row of P, recomputed from
     scratch: agent utilities, favorable tie-break within tol, weighted sum."""
@@ -142,15 +141,17 @@ def grid_values(
     pay = P @ F.T
     base = F @ r
     total = np.zeros(len(P))
-    for theta, w in zip(dti.types_arr, dti.weights_arr):
+    for theta, w in zip(
+        np.asarray(gamma.points, dtype=float), np.asarray(gamma.weights, dtype=float)
+    ):
         au = pay - theta * c
         eligible = au >= au.max(axis=1, keepdims=True) - tol
         total += w * np.where(eligible, base - pay, -np.inf).max(axis=1)
     return total
 
 
-def grid_best(inst: Instance, dti: DiscreteTypeInstance, step: float = 0.01) -> float:
-    return float(grid_values(inst, dti, payment_grid(inst.n_outcomes, step)).max())
+def grid_best(inst: Instance, gamma: Discrete, step: float = 0.01) -> float:
+    return float(grid_values(inst, gamma, payment_grid(inst.n_outcomes, step)).max())
 
 
 def grid_best_continuous(
@@ -216,6 +217,19 @@ def grid_best_continuous_loop(
     return float(total.max())
 
 
+def per_type_expectation(inst: Instance, gamma: Discrete, p):
+    """Slow reference for the expectation on atoms: the per-type loop the
+    library used before ``ResponseTable.expected_utility``, one response per
+    type with positive weight, summed in type order."""
+    table = ResponseTable(inst, p)
+    total = 0
+    for theta, w in zip(gamma.points, gamma.weights):
+        if w == 0:
+            continue
+        total += w * table.respond(theta).principal_utility
+    return total
+
+
 def quadrature_expectation(inst: Instance, gamma, p, resolution: float = 1e-5) -> float:
     """Slow float reference for the continuous expectation: composite midpoint
     quadrature at the given resolution, with cells also split at density
@@ -252,7 +266,7 @@ def quadrature_expectation(inst: Instance, gamma, p, resolution: float = 1e-5) -
 
 
 def full_product_solve(
-    inst: Instance, dti: DiscreteTypeInstance, bounded: bool = False
+    inst: Instance, gamma: Discrete, bounded: bool = False
 ) -> tuple[Fraction, tuple[Fraction, ...], dict[tuple[int, ...], str]]:
     """Slow reference for the discrete solver: the LP of every one of the n^k
     action tuples in itertools.product order, the first optimum of largest
@@ -261,13 +275,13 @@ def full_product_solve(
     best_value = None
     best_point = None
     statuses = {}
-    for tup in itertools.product(range(inst.n_actions), repeat=len(dti.types)):
-        res = contract_for_tuple(inst, dti, tup, bounded)
+    for tup in itertools.product(range(inst.n_actions), repeat=len(gamma.points)):
+        res = contract_for_tuple(inst, gamma, tup, bounded)
         statuses[tup] = res.status
         if res.status == "optimal" and (best_value is None or res.value > best_value):
             best_value, best_point = res.value, res.point
     assert best_point is not None, "no feasible action tuple"
-    return expected_principal_utility(inst, dti, best_point), best_point, statuses
+    return expected_principal_utility(inst, gamma, best_point), best_point, statuses
 
 
 def brute_best_response(

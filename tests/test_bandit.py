@@ -20,6 +20,7 @@ from contractlab import (
     algorithm1_regret,
     best_response,
     contract_environment,
+    expected_principal_utility_continuous,
     g_optimal_design,
     pac_best_arm,
     pac_best_contract,
@@ -36,7 +37,9 @@ from contractlab.bandit import (
     block_length,
     pac_blocks,
 )
+from contractlab import core
 from contractlab.core import Instance
+from contractlab.dist import PiecewiseConstant
 from helpers import full_inverse_design
 
 F = Fraction
@@ -315,6 +318,38 @@ def test_contract_environment_exact_mean():
     rng = rng_new(7)
     total = env.pull_sum(0, 4000, rng)
     assert abs(total / 4000 - 0.25) < 0.02
+
+
+def test_true_mean_reads_the_arm_table(desk_instance, monkeypatch):
+    # true_mean answers from the response table that pull_sum samples from,
+    # building none, and gives the public expectation of the arm's contract
+    trio = Instance(
+        F=(
+            (F(3, 4), F(1, 4), F(0)),
+            (F(1, 4), F(1, 2), F(1, 4)),
+            (F(0), F(1, 4), F(3, 4)),
+        ),
+        r=(F(0), F(1, 2), F(1)),
+        c=(F(0), F(1, 4), F(1, 2)),
+    )
+    half_heavy = PiecewiseConstant((F(0), F(1, 2), F(1)), (F(3, 2), F(1, 2)))
+    init = core.ResponseTable.__init__
+    built = []
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    for inst, gamma in ((desk_instance, uniform_distribution()), (trio, half_heavy)):
+        env = contract_environment(inst, gamma, F(1, 8))
+        monkeypatch.setattr(core.ResponseTable, "__init__", counted_init)
+        means = [env.true_mean(a) for a in range(env.n_arms)]
+        monkeypatch.undo()
+        assert built == []
+        assert means == [
+            float(expected_principal_utility_continuous(inst, gamma, p))
+            for p in env.arms.contracts
+        ]
 
 
 def test_contract_environment_builder(desk_instance):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from contractlab import serialize
+from contractlab import dist, serialize
 from contractlab.cli import main
 from contractlab.dist import grid_points
 from contractlab.solver import candidate_contract_set
@@ -212,6 +212,32 @@ def test_bandit_pac_success_and_guard(files, capsys):
     )
     assert code2 == 3
     assert "error:" in err
+
+
+def test_bandit_pac_guard_builds_no_grid(files, capsys, monkeypatch):
+    # eta = 0.2 gives 57,600 grid points; the guard counts them, builds none
+    def no_grid(delta):
+        raise AssertionError("the dimension guard must not build the grid")
+
+    monkeypatch.setattr(dist, "grid_points", no_grid)
+    code, out, err = run(
+        capsys,
+        "bandit-pac",
+        "--instance",
+        files["instance"],
+        "--dist",
+        files["uniform"],
+        "--eta",
+        "0.2",
+        "--delta",
+        "0.1",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: type grid too fine for exact candidate enumeration: eps=1.74e-05 "
+        "gives dimension 57600 > 512; the candidate pool grows combinatorially "
+        "in the grid size\n"
+    )
 
 
 def test_bandit_pac_contract_is_an_exact_candidate(files, capsys):

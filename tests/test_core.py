@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from contractlab import (
     Discrete,
-    DiscreteTypeInstance,
     Instance,
     UsageError,
     agent_utility,
@@ -23,14 +22,15 @@ from contractlab import (
     principal_utility,
     robustify,
 )
-from contractlab.core import TIE_TOL, ResponseTable, best_response_breakpoints
+from contractlab.core import TIE_TOL, ResponseTable
 from contractlab.dist import PiecewiseConstant, cdf
 from helpers import (
     brute_best_response,
     per_action_best_response,
+    per_type_expectation,
     quadrature_expectation,
+    random_atoms,
     random_contract,
-    random_dti,
     random_instance,
     random_piecewise,
 )
@@ -217,12 +217,8 @@ def test_robustify_componentwise():
     assert robustify(inst, (F(1, 5), F(3, 5)), F(1, 2)) == (F(3, 5), F(3, 10))
 
 
-def test_robustify_bounded_cap(desk_instance):
-    # unbounded contracts may exceed 1; bounded mode caps the mix at 1
-    assert robustify(desk_instance, (F(0), F(3, 2)), F(1, 2), bounded=True) == (
-        F(0),
-        F(1),
-    )
+def test_robustify_may_exceed_one(desk_instance):
+    # contracts are unbounded, so the mix of a payment above 1 stays above 1
     assert robustify(desk_instance, (F(0), F(3, 2)), F(1, 2)) == (F(0), F(5, 4))
 
 
@@ -240,26 +236,26 @@ def test_expected_utility_matches_per_type_loop():
     gen = random.Random(29)
     for _ in range(20):
         inst = random_instance(gen, 3, 3)
-        dti = random_dti(gen, 3)
+        gamma = random_atoms(gen, 3)
         p = random_contract(gen, 3)
-        got = expected_principal_utility(inst, dti, p)
+        got = expected_principal_utility(inst, gamma, p)
         want = sum(
             w * best_response(inst, p, t).principal_utility
-            for t, w in zip(dti.types, dti.weights)
+            for t, w in zip(gamma.points, gamma.weights)
         )
         assert got == want
 
 
 def test_expected_utility_full_reward_is_zero(desk_instance):
     gen = random.Random(31)
-    dti = random_dti(gen, 2)
-    assert expected_principal_utility(desk_instance, dti, desk_instance.r) == 0
+    gamma = random_atoms(gen, 2)
+    assert expected_principal_utility(desk_instance, gamma, desk_instance.r) == 0
 
 
 def test_breakpoints_desk(desk_instance):
     # work beats idle iff p2 - theta/2 >= 0, crossing at theta = 2 p2
-    assert best_response_breakpoints(desk_instance, (F(0), F(1, 4))) == [0.5]
-    assert best_response_breakpoints(desk_instance, (F(0), F(3, 4))) == []
+    assert ResponseTable(desk_instance, (F(0), F(1, 4))).breakpoints() == [0.5]
+    assert ResponseTable(desk_instance, (F(0), F(3, 4))).breakpoints() == []
 
 
 def test_continuous_value_closed_form(desk_instance, uniform_gamma):
@@ -364,9 +360,48 @@ def test_continuous_value_segment_sum_property(inst, gamma, atoms, data):
     got = expected_principal_utility_continuous(inst, gamma, p)
     assert isinstance(got, Fraction)
     assert abs(float(got) - quadrature_expectation(inst, gamma, p)) <= 1e-9
-    dti = DiscreteTypeInstance(atoms.points, atoms.weights)
     on_atoms = expected_principal_utility_continuous(inst, atoms, p)
-    assert on_atoms == expected_principal_utility(inst, dti, p)
+    assert on_atoms == per_type_expectation(inst, atoms, p)
+
+
+@st.composite
+def weighted_atoms(draw, denom: int = 12) -> Discrete:
+    """Atoms whose weights may be zero, at least one of them positive."""
+    pts = draw(st.lists(st.integers(0, denom), min_size=1, max_size=5, unique=True))
+    raw = draw(
+        st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts)).filter(any)
+    )
+    return Discrete(
+        tuple(F(x, denom) for x in sorted(pts)), tuple(F(w, sum(raw)) for w in raw)
+    )
+
+
+# On atoms the expectation is the per-type loop it replaced: one response per
+# type of positive weight, summed in type order.  So it must agree exactly on
+# Fractions and bit for bit on floats, where the summation order matters.
+
+
+@settings(max_examples=60)
+@given(inst=rational_instances(), atoms=weighted_atoms(), data=st.data())
+def test_expected_utility_on_atoms_matches_per_type_loop(inst, atoms, data):
+    p = _contract(data, inst.n_outcomes)
+    got = ResponseTable(inst, p).expected_utility(atoms)
+    assert isinstance(got, Fraction)
+    assert got == per_type_expectation(inst, atoms, p)
+
+    finst = Instance(
+        F=tuple(tuple(float(f) for f in row) for row in inst.F),
+        r=tuple(float(x) for x in inst.r),
+        c=tuple(float(x) for x in inst.c),
+    )
+    fatoms = Discrete(
+        tuple(float(x) for x in atoms.points), tuple(float(w) for w in atoms.weights)
+    )
+    fp = tuple(float(x) for x in p)
+    got = ResponseTable(finst, fp).expected_utility(fatoms)
+    want = per_type_expectation(finst, fatoms, fp)
+    assert type(got) is type(want) is float
+    assert got.hex() == want.hex()
 
 
 # One table per contract serves every type: with p fixed, the agent utility
@@ -382,7 +417,7 @@ def test_continuous_value_segment_sum_property(inst, gamma, atoms, data):
 def test_response_table_matches_bruteforce(inst, data):
     p = _contract(data, inst.n_outcomes)
     table = ResponseTable(inst, p)
-    crossings = best_response_breakpoints(inst, p)
+    crossings = table.breakpoints()
     for theta in [F(k, 12) for k in range(13)] + crossings:
         got = table.respond(theta)
         action, au, pu, ic = brute_best_response(inst, p, theta)
@@ -402,7 +437,7 @@ def test_response_table_float_mode_matches_per_action_scan(inst, data):
     )
     p = tuple(float(x) for x in _contract(data, inst.n_outcomes))
     table = ResponseTable(finst, p)
-    thetas = [k / 12 for k in range(13)] + best_response_breakpoints(finst, p)
+    thetas = [k / 12 for k in range(13)] + table.breakpoints()
     for theta in thetas:
         want = per_action_best_response(finst, p, theta)
         got = table.respond(theta)
@@ -450,7 +485,7 @@ def test_response_table_actions_match_respond(inst, data):
         Instance(F=F_float, r=tuple(nudged), c=c_float),
     ):
         table = ResponseTable(model, p)
-        crossings = best_response_breakpoints(model, p)
+        crossings = table.breakpoints()
         thetas = [k / 12 for k in range(13)] + [float(t) for t in crossings]
         got = table.actions(np.asarray(thetas))
         assert got.tolist() == [table.respond(t).action for t in thetas]

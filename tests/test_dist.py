@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractlab import (
     Discrete,
-    DiscreteTypeInstance,
     PiecewiseConstant,
     UsageError,
     density_bound,
@@ -20,7 +21,7 @@ from contractlab import (
     sample,
     uniform_distribution,
 )
-from contractlab.dist import cdf, grid_points, sample_many
+from contractlab.dist import cdf, grid_points, grid_size, sample_many
 from helpers import ks_statistic, random_piecewise
 
 F = Fraction
@@ -128,7 +129,7 @@ def test_distribution_validation():
             breakpoints=(F(0), F(1, 2), F(1)), densities=(F(-1), F(3))
         )
     with pytest.raises(UsageError):
-        DiscreteTypeInstance(types=(F(1, 2), F(1, 2)), weights=(F(1, 2), F(1, 2)))
+        Discrete(points=(F(1, 2), F(1, 2)), weights=(F(1, 2), F(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +144,33 @@ def test_grid_points():
     assert grid_points(F(3, 10)) == (F(3, 20), F(9, 20), F(3, 4), F(1))
 
 
+@settings(max_examples=200)
+@given(
+    num=st.integers(1, 200), den=st.integers(1, 2000), as_float=st.booleans()
+)
+def test_grid_size_counts_grid_points(num, den, as_float):
+    # grid_size counts the grid without building it, by grid_points' own rule
+    delta = F(min(num, den), den)
+    if as_float:
+        delta = float(delta)
+    assert grid_size(delta) == len(grid_points(delta))
+
+
 def test_discretize_uniform_half():
-    dti = discretize(uniform_distribution(), F(1, 2))
-    assert dti.types == (F(1, 4), F(3, 4))
-    assert dti.weights == (F(1, 2), F(1, 2))
+    grid = discretize(uniform_distribution(), F(1, 2))
+    assert grid.points == (F(1, 4), F(3, 4))
+    assert grid.weights == (F(1, 2), F(1, 2))
 
 
 def test_discretize_single_cell():
-    dti = discretize(uniform_distribution(), F(1))
-    assert dti.types == (F(1, 2),)
-    assert dti.weights == (F(1),)
+    grid = discretize(uniform_distribution(), F(1))
+    assert grid.points == (F(1, 2),)
+    assert grid.weights == (F(1),)
 
 
 def test_discretize_piecewise_half():
-    dti = discretize(HALF_HEAVY, F(1, 2))
-    assert dti.weights == (F(3, 4), F(1, 4))
+    grid = discretize(HALF_HEAVY, F(1, 2))
+    assert grid.weights == (F(3, 4), F(1, 4))
 
 
 def test_discretize_weights_sum_to_one_exactly():
@@ -167,9 +180,9 @@ def test_discretize_weights_sum_to_one_exactly():
         delta = F(1, gen.randrange(2, 9)) * gen.randrange(1, 3)
         if delta > 1:
             delta = F(1)
-        dti = discretize(d, delta)
-        assert sum(dti.weights) == 1
-        assert len(dti.types) == len(dti.weights)
+        grid = discretize(d, delta)
+        assert sum(grid.weights) == 1
+        assert len(grid.points) == len(grid.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -73,14 +73,14 @@ def test_cover_predicates():
 
 def test_reduce_shape_and_labels(three_element_reduced):
     ri = three_element_reduced
-    inst, dti = ri.inst, ri.dti
+    inst, gamma = ri.inst, ri.gamma
     # one productive action and one shadow per (element, containing set) pair
     pairs = sum(len(s) for s in ri.sc.sets)
     assert inst.n_actions == 2 * pairs + 2 == 14
     assert inst.n_outcomes == 4 + 2
-    assert dti.types == (F(0), F(1, 3), F(2, 3), F(1))
-    assert dti.weights == (F(1, 729), F(728, 2187), F(728, 2187), F(728, 2187))
-    assert sum(dti.weights) == 1
+    assert gamma.points == (F(0), F(1, 3), F(2, 3), F(1))
+    assert gamma.weights == (F(1, 729), F(728, 2187), F(728, 2187), F(728, 2187))
+    assert sum(gamma.weights) == 1
     labels = inst.labels
     assert labels is not None
     assert labels[ri.star_action] == "astar"
@@ -212,11 +212,11 @@ def test_if_direction_matches_per_action_scan():
         cover = min_cover(sc)
         p = cover_contract(ri, cover)
         rep = verify_if_direction(ri, cover)
-        slow = [per_action_best_response(ri.inst, p, t) for t in ri.dti.types]
+        slow = [per_action_best_response(ri.inst, p, t) for t in ri.gamma.points]
         assert [t.action for t in rep.per_type] == [b.action for b in slow]
         assert [t.agent_utility for t in rep.per_type] == [b.agent_utility for b in slow]
         assert rep.total == sum(
-            w * b.principal_utility for w, b in zip(ri.dti.weights, slow)
+            w * b.principal_utility for w, b in zip(ri.gamma.weights, slow)
         )
         capped = all(
             agent_utility(ri.inst, p, a, F(i, sc.n)) <= ri.params.mu / (4 * i * sc.n)
@@ -277,7 +277,7 @@ def test_onlyif_matches_per_action_scan():
         for _ in range(10):
             q = random_contract(gen, sc.m + 2)
             rep = verify_onlyif_bounds(ri, q)
-            slow = [per_action_best_response(ri.inst, q, t) for t in ri.dti.types]
+            slow = [per_action_best_response(ri.inst, q, t) for t in ri.gamma.points]
             assert rep.theta0_action == slow[0].action
             assert rep.theta0_utility == slow[0].principal_utility
             assert [t.action for t in rep.per_type] == [b.action for b in slow[1:]]
@@ -285,7 +285,7 @@ def test_onlyif_matches_per_action_scan():
                 b.principal_utility for b in slow[1:]
             ]
             assert rep.total == sum(
-                w * b.principal_utility for w, b in zip(ri.dti.weights, slow)
+                w * b.principal_utility for w, b in zip(ri.gamma.weights, slow)
             )
             assert rep.partition == classify_types(ri, q)
 

@@ -152,8 +152,8 @@ def test_load_type_instance(tmp_path):
         "points": ["1/4", "3/4"],
         "weights": ["1/2", "1/2"],
     }
-    dti = load_type_instance(write(tmp_path / "d.json", disc))
-    assert dti.types == (F(1, 4), F(3, 4))
+    types = load_type_instance(write(tmp_path / "d.json", disc))
+    assert types == Discrete(points=(F(1, 4), F(3, 4)), weights=(F(1, 2), F(1, 2)))
     pw = {"kind": "piecewise", "breakpoints": ["0", "1"], "densities": ["1"]}
     with pytest.raises(InputError):
         load_type_instance(write(tmp_path / "p.json", pw))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contractlab import (
-    DiscreteTypeInstance,
+    Discrete,
     Instance,
     ResourceGuardError,
     UsageError,
@@ -27,15 +27,15 @@ from helpers import (
     grid_best,
     grid_values,
     payment_grid,
-    random_dti,
+    random_atoms,
     random_instance,
 )
 
 F = Fraction
 
 
-def one_type(theta) -> DiscreteTypeInstance:
-    return DiscreteTypeInstance(types=(theta,), weights=(F(1),))
+def one_type(theta) -> Discrete:
+    return Discrete(points=(theta,), weights=(F(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -111,37 +111,34 @@ def test_solve_single_free_action():
 
 
 def test_solve_desk_two_types_vs_grid(desk_instance):
-    dti = DiscreteTypeInstance(
-        types=(F(1, 4), F(3, 4)), weights=(F(1, 2), F(1, 2))
-    )
-    rep = solve_discrete_optimal(desk_instance, dti, bounded=True)
+    gamma = Discrete(points=(F(1, 4), F(3, 4)), weights=(F(1, 2), F(1, 2)))
+    rep = solve_discrete_optimal(desk_instance, gamma, bounded=True)
     assert rep.value == F(5, 8)
     assert rep.best_contract == (F(0), F(3, 8))
-    assert abs(float(rep.value) - grid_best(desk_instance, dti)) <= 0.02
+    assert abs(float(rep.value) - grid_best(desk_instance, gamma)) <= 0.02
 
 
 def test_solve_reports_consistent_value_and_log(desk_instance):
-    dti = DiscreteTypeInstance(
-        types=(F(1, 4), F(3, 4)), weights=(F(1, 2), F(1, 2))
-    )
-    rep = solve_discrete_optimal(desk_instance, dti, collect_per_tuple=True)
+    gamma = Discrete(points=(F(1, 4), F(3, 4)), weights=(F(1, 2), F(1, 2)))
+    rep = solve_discrete_optimal(desk_instance, gamma)
     # (idle, work) is the one tuple whose cost rises with type
-    assert rep.tuples_solved == 3
-    assert rep.per_tuple is not None and len(rep.per_tuple) == 3
-    assert [tup for tup, _, _ in rep.per_tuple] == [(0, 0), (1, 0), (1, 1)]
-    feasible = [v for _, status, v in rep.per_tuple if status == "optimal"]
+    chains = list(solver._iter_chains(desk_instance.c, 2))
+    assert chains == [(0, 0), (1, 0), (1, 1)]
+    assert rep.tuples_solved == len(chains)
+    results = [contract_for_tuple(desk_instance, gamma, tup) for tup in chains]
+    feasible = [res.value for res in results if res.status == "optimal"]
     assert max(feasible) == rep.value
     # the reported value re-evaluates the winning contract via best responses
-    assert expected_principal_utility(desk_instance, dti, rep.best_contract) == rep.value
+    assert expected_principal_utility(desk_instance, gamma, rep.best_contract) == rep.value
 
 
 def test_solve_unbounded_at_least_bounded():
     gen = random.Random(43)
     for _ in range(5):
         inst = random_instance(gen, 3, 2)
-        dti = random_dti(gen, 2)
-        lo = solve_discrete_optimal(inst, dti, bounded=True)
-        hi = solve_discrete_optimal(inst, dti, bounded=False)
+        gamma = random_atoms(gen, 2)
+        lo = solve_discrete_optimal(inst, gamma, bounded=True)
+        hi = solve_discrete_optimal(inst, gamma, bounded=False)
         assert hi.value >= lo.value
 
 
@@ -152,7 +149,7 @@ def test_solve_tuple_guard(monkeypatch):
     )
     assert chain_count(inst.c, 9) == math.comb(15, 9) == 5005  # under the guard
     types = tuple(F(2 * i + 1, 120) for i in range(60))
-    dti = DiscreteTypeInstance(types=types, weights=(F(1, 60),) * 60)
+    gamma = Discrete(points=types, weights=(F(1, 60),) * 60)
     assert chain_count(inst.c, 60) == math.comb(66, 6) > solver.TUPLE_GUARD
 
     def no_lp(*args, **kwargs):
@@ -160,7 +157,7 @@ def test_solve_tuple_guard(monkeypatch):
 
     monkeypatch.setattr(solver, "contract_for_tuple", no_lp)
     with pytest.raises(ResourceGuardError):
-        solve_discrete_optimal(inst, dti)
+        solve_discrete_optimal(inst, gamma)
 
 
 def test_chain_count_matches_lps_solved():
@@ -172,12 +169,12 @@ def test_chain_count_matches_lps_solved():
         c = [F(gen.randrange(0, 3), 2) for _ in range(n)]
         c[gen.randrange(n)] = F(0)
         inst = Instance(F=inst.F, r=inst.r, c=tuple(c))
-        dti = random_dti(gen, k)
+        gamma = random_atoms(gen, k)
         monotone = sum(
             all(inst.c[a] >= inst.c[b] for a, b in zip(t, t[1:]))
             for t in itertools.product(range(n), repeat=k)
         )
-        rep = solve_discrete_optimal(inst, dti, bounded=gen.random() < 0.5)
+        rep = solve_discrete_optimal(inst, gamma, bounded=gen.random() < 0.5)
         assert chain_count(inst.c, k) == monotone == rep.tuples_solved
 
 
@@ -198,12 +195,12 @@ def tied_cost_instances(draw) -> Instance:
 
 
 @st.composite
-def rational_type_grids(draw, max_types: int) -> DiscreteTypeInstance:
+def rational_type_grids(draw, max_types: int) -> Discrete:
     pts = draw(
         st.lists(st.integers(0, 12), min_size=1, max_size=max_types, unique=True)
     )
     raw = draw(st.lists(st.integers(1, 4), min_size=len(pts), max_size=len(pts)))
-    return DiscreteTypeInstance(
+    return Discrete(
         tuple(F(x, 12) for x in sorted(pts)), tuple(F(w, sum(raw)) for w in raw)
     )
 
@@ -213,12 +210,13 @@ def rational_type_grids(draw, max_types: int) -> DiscreteTypeInstance:
 def test_chain_enumeration_matches_full_product(inst, bounded, data):
     # four actions get at most four types: with all four costs equal, the
     # 4^5 tuples are all chains and their degenerate LPs take about a minute
-    dti = data.draw(rational_type_grids(5 if inst.n_actions <= 3 else 4))
-    value, contract, statuses = full_product_solve(inst, dti, bounded)
-    rep = solve_discrete_optimal(inst, dti, bounded=bounded, collect_per_tuple=True)
+    gamma = data.draw(rational_type_grids(5 if inst.n_actions <= 3 else 4))
+    value, contract, statuses = full_product_solve(inst, gamma, bounded)
+    rep = solve_discrete_optimal(inst, gamma, bounded=bounded)
     assert rep.value == value
     assert rep.best_contract == contract
-    chains = [tup for tup, _, _ in rep.per_tuple]
+    chains = list(solver._iter_chains(inst.c, len(gamma.points)))
+    assert rep.tuples_solved == len(chains)
     assert chains == sorted(chains)
     chain_set = set(chains)
     assert all(
@@ -233,7 +231,7 @@ def test_reduction_optimum_reaches_cover_value(three_element_reduced):
 
     rep = verify_if_direction(three_element_reduced, (2, 3))
     tup = tuple(t.action for t in rep.per_type)
-    res = contract_for_tuple(three_element_reduced.inst, three_element_reduced.dti, tup, bounded=False)
+    res = contract_for_tuple(three_element_reduced.inst, three_element_reduced.gamma, tup, bounded=False)
     assert res.status == "optimal"
     assert res.value >= ell_value(3, 4, 2)
 
@@ -241,7 +239,7 @@ def test_reduction_optimum_reaches_cover_value(three_element_reduced):
 def test_small_reduction_full_solve_equals_cover_value(n2_reduced):
     # two-element universe, single covering set: the exact solve lands
     # exactly on the cover contract's value
-    rep = solve_discrete_optimal(n2_reduced.inst, n2_reduced.dti, bounded=False)
+    rep = solve_discrete_optimal(n2_reduced.inst, n2_reduced.gamma, bounded=False)
     assert rep.value == ell_value(2, 1, 1)
     # six distinct costs over three types: C(8, 3) = 56 chains of 6**3 tuples
     assert rep.tuples_solved == math.comb(8, 3)
@@ -273,12 +271,10 @@ def test_candidates_cover_optimal_contracts():
         for _ in range(5):
             w = [gen.randrange(1, 5) for _ in types]
             s = sum(w)
-            dti = DiscreteTypeInstance(
-                types=types, weights=tuple(F(x, s) for x in w)
-            )
-            rep = solve_discrete_optimal(inst, dti, bounded=True)
+            gamma = Discrete(points=types, weights=tuple(F(x, s) for x in w))
+            rep = solve_discrete_optimal(inst, gamma, bounded=True)
             best_over_pts = max(
-                expected_principal_utility(inst, dti, p) for p in pts
+                expected_principal_utility(inst, gamma, p) for p in pts
             )
             assert best_over_pts == rep.value
             assert rep.best_contract in pts
