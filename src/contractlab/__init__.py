@@ -25,11 +25,10 @@ from .dist import (
     density_bound,
     discretize,
     interval_mass,
-    sample,
     uniform_distribution,
 )
 from .errors import InputError, ResourceGuardError, UsageError
-from .numerics import LPResult, RationalLP, Rng, lp_solve, rng_new, rng_split
+from .numerics import LPResult, RationalLP, lp_solve, rng_new
 from .solver import SolveReport, candidate_contract_set, solve_discrete_optimal
 from .ptas import PtasConfig, PtasDiagnostics, ptas_contract
 from .hardness import (
@@ -74,7 +73,6 @@ __all__ = [
     "ReducedInstance",
     "ReductionParams",
     "ResourceGuardError",
-    "Rng",
     "SetCoverInput",
     "SolveReport",
     "UsageError",
@@ -103,9 +101,7 @@ __all__ = [
     "ptas_contract",
     "reduce",
     "rng_new",
-    "rng_split",
     "robustify",
-    "sample",
     "solve_discrete_optimal",
     "uniform_distribution",
     "utility_map",

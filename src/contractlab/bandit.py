@@ -21,7 +21,7 @@ from . import core, dist, solver
 from .core import Contract, Instance
 from .dist import TypeDistribution
 from .errors import ResourceGuardError, UsageError
-from .numerics import Num, Rng, llog2, rng_new
+from .numerics import Num, llog2, rng_new
 
 __all__ = [
     "PAC_MAX_DIMENSION",
@@ -246,21 +246,20 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
 
 
 class Environment:
-    """Stochastic reward oracle over a finite arm set."""
+    """Stochastic reward oracle over the finite arm set ``arms``."""
 
-    def pull(self, arm: int, rng: Rng) -> float:
-        raise NotImplementedError
+    arms: ArmSet
 
-    def pull_sum(self, arm: int, count: int, rng: Rng) -> float:
+    def pull_sum(self, arm: int, count: int, rng: np.random.Generator) -> float:
         """Sum of `count` independent rewards from one arm."""
-        return float(sum(self.pull(arm, rng) for _ in range(count)))
+        raise NotImplementedError
 
     def true_mean(self, arm: int) -> float:
         raise NotImplementedError
 
     @property
     def n_arms(self) -> int:
-        raise NotImplementedError
+        return self.arms.k
 
 
 class LinearGaussianEnvironment(Environment):
@@ -289,63 +288,50 @@ class LinearGaussianEnvironment(Environment):
                 raise UsageError("offsets must match arm count")
             self._means = self._means + np.asarray(offsets, dtype=float)
 
-    def pull(self, arm: int, rng: Rng) -> float:
-        return float(self._means[arm] + self.sigma * rng.gen.standard_normal())
-
-    def pull_sum(self, arm: int, count: int, rng: Rng) -> float:
+    def pull_sum(self, arm: int, count: int, rng: np.random.Generator) -> float:
         if count == 0:
             return 0.0
         loc = count * self._means[arm]
         scale = self.sigma * math.sqrt(count)
-        return float(loc + scale * rng.gen.standard_normal())
+        return float(loc + scale * rng.standard_normal())
 
     def true_mean(self, arm: int) -> float:
         return float(self._means[arm])
 
-    @property
-    def n_arms(self) -> int:
-        return self.arms.k
-
 
 class ContractEnvironment(Environment):
-    """Reward oracle that draws a type, lets the agent best-respond to the
-    arm's contract, and samples an outcome reward."""
+    """Reward oracle over candidate contracts: draws a type, lets the agent
+    best-respond to the arm's contract, and samples an outcome reward.
+
+    Builds one response table per contract, and the arm set of the
+    contracts' principal utilities on the half-offset grid of width eps.
+    """
 
     def __init__(
         self,
         inst: Instance,
         gamma: TypeDistribution,
-        eps: float,
-        arms: ArmSet,
+        eps: Num,
+        contracts: Sequence[Contract],
     ) -> None:
         if isinstance(gamma, dist.Discrete):
             raise UsageError(
                 "type distribution must have a bounded density; atoms are not supported"
             )
-        if arms.contracts is None:
-            raise UsageError("contract environment needs contract-tagged arms")
+        grid = np.asarray(dist.grid_points(eps), dtype=float)
         self.inst = inst
         self.gamma = gamma
         self.eps = float(eps)
-        self.arms = arms
+        self.tables = [core.ResponseTable(inst, p) for p in contracts]
+        rows = tuple(tuple(_utilities_at(t, grid).tolist()) for t in self.tables)
+        self.arms = ArmSet(arms=rows, contracts=tuple(contracts))
         self._cum_f = np.cumsum(np.asarray(inst.F, dtype=float), axis=1)
-        self._tables: dict[int, core.ResponseTable] = {}
         self._means: dict[int, float] = {}
 
-    def pull(self, arm: int, rng: Rng) -> float:
-        return self.pull_sum(arm, 1, rng)
-
-    def _table(self, arm: int) -> core.ResponseTable:
-        table = self._tables.get(arm)
-        if table is None:
-            table = core.ResponseTable(self.inst, self.arms.contracts[arm])
-            self._tables[arm] = table
-        return table
-
-    def pull_sum(self, arm: int, count: int, rng: Rng) -> float:
+    def pull_sum(self, arm: int, count: int, rng: np.random.Generator) -> float:
         if count == 0:
             return 0.0
-        table = self._table(arm)
+        table = self.tables[arm]
         thetas = dist.sample_many(self.gamma, rng, count)
         actions = table.actions(thetas)
         rp = table.rp_arr
@@ -353,7 +339,7 @@ class ContractEnvironment(Environment):
         last = self.inst.n_outcomes - 1
         for a in np.unique(actions):
             n_a = int((actions == a).sum())
-            u = rng.gen.random(n_a)
+            u = rng.random(n_a)
             omegas = np.minimum(
                 np.searchsorted(self._cum_f[a], u, side="right"), last
             )
@@ -363,30 +349,18 @@ class ContractEnvironment(Environment):
     def true_mean(self, arm: int) -> float:
         mean = self._means.get(arm)
         if mean is None:
-            mean = float(self._table(arm).expected_utility(self.gamma))
+            mean = float(self.tables[arm].expected_utility(self.gamma))
             self._means[arm] = mean
         return mean
-
-    @property
-    def n_arms(self) -> int:
-        return self.arms.k
 
 
 def contract_environment(
     inst: Instance, gamma: TypeDistribution, eps: Num
 ) -> ContractEnvironment:
-    """Build the candidate-contract arm set over the eps type grid and its
-    sampling environment, which keeps the response tables of the arms."""
-    if not 0 < eps <= 1:
-        raise UsageError(f"grid width must lie in (0,1], got {eps}")
-    types = dist.grid_points(eps)
-    grid = np.asarray(types, dtype=float)
-    contracts = solver.candidate_contract_set(inst, types)
-    tables = [core.ResponseTable(inst, p) for p in contracts]
-    rows = tuple(tuple(_utilities_at(t, grid).tolist()) for t in tables)
-    env = ContractEnvironment(inst, gamma, eps, ArmSet(arms=rows, contracts=contracts))
-    env._tables.update(enumerate(tables))
-    return env
+    """The sampling environment over the candidate contracts of the eps
+    type grid."""
+    contracts = solver.candidate_contract_set(inst, dist.grid_points(eps))
+    return ContractEnvironment(inst, gamma, eps, contracts)
 
 
 def block_constant(d: int) -> int:
@@ -444,9 +418,8 @@ def phased_elimination(
     X: ArmSet,
     horizon: int,
     delta: float,
-    rng: Rng,
+    rng: np.random.Generator,
     *,
-    max_blocks: int | None = None,
     block_budget: bool = False,
 ) -> tuple[tuple[tuple[int, int, float], ...], EliminationState]:
     """Block-structured elimination over the arm set up to the horizon.
@@ -466,9 +439,12 @@ def phased_elimination(
     desk instance (largest gap 1.5) below about 2e5 rounds.
 
     The run stops mid-block at the horizon without eliminating.  With
-    ``block_budget`` the per-block pull total is capped at T_ell exactly,
-    so a run of L full blocks uses sum-of-T_ell samples.  Deterministic
-    given the rng.
+    ``block_budget`` each block pulls min(T_ell, remaining rounds): the
+    planned pulls sum(ceil(T_ell * w_i)) are an integer at least
+    T_ell * sum(w_i) > T_ell - 1 (the weights sum to 1 up to rounding), so
+    they reach T_ell.  A horizon of sum_{ell <= L} T_ell therefore runs
+    exactly L complete blocks of T_ell pulls each.  Deterministic given
+    the rng.
     """
     if horizon < 1:
         raise UsageError(f"horizon must be positive, got {horizon}")
@@ -482,17 +458,19 @@ def phased_elimination(
     blocks: list[BlockRecord] = []
     phi_last: tuple[float, ...] | None = None
     ell = 0
-    while remaining > 0 and (max_blocks is None or ell < max_blocks):
+    while remaining > 0:
         ell += 1
         t_ell = block_length(d, ell)
         key = frozenset(active)
         weights = X.design_cache.get(key)
         if weights is None:
-            sub = ArmSet(arms=tuple(X.arms[i] for i in active))
-            sub_w = g_optimal_design(sub, tol=_DESIGN_TOL).weights
             weights = np.zeros(k0)
-            for pos, arm in enumerate(active):
-                weights[arm] = sub_w[pos]
+            if A[active].any():
+                sub = ArmSet(arms=tuple(X.arms[i] for i in active))
+                weights[active] = g_optimal_design(sub, tol=_DESIGN_TOL).weights
+            else:
+                # zero arms span nothing, so every allocation is G-optimal
+                weights[active] = 1.0 / len(active)
             X.design_cache[key] = weights
         plan = [
             (arm, math.ceil(t_ell * weights[arm]))
@@ -515,7 +493,7 @@ def phased_elimination(
             pulled += count
         remaining -= pulled
         planned = sum(c for _, c in plan)
-        complete = pulled == (min(t_ell, planned) if block_budget else planned)
+        complete = pulled == (t_ell if block_budget else planned)
         if not complete:
             blocks.append(
                 BlockRecord(
@@ -658,15 +636,17 @@ def pac_best_arm(
     X: ArmSet,
     eta: float,
     delta: float,
-    rng: Rng,
+    rng: np.random.Generator,
     *,
     alpha: float = 0.0,
 ) -> PacResult:
     """Identify an eta-optimal arm by running a fixed number of blocks.
 
-    Runs exactly ``pac_blocks`` full elimination blocks with per-block pull
-    budgets, then returns the surviving arm with the highest last-block
-    estimate (lowest index on ties).
+    Runs exactly L = ``pac_blocks`` complete elimination blocks: with block
+    budgets the horizon block_constant(d) * (2^L - 1) = sum_{ell <= L} T_ell
+    is spent by block L (see ``phased_elimination``).  Returns the
+    surviving arm with the highest last-block estimate (lowest index on
+    ties).
     """
     d, k = X.dim, X.k
     if k == 1:
@@ -674,15 +654,7 @@ def pac_best_arm(
     else:
         blocks_needed = pac_blocks(d, k, eta, delta, alpha)
     horizon = block_constant(d) * (2**blocks_needed - 1)
-    _, state = phased_elimination(
-        env,
-        X,
-        horizon,
-        delta,
-        rng,
-        max_blocks=blocks_needed,
-        block_budget=True,
-    )
+    _, state = phased_elimination(env, X, horizon, delta, rng, block_budget=True)
     phi = np.asarray(state.phi_hat, dtype=float)
     active = state.active
     est = X.matrix[list(active)] @ phi

@@ -53,10 +53,6 @@ def _config(args: argparse.Namespace, fields: Sequence[str]) -> dict[str, Any]:
     return cfg
 
 
-def _flag_number(raw: str, mode: serialize.NumberMode, flag: str):
-    return serialize.parse_number(raw, mode, flag)
-
-
 def _cmd_solve_discrete(args: argparse.Namespace) -> dict[str, Any]:
     inst = serialize.load_instance(args.instance, args.mode)
     gamma = serialize.load_type_instance(args.dist, args.mode)
@@ -72,9 +68,9 @@ def _cmd_solve_discrete(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_ptas(args: argparse.Namespace) -> dict[str, Any]:
     inst = serialize.load_instance(args.instance, args.mode)
     gamma = serialize.load_distribution(args.dist, args.mode)
-    eps = _flag_number(args.eps, args.mode, "--eps")
-    delta = _flag_number(args.delta, args.mode, "--delta") if args.delta else None
-    alpha = _flag_number(args.alpha, args.mode, "--alpha") if args.alpha else None
+    eps = serialize.parse_number(args.eps, args.mode, "--eps")
+    delta = serialize.parse_number(args.delta, args.mode, "--delta") if args.delta else None
+    alpha = serialize.parse_number(args.alpha, args.mode, "--alpha") if args.alpha else None
     cfg = ptas.PtasConfig.from_eps(eps, delta, alpha)
     contract, diag = ptas.ptas_contract(inst, gamma, cfg)
     config = _config(args, ["instance", "dist", "mode", "eps"])
@@ -204,8 +200,8 @@ def _regret_csv(args: argparse.Namespace) -> str:
 def _cmd_bandit_pac(args: argparse.Namespace) -> dict[str, Any]:
     inst = serialize.load_instance(args.instance, args.mode)
     gamma = serialize.load_distribution(args.dist, args.mode)
-    eta = _flag_number(args.eta, args.mode, "--eta")
-    delta = float(_flag_number(args.delta, "float", "--delta"))
+    eta = serialize.parse_number(args.eta, args.mode, "--eta")
+    delta = serialize.parse_number(args.delta, "float", "--delta")
     res = bandit.pac_best_contract(inst, gamma, eta, delta, args.seed)
     return {
         "config": _config(args, ["instance", "dist", "mode", "eta", "delta", "seed"]),

@@ -12,7 +12,7 @@ from typing import TypeAlias, Union
 import numpy as np
 
 from .errors import UsageError
-from .numerics import Num, Rng, as_fraction, is_exact
+from .numerics import Num, as_fraction, is_exact
 
 _SUM_TOL = 1e-12
 
@@ -135,7 +135,7 @@ def cdf(d: TypeDistribution, x: "float | np.ndarray") -> "float | np.ndarray":
 def grid_size(delta: Num) -> int:
     """Number of half-offset grid points for width delta: ceil(1/delta),
     exact on exact widths, with a 1e-12 slack on float widths."""
-    if delta <= 0 or delta > 1:
+    if not 0 < delta <= 1:
         raise UsageError(f"grid width must lie in (0,1], got {delta}")
     if is_exact(delta):
         return math.ceil(Fraction(1) / as_fraction(delta))
@@ -173,15 +173,10 @@ def discretize(d: TypeDistribution, delta: Num) -> Discrete:
     return Discrete(tuple(pts), tuple(weights))
 
 
-def sample(d: TypeDistribution, rng: Rng) -> float:
-    """One inverse-CDF draw."""
-    return float(sample_many(d, rng, 1)[0])
-
-
-def sample_many(d: TypeDistribution, rng: Rng, size: int) -> np.ndarray:
+def sample_many(d: TypeDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized inverse-CDF sampling; empirical interval frequencies
     converge to interval_mass at the usual 1/sqrt(N) rate."""
-    u = rng.gen.random(size)
+    u = rng.random(size)
     if isinstance(d, Discrete):
         pts = np.asarray(d.points, dtype=float)
         idx = np.searchsorted(d._cum, u, side="left")

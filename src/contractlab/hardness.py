@@ -274,6 +274,13 @@ class IfDirectionReport:
     star_payment_dominates: bool
 
 
+def _theta0_value(ri: ReducedInstance, p: Sequence[Fraction]) -> Fraction:
+    """Principal utility of the zero type playing the high-cost action:
+    -eps_r * sum(p[:m]) + (1 - m eps_r)(1/n - p[m])."""
+    n, m, eps = ri.sc.n, ri.sc.m, ri.params.eps_r
+    return -eps * sum(p[:m], _ZERO) + (1 - m * eps) * (Fraction(1, n) - p[m])
+
+
 def verify_if_direction(ri: ReducedInstance, cover: Iterable[int]) -> IfDirectionReport:
     """Certify the best-response structure and exact value of a cover contract.
 
@@ -293,12 +300,11 @@ def verify_if_direction(ri: ReducedInstance, cover: Iterable[int]) -> IfDirectio
     k = len(ids)
 
     table, responses = _responses(ri, p)
-    theta0_value = -eps * sum(p[:m], _ZERO) + (1 - m * eps) * (Fraction(1, n) - p[m])
     checks: list[TypeCheck] = []
     for i, (theta, br) in enumerate(zip(ri.gamma.points, responses)):
         if i == 0:
             in_family = br.action == ri.star_action
-            value = theta0_value
+            value = _theta0_value(ri, p)
         else:
             in_family = any(ri.interior_actions.get((i, s)) in br.ic_set for s in ids)
             value = mu / (2 * i * n)
@@ -521,9 +527,7 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
 
     br0 = responses[0]
     theta0_utility = br0.principal_utility
-    theta0_formula = -eps * sum(q[:m], _ZERO) + (1 - m * eps) * (
-        Fraction(1, n) - pstar
-    )
+    theta0_formula = _theta0_value(ri, q)
     theta0_star = br0.action == ri.star_action
 
     floor = Fraction(1, n) - 4 * pstar / eta

@@ -1,10 +1,10 @@
 """Exact-rational simplex LP solving, exact linear solves, and the seeded
-splittable RNG contract used by every stochastic component."""
+RNG used by every stochastic component."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence, TypeAlias
 
@@ -251,30 +251,14 @@ def rational_solve(
 
 
 # ---------------------------------------------------------------------------
-# Seeded splittable RNG (counter-based Philox core)
+# Seeded RNG (counter-based Philox core)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Rng:
-    """Single-owner random stream. Identical (seed, stream) pairs reproduce
-    identical draw sequences; substreams from rng_split never collide."""
-
-    seed: int
-    stream: tuple[int, ...] = ()
-    gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
-        self.gen = np.random.Generator(np.random.Philox(ss))
-
-
-def rng_new(seed: int) -> Rng:
-    return Rng(int(seed))
-
-
-def rng_split(rng: Rng, stream_id: int) -> Rng:
-    return Rng(rng.seed, rng.stream + (int(stream_id),))
+def rng_new(seed: int) -> np.random.Generator:
+    """Seeded random stream on numpy's counter-based Philox bit generator;
+    one seed always reproduces one draw sequence."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
 def llog2(d: int) -> float:

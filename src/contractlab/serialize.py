@@ -9,6 +9,7 @@ Fraction, with decimals read at face value.  Rationals are emitted as
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Literal, Sequence
@@ -34,26 +35,31 @@ NumberMode = Literal["rational", "float"]
 
 
 def parse_number(value: Any, mode: NumberMode, where: str) -> Num:
-    """Read one number from decoded JSON; `where` names the field in errors."""
+    """Read one number from decoded JSON; `where` names the field in errors.
+
+    Float mode refuses a number with no finite float value: json reads NaN,
+    Infinity and 1e400 as floats, and a ratio or decimal string may
+    overflow."""
     if isinstance(value, bool):
         raise InputError(where, f"expected a number, got {value!r}")
-    if isinstance(value, str):
+    if not isinstance(value, (str, int, float)):
+        raise InputError(where, f"expected a number, got {type(value).__name__}")
+    if isinstance(value, float) and mode == "float":
+        number = value
+    else:
         try:
-            exact = Fraction(value)
+            exact = Fraction(repr(value) if isinstance(value, float) else value)
         except (ValueError, ZeroDivisionError):
             raise InputError(where, f"cannot parse number {value!r}") from None
-    elif isinstance(value, int):
-        exact = Fraction(value)
-    elif isinstance(value, float):
-        if mode == "float":
-            return value
+        if mode == "rational":
+            return exact
         try:
-            exact = Fraction(repr(value))
-        except ValueError:
-            raise InputError(where, f"cannot parse number {value!r}") from None
-    else:
-        raise InputError(where, f"expected a number, got {type(value).__name__}")
-    return exact if mode == "rational" else float(exact)
+            number = float(exact)
+        except OverflowError:
+            number = math.inf
+    if not math.isfinite(number):
+        raise InputError(where, f"number {value!r} has no finite float value")
+    return number
 
 
 def format_number(x: Num) -> str | int | float:

@@ -294,7 +294,7 @@ def test_criterion_7_elimination_statistical_contract():
     survived = 0
     for seed in range(100):
         _, state = phased_elimination(
-            env, X, horizon, 0.05, rng_new(seed), max_blocks=10, block_budget=True
+            env, X, horizon, 0.05, rng_new(seed), block_budget=True
         )
         survived += 0 in state.active
     identified = 0

@@ -304,16 +304,14 @@ def test_linear_gaussian_env_statistics():
     off = LinearGaussianEnvironment(
         ArmSet(arms=((1.0, 0.0),)), phi=(1.0, 0.0), sigma=0.0, offsets=(0.25,)
     )
-    assert off.pull(0, rng_new(1)) == pytest.approx(1.25)
+    assert off.pull_sum(0, 1, rng_new(1)) == pytest.approx(1.25)
     assert off.true_mean(0) == pytest.approx(1.25)
 
 
 def test_contract_environment_exact_mean():
     inst = Instance(F=((F(1, 2), F(1, 2)),), r=(F(0), F(1)), c=(F(0),))
-    arms = ArmSet(
-        arms=((0.25,),), contracts=((F(0), F(1, 2)),)
-    )
-    env = ContractEnvironment(inst, uniform_distribution(), 1.0, arms)
+    env = ContractEnvironment(inst, uniform_distribution(), 1.0, [(F(0), F(1, 2))])
+    assert env.arms == ArmSet(arms=((0.25,),), contracts=((F(0), F(1, 2)),))
     assert env.true_mean(0) == pytest.approx(0.25)
     rng = rng_new(7)
     total = env.pull_sum(0, 4000, rng)
@@ -359,8 +357,12 @@ def test_contract_environment_builder(desk_instance):
     means = [env.true_mean(i) for i in range(env.n_arms)]
     # the best candidate contract must beat the null contract's value 0
     assert max(means) > 0.4
+    # one table per arm, for the arm's own contract
+    assert [t.rp for t in env.tables] == [
+        [r - x for r, x in zip(desk_instance.r, p)] for p in env.arms.contracts
+    ]
     rng = rng_new(3)
-    draws = [env.pull(0, rng) for _ in range(5)]
+    draws = [env.pull_sum(0, 1, rng) for _ in range(5)]
     assert all(-1.0 - 1e-9 <= x <= 1.0 + 1e-9 for x in draws)
 
 
@@ -403,15 +405,28 @@ def test_elimination_single_arm():
     assert sum(count for _, count, _ in history) == 100
 
 
+def test_elimination_continues_on_zero_arms():
+    # once only zero arms survive there is no design to compute; the run
+    # still spends its horizon on them
+    X = ArmSet(arms=((1.0,), (0.0,), (0.0,)))
+    env = LinearGaussianEnvironment(X, phi=(-1.0,), sigma=0.1)
+    history, state = phased_elimination(env, X, horizon=5000, delta=0.1, rng=rng_new(0))
+    assert state.active == (1, 2)
+    assert sum(count for _, count, _ in history) == 5000
+
+
 def test_elimination_plan_counts_cover_design():
     # pulls in a block follow the rounded-up design allocation
     env, X = synthetic_env()
-    history, state = phased_elimination(
-        env, X, horizon=10_000, delta=0.05, rng=rng_new(2), max_blocks=1
-    )
+    history, state = phased_elimination(env, X, horizon=10_000, delta=0.05, rng=rng_new(2))
     block = state.blocks[0]
     assert block.complete
-    counts = {arm: count for arm, count, _ in history}
+    counts: dict[int, int] = {}
+    for arm, count, _ in history:  # block 1 is the history's first pulls
+        if sum(counts.values()) == block.pulls:
+            break
+        counts[arm] = count
+    assert sum(counts.values()) == block.pulls
     w = g_optimal_design(X)
     for arm in block.active_before:
         need = block.t_ell * w.weights[arm]
@@ -439,6 +454,26 @@ def test_pac_best_arm_budget_and_winner():
     assert res.samples == block_constant(2) * (2**L - 1)
     assert res.samples <= block_constant(2) * 2**L
     assert res.arm == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    X=design_arm_sets(),
+    data=st.data(),
+    eta=st.sampled_from((0.1, 0.3, 2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pac_best_arm_runs_complete_blocks(X, data, eta, seed):
+    # with block budgets the horizon sum_{ell <= L} T_ell is spent in exactly
+    # L complete blocks of T_ell pulls, with no cap on the block count
+    phi = data.draw(st.lists(st.floats(-1, 1), min_size=X.dim, max_size=X.dim))
+    env = LinearGaussianEnvironment(X, phi=phi, sigma=0.1)
+    res = pac_best_arm(env, X, eta=eta, delta=0.1, rng=rng_new(seed))
+    blocks = res.state.blocks
+    assert len(blocks) == res.blocks
+    assert [b.ell for b in blocks] == list(range(1, res.blocks + 1))
+    assert all(b.complete and b.pulls == b.t_ell for b in blocks)
+    assert res.samples == block_constant(X.dim) * (2**res.blocks - 1)
 
 
 def test_pac_single_arm_short_circuit():

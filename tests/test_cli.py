@@ -301,6 +301,45 @@ def test_bad_cover_exit_2(capsys):
     assert "error:" in err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "command, kind, payload, field",
+    [
+        ("solve-discrete", "types", {**TWO_TYPES, "weights": [NAN, 1.0]}, "weights[0]"),
+        ("solve-discrete", "instance", {**DESK, "c": ["0", INF]}, "c[1]"),
+        ("solve-discrete", "instance", {**DESK, "c": ["0", "1e400"]}, "c[1]"),
+        ("bandit-regret", "uniform", {**UNIFORM, "densities": [NAN]}, "densities[0]"),
+    ],
+    ids=["nan-weight", "infinite-cost", "overflowing-cost", "nan-density"],
+)
+def test_float_mode_refuses_non_finite_input(
+    files, capsys, tmp_path, command, kind, payload, field
+):
+    # json reads NaN, Infinity and 1e400 as floats, and "1e400" overflows one
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    paths = {**files, kind: str(bad)}
+    dist_file = paths["types"] if command == "solve-discrete" else paths["uniform"]
+    argv = [command, "--instance", paths["instance"], "--dist", dist_file]
+    if command == "bandit-regret":
+        argv += ["--horizon", "16"]
+    code, out, err = run(capsys, *argv, "--mode", "float")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: {field}: number ")
+    assert err.endswith(" has no finite float value\n")
+
+
+def test_float_mode_refuses_overflowing_flag(files, capsys):
+    code, out, err = run(
+        capsys, "ptas", "--instance", files["instance"], "--dist", files["uniform"],
+        "--eps", "1e400", "--mode", "float",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --eps: number '1e400' has no finite float value\n"
+
+
 def test_missing_argument_exit_2(files):
     with pytest.raises(SystemExit) as exc:
         main(["ptas", "--instance", files["instance"]])

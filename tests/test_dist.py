@@ -18,7 +18,6 @@ from contractlab import (
     discretize,
     interval_mass,
     rng_new,
-    sample,
     uniform_distribution,
 )
 from contractlab.dist import cdf, grid_points, grid_size, sample_many
@@ -142,6 +141,9 @@ def test_grid_points():
     assert grid_points(F(1)) == (F(1, 2),)
     # 3.5 * 0.3 overshoots, so the last point clamps to 1
     assert grid_points(F(3, 10)) == (F(3, 20), F(9, 20), F(3, 4), F(1))
+    for bad in (0, F(-1, 2), F(3, 2), 1.5, float("nan")):
+        with pytest.raises(UsageError, match="grid width must lie in"):
+            grid_size(bad)
 
 
 @settings(max_examples=200)
@@ -192,20 +194,12 @@ def test_discretize_weights_sum_to_one_exactly():
 
 def test_sample_single_atom():
     d = Discrete(points=(F(3, 10),), weights=(F(1),))
-    rng = rng_new(0)
-    assert all(sample(d, rng) == 0.3 for _ in range(10))
+    assert (sample_many(d, rng_new(0), 10) == 0.3).all()
 
 
 def test_sample_uniform_mean():
     draws = sample_many(uniform_distribution(), rng_new(1), 100_000)
     assert abs(float(draws.mean()) - 0.5) < 0.01
-
-
-def test_sample_matches_batched_draws():
-    d = HALF_HEAVY
-    singles = [sample(d, rng_new(5)) for _ in range(1)]
-    batch = sample_many(d, rng_new(5), 4)
-    assert singles[0] == batch[0]
 
 
 def test_sample_piecewise_ks():

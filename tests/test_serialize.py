@@ -53,6 +53,17 @@ def test_parse_number_errors():
         parse_number(None, "float", "x")
 
 
+def test_parse_number_float_refuses_non_finite():
+    for value in (float("nan"), float("inf"), -float("inf"), "1e400", "-1e400", 10**400):
+        with pytest.raises(InputError, match="no finite float value") as err:
+            parse_number(value, "float", "c[1]")
+        assert err.value.source == "c[1]"
+    # rational mode reads an overflowing decimal exactly, and refuses NaN
+    assert parse_number("1e400", "rational", "x") == F(10) ** 400
+    with pytest.raises(InputError, match="cannot parse"):
+        parse_number(float("nan"), "rational", "x")
+
+
 def test_format_number():
     assert format_number(F(1, 3)) == "1/3"
     assert format_number(F(2)) == "2"
