@@ -201,6 +201,8 @@ def _cmd_bandit_pac(args: argparse.Namespace) -> dict[str, Any]:
     inst = serialize.load_instance(args.instance, args.mode)
     gamma = serialize.load_distribution(args.dist, args.mode)
     eta = serialize.parse_number(args.eta, args.mode, "--eta")
+    # the elimination runs on float(eta), so eta needs a finite float value
+    serialize.parse_number(args.eta, "float", "--eta")
     delta = serialize.parse_number(args.delta, "float", "--delta")
     res = bandit.pac_best_contract(inst, gamma, eta, delta, args.seed)
     return {

@@ -4,7 +4,6 @@ enumeration, and the finite distribution-free candidate contract set."""
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,7 +187,14 @@ def candidate_contract_set(
     """Finite set of contracts in [0,1]^m containing an expected-utility
     maximizer for every weight vector over the given types: all basic
     solutions of m constraints drawn from the incentive hyperplanes and the
-    box facets, filtered to the box and deduplicated exactly."""
+    box facets, filtered to the box and deduplicated exactly.
+
+    The constraints are grouped by direction (canonical coefficient vector),
+    each direction holding its right-hand sides. Every m-set of distinct
+    directions costs one exact inverse, and each choice of one right-hand
+    side per direction is then one matrix-vector product. BASIS_GUARD bounds
+    that work: the sum, over m-sets of distinct directions, of the product
+    of their class sizes, which is at least the number of direction sets."""
     m = inst.n_outcomes
     if m > CANDIDATE_MAX_OUTCOMES:
         raise ResourceGuardError(
@@ -198,7 +204,7 @@ def candidate_contract_set(
     F = [[as_fraction(x) for x in row] for row in inst.F]
     c = [as_fraction(x) for x in inst.c]
 
-    pool: dict[tuple[tuple[Fraction, ...], Fraction], None] = {}
+    classes: dict[tuple[Fraction, ...], dict[Fraction, None]] = {}
     for a in range(inst.n_actions):
         for b in range(a + 1, inst.n_actions):
             coeffs = tuple(F[a][w] - F[b][w] for w in range(m))
@@ -206,25 +212,37 @@ def candidate_contract_set(
             for t in types:
                 row = _canonical_row(coeffs, as_fraction(t) * dc)
                 if row is not None:
-                    pool.setdefault(row, None)
-    for w in range(m):
-        unit = tuple(_ONE if j == w else _ZERO for j in range(m))
-        pool.setdefault((unit, _ZERO), None)
-        pool.setdefault((unit, _ONE), None)
+                    classes.setdefault(row[0], {}).setdefault(row[1], None)
+    units = [tuple(_ONE if j == w else _ZERO for j in range(m)) for w in range(m)]
+    for unit in units:
+        classes.setdefault(unit, {}).update({_ZERO: None, _ONE: None})
 
-    rows = list(pool)
-    combos = math.comb(len(rows), m)
-    if combos > BASIS_GUARD:
+    # work = e_m(class sizes), the elementary symmetric polynomial, by DP
+    sums = [1] + [0] * m
+    for rhs in classes.values():
+        for j in range(m, 0, -1):
+            sums[j] += sums[j - 1] * len(rhs)
+    work = sums[m]
+    if work > BASIS_GUARD:
         raise ResourceGuardError(
-            f"candidate enumeration would test {combos} bases "
-            f"({len(rows)} constraints choose {m}), above the guard of {BASIS_GUARD}"
+            f"candidate enumeration would test {work} bases ({len(classes)} "
+            f"directions, {m} per basis), above the guard of {BASIS_GUARD}"
         )
 
+    # Skipping is exact. Rows with equal canonical coefficients are parallel,
+    # so an m-subset of rows holding two of them is singular and has no basic
+    # solution. The matrix of a subset of distinct directions depends only on
+    # those directions, so it is singular exactly when the direction set is,
+    # and then no choice of right-hand sides has a basic solution either.
     seen: dict[tuple[Fraction, ...], None] = {}
-    for chosen in itertools.combinations(rows, m):
-        point = rational_solve([row for row, _ in chosen], [rhs for _, rhs in chosen])
-        if point is None:
+    for dirs in itertools.combinations(classes, m):
+        first = rational_solve(dirs, units[0])
+        if first is None:
             continue
-        if all(0 <= x <= 1 for x in point):
-            seen.setdefault(tuple(point), None)
+        cols = [first] + [rational_solve(dirs, e) for e in units[1:]]
+        inverse = list(zip(*cols))
+        for rhs in itertools.product(*(classes[d] for d in dirs)):
+            point = tuple(sum(x * b for x, b in zip(row, rhs)) for row in inverse)
+            if all(0 <= x <= 1 for x in point):
+                seen.setdefault(point, None)
     return tuple(sorted(seen))

@@ -34,7 +34,7 @@ from contractlab.core import TIE_TOL, BestResponse, ResponseTable
 from contractlab.dist import Discrete, PiecewiseConstant, cdf
 from contractlab.errors import UsageError
 from contractlab.hardness import SetCoverInput
-from contractlab.numerics import is_exact
+from contractlab.numerics import as_fraction, is_exact, rational_solve
 from contractlab.solver import contract_for_tuple
 
 
@@ -282,6 +282,37 @@ def full_product_solve(
             best_value, best_point = res.value, res.point
     assert best_point is not None, "no feasible action tuple"
     return expected_principal_utility(inst, gamma, best_point), best_point, statuses
+
+
+def candidate_contracts_by_rows(inst: Instance, types) -> tuple[tuple[Fraction, ...], ...]:
+    """Slow reference for the candidate contract set: every m-subset of the
+    deduplicated constraint rows (each incentive row scaled so its first
+    nonzero coefficient is 1, then the box facets x_w = 0 and x_w = 1) is
+    solved on its own; nonsingular solutions inside [0,1]^m are kept, sorted
+    and deduplicated."""
+    m = inst.n_outcomes
+    F = [[as_fraction(x) for x in row] for row in inst.F]
+    c = [as_fraction(x) for x in inst.c]
+    pool = {}
+    for a in range(inst.n_actions):
+        for b in range(a + 1, inst.n_actions):
+            coeffs = tuple(F[a][w] - F[b][w] for w in range(m))
+            lead = next((x for x in coeffs if x != 0), None)
+            if lead is None:
+                continue
+            for t in types:
+                rhs = as_fraction(t) * (c[a] - c[b])
+                pool.setdefault((tuple(x / lead for x in coeffs), rhs / lead), None)
+    for w in range(m):
+        unit = tuple(Fraction(int(j == w)) for j in range(m))
+        pool.setdefault((unit, Fraction(0)), None)
+        pool.setdefault((unit, Fraction(1)), None)
+    seen = {}
+    for chosen in itertools.combinations(pool, m):
+        point = rational_solve([row for row, _ in chosen], [rhs for _, rhs in chosen])
+        if point is not None and all(0 <= x <= 1 for x in point):
+            seen.setdefault(point, None)
+    return tuple(sorted(seen))
 
 
 def brute_best_response(

@@ -13,6 +13,7 @@ from contractlab import dist, serialize
 from contractlab.cli import main
 from contractlab.dist import grid_points
 from contractlab.solver import candidate_contract_set
+from helpers import candidate_contracts_by_rows
 
 DESK = {
     "F": [["1", "0"], ["0", "1"]],
@@ -263,6 +264,33 @@ def test_bandit_pac_contract_is_an_exact_candidate(files, capsys):
     assert contract in candidate_contract_set(desk, grid_points(Fraction(1, 36)))
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_bandit_pac_eta5_contract_is_a_reference_candidate(files, capsys, seed):
+    # the benchmark's settings: eta = 5 gives the grid width (5 / 48)^2 and
+    # d = 93; the contract is checked against the subset-of-rows reference
+    code, out, _ = run(
+        capsys,
+        "bandit-pac",
+        "--instance",
+        files["instance"],
+        "--dist",
+        files["uniform"],
+        "--eta",
+        "5",
+        "--delta",
+        "1/10",
+        "--seed",
+        seed,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dimension"] == 93
+    contract = tuple(Fraction(x) for x in payload["contract"])
+    desk = serialize.load_instance(files["instance"], "rational")
+    types = grid_points(Fraction(5, 48) ** 2)
+    assert contract in candidate_contracts_by_rows(desk, types)
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -338,6 +366,16 @@ def test_float_mode_refuses_overflowing_flag(files, capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: --eps: number '1e400' has no finite float value\n"
+
+
+def test_bandit_pac_refuses_eta_without_float_value(files, capsys):
+    # rational mode keeps 1e400 exact, but the elimination runs on float(eta)
+    code, out, err = run(
+        capsys, "bandit-pac", "--instance", files["instance"], "--dist", files["uniform"],
+        "--eta", "1e400", "--delta", "0.1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --eta: number '1e400' has no finite float value\n"
 
 
 def test_missing_argument_exit_2(files):

@@ -20,9 +20,12 @@ from contractlab import (
     solve_discrete_optimal,
     solver,
 )
+from contractlab.dist import grid_points
 from contractlab.hardness import ell_value
+from contractlab.numerics import rational_solve
 from contractlab.solver import candidate_contract_set, chain_count, contract_for_tuple
 from helpers import (
+    candidate_contracts_by_rows,
     full_product_solve,
     grid_best,
     grid_values,
@@ -285,3 +288,65 @@ def test_candidates_guards():
     wide = random_instance(gen, 2, 5)
     with pytest.raises(ResourceGuardError):
         candidate_contract_set(wide, (F(1, 2),))
+
+
+@st.composite
+def candidate_cases(draw) -> tuple[Instance, list]:
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    units = st.integers(0, 6)
+    rows = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(units, min_size=m - 1, max_size=m - 1)))
+        rows.append(tuple(F(hi - lo, 6) for lo, hi in zip([0] + cuts, cuts + [6])))
+    c = [F(x, 3) for x in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    if n >= 2 and draw(st.booleans()):
+        rows[1] = rows[0]  # identical F rows: the pair has no incentive row
+    equal = n >= 2 and draw(st.booleans())
+    if equal:
+        c[1] = c[0]  # equal costs: every right-hand side of the pair is 0
+    zero = draw(st.integers(0, n - 1))
+    for a in (0, 1) if equal and zero < 2 else (zero,):
+        c[a] = F(0)
+    r = tuple(F(x, 6) for x in draw(st.lists(units, min_size=m, max_size=m)))
+    # Fraction or float types, duplicates allowed
+    types = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    scale = draw(st.sampled_from((F(1, 12), 1 / 12)))
+    return Instance(F=tuple(rows), r=r, c=tuple(c)), [t * scale for t in types]
+
+
+@settings(max_examples=60)
+@given(case=candidate_cases())
+def test_candidates_match_subsets_of_rows(case):
+    inst, types = case
+    assert candidate_contract_set(inst, types) == candidate_contracts_by_rows(inst, types)
+
+
+def test_candidates_solve_once_per_direction_set(desk_instance, monkeypatch):
+    # DESK on the learn_pac grid (d = 93) has 3 directions: work minus idle
+    # and the two box facets, so at most m * C(3, m) = 6 square solves
+    calls = []
+
+    def counted(matrix, rhs):
+        calls.append(matrix)
+        return rational_solve(matrix, rhs)
+
+    types = grid_points(F(5, 48) ** 2)
+    assert len(types) == 93
+    monkeypatch.setattr(solver, "rational_solve", counted)
+    pts = candidate_contract_set(desk_instance, types)
+    assert len(pts) == 190
+    assert len(calls) <= 2 * math.comb(3, 2)
+    assert pts == candidate_contracts_by_rows(desk_instance, types)
+
+
+def test_candidates_guard_counts_real_work(desk_instance, monkeypatch):
+    # 93 incentive right-hand sides, 2 per box facet: the direction pairs do
+    # 93 * 2 + 93 * 2 + 2 * 2 = 376 products, not C(97, 2) = 4656 solves
+    types = grid_points(F(5, 48) ** 2)
+    work = 93 * 2 + 93 * 2 + 2 * 2
+    monkeypatch.setattr(solver, "BASIS_GUARD", work - 1)
+    with pytest.raises(ResourceGuardError, match=f"would test {work} bases"):
+        candidate_contract_set(desk_instance, types)
+    monkeypatch.setattr(solver, "BASIS_GUARD", work)
+    assert len(candidate_contract_set(desk_instance, types)) == 190
