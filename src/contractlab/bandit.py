@@ -9,6 +9,7 @@ target suboptimality.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -688,6 +689,19 @@ class PacContractResult:
     n_arms: int
 
 
+_DIGITS3 = decimal.Context(prec=3, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+
+def _three_digits(x: Num) -> str:
+    """format(x, ".3g") rounded from the exact value of x: far outside the
+    float range, float(x) would read 0 or inf."""
+    q = Fraction(x)
+    dec = _DIGITS3.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
+    if dec and not decimal.Decimal("1e-300") < abs(dec) < decimal.Decimal("1e300"):
+        return format(dec.normalize(_DIGITS3), "g")
+    return format(float(dec), ".3g")
+
+
 def pac_best_contract(
     inst: Instance,
     gamma: TypeDistribution,
@@ -712,9 +726,11 @@ def pac_best_contract(
     eps = min(1, (Fraction(eta) / (24 * beta * n)) ** 2)
     d = dist.grid_size(eps)
     if d > PAC_MAX_DIMENSION:
+        # a dimension prints in full up to 15 digits, and to 3 beyond
+        dim = d if d < 10**15 else _three_digits(d)
         raise ResourceGuardError(
-            f"type grid too fine for exact candidate enumeration: eps={float(eps):.3g} "
-            f"gives dimension {d} > {PAC_MAX_DIMENSION}; the candidate pool grows "
+            f"type grid too fine for exact candidate enumeration: eps={_three_digits(eps)} "
+            f"gives dimension {dim} > {PAC_MAX_DIMENSION}; the candidate pool grows "
             "combinatorially in the grid size"
         )
     alpha = float(2 * beta * n * eps)

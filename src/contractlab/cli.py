@@ -9,6 +9,7 @@ input or usage, 3 resource guard tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -284,7 +285,10 @@ def _cmd_selftest(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    each build leaves a few hundred objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="contractlab",
         description="Bayesian contract design: exact solving, approximation, "

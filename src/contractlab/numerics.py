@@ -62,63 +62,95 @@ class LPResult:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _pivot(rows: list[list[Fraction]], basis: list[int], r: int, col: int) -> None:
-    piv = rows[r][col]
-    rows[r] = [v / piv for v in rows[r]]
+def _integer_row(values: Sequence[Num]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    exact = [as_fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (scale // v.denominator) for v in exact], scale
+
+
+def _pivot(rows: list[list[int]], r: int, s: int, d: int) -> int:
+    """One fraction-free (Bareiss 1968) elimination step on column s with
+    pivot row r; returns the new denominator p = rows[r][s].
+
+    rows / d is the rational tableau before the step and rows / p after it:
+    row r is kept and every other row becomes (row * p - row[s] * rows[r]) / d.
+    The division is exact. Started from an integer matrix whose basic
+    columns are unit columns with d = 1, each entry equals, up to one common
+    sign, a minor of the starting matrix (the adjugate of the basis times
+    that matrix), and d is the basis determinant."""
+    p = rows[r][s]
     prow = rows[r]
     for i, row in enumerate(rows):
         if i == r:
             continue
-        f = row[col]
-        if f != 0:
-            rows[i] = [a - f * b for a, b in zip(row, prow)]
-    basis[r] = col
+        f = row[s]
+        if f:
+            rows[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+        elif p != d:
+            rows[i] = [a * p // d for a in row]
+    return p
 
 
 def _simplex_phase(
-    rows: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-) -> LPStatus:
-    """Maximize cost . x over the tableau in place. Bland's rule throughout:
+    rows: list[list[int]], basis: list[int], cost: list[int], d: int
+) -> tuple[LPStatus, int]:
+    """Maximize cost . x over the integer tableau rows / d (d > 0) in place;
+    returns the status and the final denominator. Bland's rule throughout:
     entering = lowest improving column, leaving = lowest basic index on ratio
     ties, which guarantees termination on degenerate tableaus."""
     ncols = len(rows[0]) - 1
     while True:
-        # reduced costs d_j = c_j - c_B . column_j
-        cb = [cost[b] for b in basis]
+        # d times the reduced cost c_j - c_B . column_j / d, same sign as d > 0
+        priced = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
+        in_basis = set(basis)
         entering = -1
         for j in range(ncols):
-            if j in basis:
+            if j in in_basis:
                 continue
-            dj = cost[j] - sum(cbi * rows[i][j] for i, cbi in enumerate(cb) if rows[i][j] != 0)
-            if dj > 0:
+            if cost[j] * d - sum(c * row[j] for c, row in priced if row[j]) > 0:
                 entering = j
                 break
         if entering < 0:
-            return "optimal"
+            return "optimal", d
+        # the ratio rows[i][-1] / rows[i][s], compared by cross-multiplying
+        # the positive pivot candidates
         leaving = -1
-        best_ratio: Fraction | None = None
         for i, row in enumerate(rows):
             a = row[entering]
             if a > 0:
-                ratio = row[-1] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leaving]
-                ):
-                    best_ratio = ratio
+                if leaving < 0:
+                    leaving = i
+                    continue
+                lhs = row[-1] * rows[leaving][entering]
+                rhs = rows[leaving][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
-            return "unbounded"
-        _pivot(rows, basis, leaving, entering)
+            return "unbounded", d
+        d = _pivot(rows, leaving, entering, d)
+        basis[leaving] = entering
 
 
 def lp_solve(lp: RationalLP) -> LPResult:
     """Exact two-phase simplex. Returns a basic feasible optimum (a vertex of
-    the feasible region) with every constraint satisfied exactly."""
+    the feasible region) with every constraint satisfied exactly.
+
+    The tableau is kept fraction-free: integers T and a denominator D > 0
+    with T / D the rational tableau. Each input row, after the rhs < 0 flip,
+    is scaled by the lcm L_i of its denominators, and its slack and
+    artificial entries are set to +-1, which scales those columns by 1/L_i.
+    So the starting basis is the identity with D = 1, phase 1 maximizes
+    -sum a_i / L_i (costs -lcm / L_i over the rescaled artificials, a
+    positive multiple) and phase 2 an integer positive multiple of the
+    objective. The tableau then equals the plain rational one of the input
+    up to positive row scaling and positive column scaling (slacks and
+    artificials only), and that scaling keeps the sign of every reduced cost
+    and the order of every ratio. So Bland's rule picks the same entering
+    and leaving pair at every step, and the vertex, status and value are
+    those of the unscaled simplex."""
     n = len(lp.objective)
     for coeffs, rel, _ in lp.constraints:
         if len(coeffs) != n:
@@ -129,94 +161,81 @@ def lp_solve(lp: RationalLP) -> LPResult:
         raise UsageError("upper_bounds length mismatch")
 
     # fold upper bounds in as rows x_j <= ub_j
-    rows_in: list[tuple[list[Fraction], Relation, Fraction]] = [
-        (list(coeffs), rel, rhs) for coeffs, rel, rhs in lp.constraints
-    ]
+    rows_in: list[tuple[Sequence[Num], Relation, Num]] = list(lp.constraints)
     if lp.upper_bounds is not None:
         for j, ub in enumerate(lp.upper_bounds):
             if ub is None:
                 continue
             if ub < 0:
                 return LPResult("infeasible", None, None)
-            unit = [_ZERO] * n
-            unit[j] = _ONE
-            rows_in.append((unit, "<=", ub))
+            rows_in.append(([int(i == j) for i in range(n)], "<=", ub))
 
     m = len(rows_in)
     n_slack = sum(1 for _, rel, _ in rows_in if rel != "==")
     slack_cols = n + n_slack
-    art_needed = []
-    rows: list[list[Fraction]] = []
-    basis: list[int] = []
-    si = 0
+    scaled: list[tuple[list[int], Relation, int]] = []
     for coeffs, rel, rhs in rows_in:
-        row = list(coeffs) + [_ZERO] * n_slack
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
+        ints, scale = _integer_row([*coeffs, rhs])
+        if ints[-1] < 0:
+            ints = [-v for v in ints]
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+        scaled.append((ints, rel, scale))
+    art_scales = [scale for _, rel, scale in scaled if rel != "<="]
+    n_art = len(art_scales)
+
+    rows: list[list[int]] = []
+    basis: list[int] = []
+    si = ai = 0
+    for ints, rel, _ in scaled:
+        row = ints[:-1] + [0] * (n_slack + n_art) + [ints[-1]]
+        if rel != "==":
+            row[n + si] = 1 if rel == "<=" else -1
+            si += 1
         if rel == "<=":
-            row[n + si] = _ONE
-            basis.append(n + si)
-            art_needed.append(False)
-            si += 1
-        elif rel == ">=":
-            row[n + si] = -_ONE
-            basis.append(-1)  # placeholder, artificial assigned below
-            art_needed.append(True)
-            si += 1
+            basis.append(n + si - 1)
         else:
-            basis.append(-1)
-            art_needed.append(True)
-        row.append(rhs)
+            row[slack_cols + ai] = 1
+            basis.append(slack_cols + ai)
+            ai += 1
         rows.append(row)
 
-    n_art = sum(art_needed)
-    total = slack_cols + n_art
-    ai = 0
-    for i in range(m):
-        rows[i] = rows[i][:-1] + [_ZERO] * n_art + [rows[i][-1]]
-        if art_needed[i]:
-            rows[i][slack_cols + ai] = _ONE
-            basis[i] = slack_cols + ai
-            ai += 1
-
+    d = 1
     if n_art:
-        cost1 = [_ZERO] * total
-        for j in range(slack_cols, total):
-            cost1[j] = -_ONE
-        status = _simplex_phase(rows, basis, cost1)
+        big = math.lcm(*art_scales)
+        cost1 = [0] * slack_cols + [-(big // scale) for scale in art_scales]
+        status, d = _simplex_phase(rows, basis, cost1, d)
         assert status == "optimal"  # phase 1 is always bounded
-        infeas = sum(rows[i][-1] for i in range(m) if basis[i] >= slack_cols)
-        if infeas != 0:
+        if any(rows[i][-1] for i in range(m) if basis[i] >= slack_cols):
             return LPResult("infeasible", None, None)
-        # drive leftover zero-valued artificials out of the basis
+        # drive leftover zero-valued artificials out of the basis; a negative
+        # pivot here flips the sign of T and D together to keep D > 0
         for i in range(m):
             if basis[i] >= slack_cols:
-                col = next(
-                    (j for j in range(slack_cols) if rows[i][j] != 0), None
-                )
+                col = next((j for j in range(slack_cols) if rows[i][j]), None)
                 if col is not None:
-                    _pivot(rows, basis, i, col)
+                    d = _pivot(rows, i, col, d)
+                    basis[i] = col
+                    if d < 0:
+                        rows = [[-v for v in row] for row in rows]
+                        d = -d
         keep = [i for i in range(m) if basis[i] < slack_cols]
         rows = [rows[i][:slack_cols] + [rows[i][-1]] for i in keep]
         basis = [basis[i] for i in keep]
-        total = slack_cols
 
-    cost2 = [_ZERO] * total
-    for j in range(n):
-        cost2[j] = lp.objective[j]
+    objective, _ = _integer_row(lp.objective)
+    cost2 = objective + [0] * n_slack
     if rows:
-        status = _simplex_phase(rows, basis, cost2)
+        status, d = _simplex_phase(rows, basis, cost2, d)
     else:
-        status = "unbounded" if any(c > 0 for c in lp.objective) else "optimal"
+        status = "unbounded" if any(c > 0 for c in objective) else "optimal"
     if status == "unbounded":
         return LPResult("unbounded", None, None)
 
-    y = [_ZERO] * total
-    for i, b in enumerate(basis):
-        y[b] = rows[i][-1]
-    point = tuple(y[:n])
+    y = [_ZERO] * n
+    for row, b in zip(rows, basis):
+        if b < n:
+            y[b] = Fraction(row[-1], d)
+    point = tuple(y)
     value = sum(
         (c * v for c, v in zip(lp.objective, point)), start=_ZERO
     ) + lp.constant
@@ -226,28 +245,22 @@ def lp_solve(lp: RationalLP) -> LPResult:
 def rational_solve(
     matrix: Sequence[Sequence[Num]], rhs: Sequence[Num]
 ) -> tuple[Fraction, ...] | None:
-    """Solve a square system exactly; None when the matrix is singular."""
+    """Solve a square system exactly; None when the matrix is singular.
+    Gauss-Jordan on the rows scaled to integers, with the simplex's
+    fraction-free step; row scaling leaves the solution unchanged."""
     n = len(rhs)
-    aug = [
-        [as_fraction(v) for v in row] + [as_fraction(b)]
-        for row, b in zip(matrix, rhs)
-    ]
+    aug = [_integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
     if any(len(row) != n + 1 for row in aug) or len(aug) != n:
         raise UsageError("rational_solve needs a square system")
+    d = 1
     for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        inv = _ONE / prow[col]
-        aug[col] = [v * inv for v in prow]
-        prow = aug[col]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
-    return tuple(aug[i][-1] for i in range(n))
+        d = _pivot(aug, col, col, d)
+    # every pivot row ends with d on its diagonal
+    return tuple(Fraction(row[-1], d) for row in aug)
 
 
 # ---------------------------------------------------------------------------

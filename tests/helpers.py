@@ -34,8 +34,171 @@ from contractlab.core import TIE_TOL, BestResponse, ResponseTable
 from contractlab.dist import Discrete, PiecewiseConstant, cdf
 from contractlab.errors import UsageError
 from contractlab.hardness import SetCoverInput
-from contractlab.numerics import as_fraction, is_exact, rational_solve
+from contractlab.numerics import LPResult, RationalLP, as_fraction, is_exact
 from contractlab.solver import contract_for_tuple
+
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra on Fraction tableaus: the slow path of the library's
+# fraction-free simplex and solve
+# ---------------------------------------------------------------------------
+
+
+def _fraction_pivot(rows, basis, r, col):
+    piv = rows[r][col]
+    rows[r] = [v / piv for v in rows[r]]
+    prow = rows[r]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[col]
+        if f != 0:
+            rows[i] = [a - f * b for a, b in zip(row, prow)]
+    basis[r] = col
+
+
+def _fraction_simplex_phase(rows, basis, cost, pivots):
+    """Bland's rule: entering = lowest improving column, leaving = lowest
+    basic index on ratio ties. Every (row, column) pivot is appended to
+    pivots."""
+    ncols = len(rows[0]) - 1
+    while True:
+        cb = [cost[b] for b in basis]
+        entering = -1
+        for j in range(ncols):
+            if j in basis:
+                continue
+            dj = cost[j] - sum(cbi * rows[i][j] for i, cbi in enumerate(cb) if rows[i][j] != 0)
+            if dj > 0:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal"
+        leaving = -1
+        best_ratio = None
+        for i, row in enumerate(rows):
+            a = row[entering]
+            if a > 0:
+                ratio = row[-1] / a
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[leaving]
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            return "unbounded"
+        pivots.append((leaving, entering))
+        _fraction_pivot(rows, basis, leaving, entering)
+
+
+def fraction_lp_solve(lp: RationalLP, pivots: list | None = None) -> LPResult:
+    """Slow reference for numerics.lp_solve: the same two-phase Bland
+    simplex on a tableau of Fractions, each pivot dividing the pivot row.
+    Records its (row, column) pivots in pivots when given."""
+    pivots = [] if pivots is None else pivots
+    zero, one = Fraction(0), Fraction(1)
+    n = len(lp.objective)
+    rows_in = [(list(coeffs), rel, rhs) for coeffs, rel, rhs in lp.constraints]
+    if lp.upper_bounds is not None:
+        for j, ub in enumerate(lp.upper_bounds):
+            if ub is None:
+                continue
+            if ub < 0:
+                return LPResult("infeasible", None, None)
+            unit = [zero] * n
+            unit[j] = one
+            rows_in.append((unit, "<=", ub))
+
+    m = len(rows_in)
+    n_slack = sum(1 for _, rel, _ in rows_in if rel != "==")
+    slack_cols = n + n_slack
+    art_needed = []
+    rows = []
+    basis = []
+    si = 0
+    for coeffs, rel, rhs in rows_in:
+        row = list(coeffs) + [zero] * n_slack
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+        if rel == "<=":
+            row[n + si] = one
+            basis.append(n + si)
+            art_needed.append(False)
+            si += 1
+        elif rel == ">=":
+            row[n + si] = -one
+            basis.append(-1)
+            art_needed.append(True)
+            si += 1
+        else:
+            basis.append(-1)
+            art_needed.append(True)
+        row.append(rhs)
+        rows.append(row)
+
+    n_art = sum(art_needed)
+    total = slack_cols + n_art
+    ai = 0
+    for i in range(m):
+        rows[i] = rows[i][:-1] + [zero] * n_art + [rows[i][-1]]
+        if art_needed[i]:
+            rows[i][slack_cols + ai] = one
+            basis[i] = slack_cols + ai
+            ai += 1
+
+    if n_art:
+        cost1 = [zero] * slack_cols + [-one] * n_art
+        status = _fraction_simplex_phase(rows, basis, cost1, pivots)
+        assert status == "optimal"
+        infeas = sum(rows[i][-1] for i in range(m) if basis[i] >= slack_cols)
+        if infeas != 0:
+            return LPResult("infeasible", None, None)
+        for i in range(m):
+            if basis[i] >= slack_cols:
+                col = next((j for j in range(slack_cols) if rows[i][j] != 0), None)
+                if col is not None:
+                    pivots.append((i, col))
+                    _fraction_pivot(rows, basis, i, col)
+        keep = [i for i in range(m) if basis[i] < slack_cols]
+        rows = [rows[i][:slack_cols] + [rows[i][-1]] for i in keep]
+        basis = [basis[i] for i in keep]
+        total = slack_cols
+
+    cost2 = list(lp.objective) + [zero] * (total - n)
+    if rows:
+        status = _fraction_simplex_phase(rows, basis, cost2, pivots)
+    else:
+        status = "unbounded" if any(c > 0 for c in lp.objective) else "optimal"
+    if status == "unbounded":
+        return LPResult("unbounded", None, None)
+
+    y = [zero] * total
+    for i, b in enumerate(basis):
+        y[b] = rows[i][-1]
+    point = tuple(y[:n])
+    value = sum((c * v for c, v in zip(lp.objective, point)), start=zero) + lp.constant
+    return LPResult("optimal", point, value)
+
+
+def fraction_solve(matrix, rhs) -> tuple[Fraction, ...] | None:
+    """Slow reference for numerics.rational_solve: Gauss-Jordan on Fractions
+    with row swaps; None when the matrix is singular."""
+    n = len(rhs)
+    aug = [[as_fraction(v) for v in row] + [as_fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pivot = aug[col][col]
+        aug[col] = [v / pivot for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return tuple(aug[i][-1] for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +472,7 @@ def candidate_contracts_by_rows(inst: Instance, types) -> tuple[tuple[Fraction, 
         pool.setdefault((unit, Fraction(1)), None)
     seen = {}
     for chosen in itertools.combinations(pool, m):
-        point = rational_solve([row for row, _ in chosen], [rhs for _, rhs in chosen])
+        point = fraction_solve([row for row, _ in chosen], [rhs for _, rhs in chosen])
         if point is not None and all(0 <= x <= 1 for x in point):
             seen.setdefault(point, None)
     return tuple(sorted(seen))

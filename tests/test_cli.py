@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from contractlab import dist, serialize
+from contractlab import cli, dist, serialize
 from contractlab.cli import main
 from contractlab.dist import grid_points
 from contractlab.solver import candidate_contract_set
@@ -376,6 +377,44 @@ def test_bandit_pac_refuses_eta_without_float_value(files, capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: --eta: number '1e400' has no finite float value\n"
+
+
+@pytest.mark.parametrize(
+    "eta, eps, dimension",
+    [
+        # eps = (eta / 48)^2 lies below the float range; the dimension 1/eps
+        # has 804 and 10,004 digits, past the int-to-str limit in the second
+        ("1e-400", "4.34e-804", "2.3e+803"),
+        ("1e-5000", "4.34e-10004", "2.3e+10003"),
+    ],
+)
+def test_bandit_pac_guard_prints_exact_width(files, capsys, eta, eps, dimension):
+    code, out, err = run(
+        capsys, "bandit-pac", "--instance", files["instance"], "--dist", files["uniform"],
+        "--eta", eta, "--delta", "0.1",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: type grid too fine for exact candidate enumeration: eps={eps} "
+        f"gives dimension {dimension} > 512; the candidate pool grows "
+        "combinatorially in the grid size\n"
+    )
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    first = run(capsys, "reduce-setcover", "--universe", "2", "--sets", "1,2")
+    assert run(capsys, "reduce-setcover", "--universe", "2", "--sets", "1,2") == first
+    assert first[0] == 0
+    assert built.count("contractlab") == 1
 
 
 def test_missing_argument_exit_2(files):

@@ -5,17 +5,21 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contractlab import LPResult, RationalLP, UsageError, lp_solve, rng_new
+from contractlab import LPResult, RationalLP, UsageError, lp_solve, numerics, rng_new
 from contractlab.numerics import (
     as_fraction,
     is_exact,
     llog2,
     rational_solve,
 )
+from helpers import fraction_lp_solve, fraction_solve
 
 F = Fraction
 
@@ -129,24 +133,6 @@ def test_lp_solve_validation():
 # ---------------------------------------------------------------------------
 
 
-def _gauss(matrix, rhs):
-    """Local exact Gaussian elimination, independent of the library."""
-    n = len(rhs)
-    aug = [list(map(F, row)) + [F(v)] for row, v in zip(matrix, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [v / d for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f_ = aug[i][col]
-                aug[i] = [a - f_ * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][-1] for i in range(n)]
-
-
 def _oracle_lp(objective, rows, upper):
     """Enumerate all vertices (choices of nv tight constraints), keep the
     feasible ones, return (status, best value)."""
@@ -159,7 +145,7 @@ def _oracle_lp(objective, rows, upper):
         pool.append((list(e), upper))
     best = None
     for chosen in itertools.combinations(pool, nv):
-        x = _gauss([co for co, _ in chosen], [rhs for _, rhs in chosen])
+        x = fraction_solve([co for co, _ in chosen], [rhs for _, rhs in chosen])
         if x is None:
             continue
         if any(v < 0 or v > upper for v in x):
@@ -208,6 +194,55 @@ def test_lp_matches_basis_enumeration_oracle():
 
 
 # ---------------------------------------------------------------------------
+# Exact LP: the fraction-free tableau against the Fraction simplex
+# ---------------------------------------------------------------------------
+
+
+def small_fractions(lo: int = -4, hi: int = 4):
+    return st.builds(F, st.integers(lo, hi), st.sampled_from((1, 2, 3, 7)))
+
+
+@st.composite
+def random_lps(draw) -> RationalLP:
+    n = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.tuples(*(small_fractions() for _ in range(n))),
+        st.sampled_from(("<=", ">=", "==")),
+        st.one_of(st.just(F(0)), small_fractions(-5, 5)),
+    )
+    bound = st.one_of(st.none(), st.just(F(0)), small_fractions(1, 5))
+    return RationalLP(
+        objective=draw(st.tuples(*(small_fractions() for _ in range(n)))),
+        constraints=tuple(draw(st.lists(row, max_size=6))),
+        upper_bounds=draw(st.one_of(st.none(), st.tuples(*(bound for _ in range(n))))),
+        constant=draw(small_fractions()),
+    )
+
+
+@settings(max_examples=300)
+@given(lp=random_lps())
+def test_lp_matches_fraction_simplex(lp):
+    # the integer tableau is the Fraction tableau up to positive scaling, so
+    # Bland's rule makes the same pivots and returns the same result; every
+    # pivot works on Python ints, and only the returned point is rational
+    pivots: list[tuple[int, int]] = []
+    step = numerics._pivot
+
+    def recorded(rows, r, s, d):
+        assert type(d) is int and all(type(v) is int for row in rows for v in row)
+        pivots.append((r, s))
+        return step(rows, r, s, d)
+
+    with mock.patch.object(numerics, "_pivot", recorded):
+        res = lp_solve(lp)
+    reference: list[tuple[int, int]] = []
+    assert res == fraction_lp_solve(lp, reference)
+    assert pivots == reference
+    if res.point is not None:
+        assert all(type(x) is F for x in res.point)
+
+
+# ---------------------------------------------------------------------------
 # Exact linear systems
 # ---------------------------------------------------------------------------
 
@@ -229,6 +264,17 @@ def test_rational_solve_random_roundtrip():
         if sol is not None:
             back = [sum(ai * xi for ai, xi in zip(row, sol)) for row in a]
             assert back == b
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_rational_solve_matches_fraction_solve(data, n):
+    entries = st.lists(small_fractions(-3, 3), min_size=n, max_size=n)
+    matrix = data.draw(st.lists(entries, min_size=n, max_size=n))
+    if n >= 2 and data.draw(st.booleans()):
+        matrix[-1] = [2 * v for v in matrix[0]]  # singular
+    rhs = data.draw(entries)
+    assert rational_solve(matrix, rhs) == fraction_solve(matrix, rhs)
 
 
 def test_rational_solve_shape_validation():

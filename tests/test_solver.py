@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from contractlab.numerics import rational_solve
 from contractlab.solver import candidate_contract_set, chain_count, contract_for_tuple
 from helpers import (
     candidate_contracts_by_rows,
+    fraction_lp_solve,
     full_product_solve,
     grid_best,
     grid_values,
@@ -225,6 +227,29 @@ def test_chain_enumeration_matches_full_product(inst, bounded, data):
     assert all(
         status != "optimal" for tup, status in statuses.items() if tup not in chain_set
     )
+
+
+@st.composite
+def tuple_lp_cases(draw) -> tuple[Instance, Discrete, tuple[int, ...]]:
+    inst, _ = draw(candidate_cases())
+    k = draw(st.integers(1, 4))
+    pts = sorted(draw(st.lists(st.integers(0, 12), min_size=k, max_size=k, unique=True)))
+    scale = draw(st.sampled_from((F(1, 12), 1 / 12)))
+    raw = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    gamma = Discrete(tuple(t * scale for t in pts), tuple(F(w, sum(raw)) for w in raw))
+    actions = draw(st.tuples(*(st.integers(0, inst.n_actions - 1) for _ in range(k))))
+    return inst, gamma, actions
+
+
+@settings(max_examples=150)
+@given(case=tuple_lp_cases(), bounded=st.booleans())
+def test_contract_for_tuple_matches_fraction_simplex(case, bounded):
+    # any action tuple, chain or not: equal costs give IC rows with rhs 0,
+    # and float types enter the LP as their exact binary values
+    inst, gamma, actions = case
+    res = contract_for_tuple(inst, gamma, actions, bounded)
+    with mock.patch.object(solver, "lp_solve", fraction_lp_solve):
+        assert res == contract_for_tuple(inst, gamma, actions, bounded)
 
 
 def test_reduction_optimum_reaches_cover_value(three_element_reduced):
