@@ -251,8 +251,21 @@ class Environment:
 
     arms: ArmSet
 
-    def pull_sum(self, arm: int, count: int, rng: np.random.Generator) -> float:
-        """Sum of `count` independent rewards from one arm."""
+    def pull_sums(
+        self, arms: Sequence[int], counts: Sequence[int], rng: np.random.Generator
+    ) -> list[float]:
+        """Reward sums of the pairs (arms[i], counts[i]): for each i in
+        order, the sum of counts[i] independent rewards of arm arms[i].
+
+        A batch returns the same floats as one ``pull_sum`` call per pair in
+        order, and leaves rng in the same state.  Proof: rng.random(n)
+        followed by rng.random(m) returns rng.random(n + m) and leaves the
+        same state, and so does standard_normal, since each fills its output
+        value after value from one stream.  A batch draws in one call what
+        the one-pair calls draw in turn, in their order (the layout is in
+        each environment's docstring), and computes each reward from its own
+        draws alone, so every pair sees the values it would see alone.
+        """
         raise NotImplementedError
 
     def true_mean(self, arm: int) -> float:
@@ -289,15 +302,32 @@ class LinearGaussianEnvironment(Environment):
                 raise UsageError("offsets must match arm count")
             self._means = self._means + np.asarray(offsets, dtype=float)
 
+    def pull_sums(
+        self, arms: Sequence[int], counts: Sequence[int], rng: np.random.Generator
+    ) -> list[float]:
+        """One standard normal z per pair with a positive count, in pair
+        order, and the sum count * mean + (sigma * sqrt(count)) * z; a count
+        of 0 draws nothing and sums to 0.0."""
+        n = np.asarray(counts, dtype=np.intp)
+        pulled = n > 0
+        z = np.zeros(n.size)
+        if pulled.any():
+            z[pulled] = rng.standard_normal(int(pulled.sum()))
+        loc = n * self._means[np.asarray(arms, dtype=np.intp)]
+        return np.where(pulled, loc + self.sigma * np.sqrt(n) * z, 0.0).tolist()
+
     def pull_sum(self, arm: int, count: int, rng: np.random.Generator) -> float:
-        if count == 0:
-            return 0.0
-        loc = count * self._means[arm]
-        scale = self.sigma * math.sqrt(count)
-        return float(loc + scale * rng.standard_normal())
+        """Sum of `count` independent rewards from one arm."""
+        return self.pull_sums([arm], [count], rng)[0]
 
     def true_mean(self, arm: int) -> float:
         return float(self._means[arm])
+
+
+# Pulls drawn at once by ContractEnvironment.pull_sums: a batch is cut into
+# chunks of whole pairs holding at most this many pulls (a pair with more
+# pulls is a chunk of its own), so its arrays stay small on long blocks.
+_CHUNK_PULLS = 4096
 
 
 class ContractEnvironment(Environment):
@@ -306,6 +336,7 @@ class ContractEnvironment(Environment):
 
     Builds one response table per contract, and the arm set of the
     contracts' principal utilities on the half-offset grid of width eps.
+    The contracts default to the candidate contract set of that grid.
     """
 
     def __init__(
@@ -313,13 +344,16 @@ class ContractEnvironment(Environment):
         inst: Instance,
         gamma: TypeDistribution,
         eps: Num,
-        contracts: Sequence[Contract],
+        contracts: Sequence[Contract] | None = None,
     ) -> None:
         if isinstance(gamma, dist.Discrete):
             raise UsageError(
                 "type distribution must have a bounded density; atoms are not supported"
             )
-        grid = np.asarray(dist.grid_points(eps), dtype=float)
+        points = dist.grid_points(eps)
+        if contracts is None:
+            contracts = solver.candidate_contract_set(inst, points)
+        grid = np.asarray(points, dtype=float)
         self.inst = inst
         self.gamma = gamma
         self.eps = float(eps)
@@ -327,25 +361,86 @@ class ContractEnvironment(Environment):
         rows = tuple(tuple(_utilities_at(t, grid).tolist()) for t in self.tables)
         self.arms = ArmSet(arms=rows, contracts=tuple(contracts))
         self._cum_f = np.cumsum(np.asarray(inst.F, dtype=float), axis=1)
+        self._fp = np.array([t.fp_arr for t in self.tables])
+        self._pu = np.array([t.pu_arr for t in self.tables])
+        self._near = np.array([t.near_arr for t in self.tables])
+        self._rp = np.array([t.rp_arr for t in self.tables])
         self._means: dict[int, float] = {}
 
+    def pull_sums(
+        self, arms: Sequence[int], counts: Sequence[int], rng: np.random.Generator
+    ) -> list[float]:
+        """Reward sums drawn with one rng.random per chunk of whole pairs.
+
+        Draw layout, the order in which one-pair calls take the same
+        uniforms: each pair (arm, count) in turn takes count uniforms for
+        its types, then count uniforms for its outcomes.  The outcome
+        uniforms go to the groups of the pair's pulls that share one
+        best-response action, in ascending action order, and each picks an
+        outcome by the inverse CDF of its action's row of F.  Types,
+        actions and outcomes are elementwise in the draws (``dist.quantile``,
+        ``core.stacked_actions``, one comparison per cumulative F entry),
+        so batching does not change them.  A pair's sum adds to 0.0, as
+        Python floats in ascending action order, each group's numpy sum of
+        its rewards r - p over a contiguous array of the group's values in
+        draw order; that sum depends only on those values and their order.
+        """
+        arms = np.asarray(arms, dtype=np.intp)
+        counts = np.asarray(counts, dtype=np.intp)
+        sums: list[float] = []
+        start = 0
+        while start < arms.size:
+            stop, pulls = start + 1, counts[start]
+            while stop < arms.size and pulls + counts[stop] <= _CHUNK_PULLS:
+                pulls += counts[stop]
+                stop += 1
+            sums += self._chunk_sums(arms[start:stop], counts[start:stop], rng)
+            start = stop
+        return sums
+
+    def _chunk_sums(
+        self, arms: np.ndarray, counts: np.ndarray, rng: np.random.Generator
+    ) -> list[float]:
+        n, m = self.inst.n_actions, self.inst.n_outcomes
+        pair = np.repeat(np.arange(arms.size), counts)  # pair of each pull
+        sums = [0.0] * arms.size
+        if pair.size == 0:
+            return sums
+        u = rng.random(2 * pair.size)
+        # pair i's uniforms start at 2 b_i, b_i the pulls of the pairs before
+        # it; pull k of the chunk (k >= b_i) takes uniform k + b_i for its
+        # type, and uniform k + b_i + counts[i] sits at the same place among
+        # the pair's outcome uniforms
+        at = np.arange(pair.size) + np.repeat(np.cumsum(counts) - counts, counts)
+        thetas = dist.quantile(self.gamma, np.take(u, at))
+        pair_arm = np.take(arms, pair)
+        acts = core.stacked_actions(
+            self._fp, self._pu, self._near, self.inst.c_arr, pair_arm, thetas
+        )
+        # group (pair, action), numbered pair by pair in ascending action
+        # order, which is the order the outcome uniforms are handed out in
+        sizes = np.bincount(pair * n + acts, minlength=arms.size * n)
+        group = np.repeat(np.arange(sizes.size), sizes)
+        outcome_u = np.take(u, at + np.repeat(counts, counts))
+        # the outcome of uniform u under action a is the number of entries
+        # <= u in the nondecreasing row cum_f[a] (searchsorted, side="right"),
+        # clamped to m - 1; those entries form a prefix, so counting among
+        # the first m - 1 entries alone gives the clamp
+        action = group % n
+        omegas = np.zeros(outcome_u.size, dtype=np.intp)
+        for w in range(m - 1):
+            omegas += np.take(self._cum_f[:, w], action) <= outcome_u
+        rewards = np.take(self._rp, np.take(arms, group // n) * m + omegas)
+        nonempty = np.flatnonzero(sizes)
+        ends = np.cumsum(sizes)[nonempty]
+        starts = ends - sizes[nonempty]
+        for g, lo, hi in zip(nonempty.tolist(), starts.tolist(), ends.tolist()):
+            sums[g // n] += float(rewards[lo:hi].sum())
+        return sums
+
     def pull_sum(self, arm: int, count: int, rng: np.random.Generator) -> float:
-        if count == 0:
-            return 0.0
-        table = self.tables[arm]
-        thetas = dist.sample_many(self.gamma, rng, count)
-        actions = table.actions(thetas)
-        rp = table.rp_arr
-        total = 0.0
-        last = self.inst.n_outcomes - 1
-        for a in np.unique(actions):
-            n_a = int((actions == a).sum())
-            u = rng.random(n_a)
-            omegas = np.minimum(
-                np.searchsorted(self._cum_f[a], u, side="right"), last
-            )
-            total += float(rp[omegas].sum())
-        return total
+        """Sum of `count` independent rewards from one arm."""
+        return self.pull_sums([arm], [count], rng)[0]
 
     def true_mean(self, arm: int) -> float:
         mean = self._means.get(arm)
@@ -360,8 +455,7 @@ def contract_environment(
 ) -> ContractEnvironment:
     """The sampling environment over the candidate contracts of the eps
     type grid."""
-    contracts = solver.candidate_contract_set(inst, dist.grid_points(eps))
-    return ContractEnvironment(inst, gamma, eps, contracts)
+    return ContractEnvironment(inst, gamma, eps)
 
 
 def block_constant(d: int) -> int:
@@ -446,6 +540,14 @@ def phased_elimination(
     they reach T_ell.  A horizon of sum_{ell <= L} T_ell therefore runs
     exactly L complete blocks of T_ell pulls each.  Deterministic given
     the rng.
+
+    Draw layout: a block first fixes its plan of (arm, count) pairs, in
+    index order and cut at the budget, then draws all of it with one
+    ``env.pull_sums`` call.  That call takes from rng what one ``pull_sum``
+    call per pair, in plan order, would take, in the same order, and
+    returns the same sums (see ``Environment.pull_sums``).  History, G and
+    b are then accumulated pair by pair in plan order, so every estimate is
+    the float that pulling the pairs one at a time gives.
     """
     if horizon < 1:
         raise UsageError(f"horizon must be positive, got {horizon}")
@@ -479,19 +581,24 @@ def phased_elimination(
             if weights[arm] > 0
         ]
         budget = min(t_ell, remaining) if block_budget else remaining
-        G = np.zeros((d, d))
-        b = np.zeros(d)
+        arms: list[int] = []
+        counts: list[int] = []
         pulled = 0
         for arm, want in plan:
             count = min(want, budget - pulled)
             if count <= 0:
                 break
-            reward_sum = env.pull_sum(arm, count, rng)
+            arms.append(arm)
+            counts.append(count)
+            pulled += count
+        G = np.zeros((d, d))
+        b = np.zeros(d)
+        sums = env.pull_sums(arms, counts, rng)
+        for arm, count, reward_sum in zip(arms, counts, sums):
             history.append((arm, count, reward_sum))
             x = A[arm]
             G += count * np.outer(x, x)
             b += reward_sum * x
-            pulled += count
         remaining -= pulled
         planned = sum(c for _, c in plan)
         complete = pulled == (t_ell if block_budget else planned)

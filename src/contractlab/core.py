@@ -144,20 +144,17 @@ class ResponseTable:
         return np.asarray(self.rp, dtype=float)
 
     @cached_property
-    def _near(self) -> np.ndarray | None:
+    def near_arr(self) -> np.ndarray:
         """near[b, a] is respond's test pu[a] >= pu[b] - TIE_TOL, whose
         right side is the float thr[b] = float(pu[b]) - TIE_TOL.  Rounding
         is monotone, so float(pu[a]) decides the test unless it equals
-        thr[b]; those entries are settled on pu[a] itself.  None when near
-        is just pu_arr[a] >= pu_arr[b]: then the lowest eligible action that
-        passes the test against the best is the first eligible maximum of
-        pu_arr, which is the best itself."""
+        thr[b]; those entries are settled on pu[a] itself."""
         pu = self.pu_arr
         thr = pu - TIE_TOL
         near = pu[None, :] >= thr[:, None]
         for b, a in zip(*np.nonzero(pu[None, :] == thr[:, None])):
             near[b, a] = self.pu[a] >= thr[b]
-        return None if np.array_equal(near, pu[None, :] >= pu[:, None]) else near
+        return near
 
     def eps_set(self, theta: Num, eps: Num) -> tuple[list[Num], list[int], Num]:
         """Agent utilities at theta, the actions within eps of the best, and
@@ -183,23 +180,12 @@ class ResponseTable:
         )
 
     def actions(self, thetas: np.ndarray) -> np.ndarray:
-        """``respond(theta).action`` for each float theta, bit for bit.
-
-        The rule is respond's: agent utilities within TIE_TOL of the best,
-        then principal utilities within TIE_TOL of the best eligible one,
-        then the lowest index.  The agent step uses the same floats: a float
-        theta makes respond compute float(fp[a]) - theta * float(c[a]) (a
-        Fraction minus a float rounds to float first, as numpy does), and
-        fp_arr holds exactly those float(fp[a]).  In the principal step,
-        respond's threshold is float(best) - TIE_TOL, and float(best) is the
-        largest eligible entry of pu_arr, since rounding is monotone; the
-        test against it is ``_near``.
-        """
-        agent = self.fp_arr - thetas[:, None] * self.inst.c_arr
-        eligible = agent >= agent.max(axis=1, keepdims=True) - TIE_TOL
-        best = np.where(eligible, self.pu_arr, -np.inf).argmax(axis=1)
-        near = self._near
-        return best if near is None else (eligible & near[best]).argmax(axis=1)
+        """``respond(theta).action`` for each float theta, bit for bit (see
+        ``stacked_actions``)."""
+        return stacked_actions(
+            self.fp_arr[None], self.pu_arr[None], self.near_arr[None],
+            self.inst.c_arr, np.zeros(thetas.shape, dtype=np.intp), thetas,
+        )
 
     def breakpoints(self) -> list[Num]:
         """Types in (0,1) where two affine agent utilities cross,
@@ -248,6 +234,38 @@ class ResponseTable:
             if mass != 0:
                 total += mass * self.respond((lo + hi) / 2).principal_utility
         return total
+
+
+def stacked_actions(
+    fp: np.ndarray,
+    pu: np.ndarray,
+    near: np.ndarray,
+    c: np.ndarray,
+    rows: np.ndarray,
+    thetas: np.ndarray,
+) -> np.ndarray:
+    """``respond(thetas[i]).action`` of table ``rows[i]`` for each i, bit
+    for bit.  fp, pu and near stack the tables' ``fp_arr``, ``pu_arr`` and
+    ``near_arr`` along a first axis.
+
+    The rule is respond's: agent utilities within TIE_TOL of the best, then
+    principal utilities within TIE_TOL of the best eligible one, then the
+    lowest index.  The agent step uses the same floats: a float theta makes
+    respond compute float(fp[a]) - theta * float(c[a]) (a Fraction minus a
+    float rounds to float first, as numpy does), and fp_arr holds exactly
+    those float(fp[a]).  In the principal step, respond's threshold is
+    float(best) - TIE_TOL, and float(best) is the largest eligible entry of
+    pu_arr, since rounding is monotone; the test against it is
+    ``near_arr[best]``.  Every step is elementwise per type, so an answer
+    does not depend on the other types.  Arrays are laid out action by type
+    (axis 0 the action), so the few-action maxima run along long rows.
+    """
+    n = c.size
+    agent = np.take(fp.T, rows, axis=1) - thetas * c[:, None]
+    eligible = agent >= agent.max(axis=0) - TIE_TOL
+    best = np.where(eligible, np.take(pu.T, rows, axis=1), -np.inf).argmax(axis=0)
+    near_best = np.take(near.reshape(-1, n).T, rows * n + best, axis=1)
+    return (eligible & near_best).argmax(axis=0)
 
 
 def eps_best_responses(

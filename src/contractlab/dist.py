@@ -173,10 +173,10 @@ def discretize(d: TypeDistribution, delta: Num) -> Discrete:
     return Discrete(tuple(pts), tuple(weights))
 
 
-def sample_many(d: TypeDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized inverse-CDF sampling; empirical interval frequencies
-    converge to interval_mass at the usual 1/sqrt(N) rate."""
-    u = rng.random(size)
+def quantile(d: TypeDistribution, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF at each uniform in u.  Elementwise: each type depends on
+    its own uniform alone, so types drawn in one batch equal those drawn one
+    by one."""
     if isinstance(d, Discrete):
         pts = np.asarray(d.points, dtype=float)
         idx = np.searchsorted(d._cum, u, side="left")
@@ -189,3 +189,9 @@ def sample_many(d: TypeDistribution, rng: np.random.Generator, size: int) -> np.
     # zero-density segments carry no mass, so u > cum[seg] implies dens > 0
     safe = np.where(dens[seg] > 0, dens[seg], 1.0)
     return bp[seg] + (u - cum[seg]) / safe
+
+
+def sample_many(d: TypeDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Vectorized inverse-CDF sampling; empirical interval frequencies
+    converge to interval_mass at the usual 1/sqrt(N) rate."""
+    return quantile(d, rng.random(size))

@@ -31,7 +31,7 @@ from contractlab.bandit import (
     block_constant,
 )
 from contractlab.core import TIE_TOL, BestResponse, ResponseTable
-from contractlab.dist import Discrete, PiecewiseConstant, cdf
+from contractlab.dist import Discrete, PiecewiseConstant, cdf, sample_many
 from contractlab.errors import UsageError
 from contractlab.hardness import SetCoverInput
 from contractlab.numerics import LPResult, RationalLP, as_fraction, is_exact
@@ -592,6 +592,42 @@ def full_inverse_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
         if _full_inverse_max_leverage(Z, trial) <= target:
             w = trial
     return DesignWeights(weights=tuple(float(v) for v in w))
+
+
+# ---------------------------------------------------------------------------
+# Reward sampling one pair at a time: the slow path of the environments'
+# batched ``pull_sums``
+# ---------------------------------------------------------------------------
+
+
+def contract_pull_sum(env, arm: int, count: int, rng: np.random.Generator) -> float:
+    """Sum of `count` rewards of one arm of a ``ContractEnvironment``, drawn
+    alone: count type uniforms, then one draw of outcome uniforms for each
+    best-response action in ascending order, each group summed by numpy and
+    added as a Python float."""
+    if count == 0:
+        return 0.0
+    table = env.tables[arm]
+    thetas = sample_many(env.gamma, rng, count)
+    actions = table.actions(thetas)
+    cum_f = np.cumsum(np.asarray(env.inst.F, dtype=float), axis=1)
+    last = env.inst.n_outcomes - 1
+    total = 0.0
+    for a in np.unique(actions):
+        u = rng.random(int((actions == a).sum()))
+        omegas = np.minimum(np.searchsorted(cum_f[a], u, side="right"), last)
+        total += float(table.rp_arr[omegas].sum())
+    return total
+
+
+def gaussian_pull_sum(env, arm: int, count: int, rng: np.random.Generator) -> float:
+    """Sum of `count` rewards of one arm of a ``LinearGaussianEnvironment``,
+    drawn alone: one standard normal, scaled by sigma sqrt(count)."""
+    if count == 0:
+        return 0.0
+    loc = count * env.true_mean(arm)
+    scale = env.sigma * math.sqrt(count)
+    return float(loc + scale * rng.standard_normal())
 
 
 # ---------------------------------------------------------------------------

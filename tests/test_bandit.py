@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contractlab import (
@@ -40,7 +41,13 @@ from contractlab.bandit import (
 from contractlab import core
 from contractlab.core import Instance
 from contractlab.dist import PiecewiseConstant
-from helpers import full_inverse_design
+from helpers import (
+    contract_pull_sum,
+    full_inverse_design,
+    gaussian_pull_sum,
+    random_instance,
+    random_piecewise,
+)
 
 F = Fraction
 
@@ -364,6 +371,123 @@ def test_contract_environment_builder(desk_instance):
     rng = rng_new(3)
     draws = [env.pull_sum(0, 1, rng) for _ in range(5)]
     assert all(-1.0 - 1e-9 <= x <= 1.0 + 1e-9 for x in draws)
+
+
+# A batch of pulls draws what one-pair draws take in turn: the same sums,
+# compared with ==, and the same generator state afterwards.  Plans repeat
+# arms, hold counts of 0 and 1, and cross the chunk bound of 4,096 pulls.
+
+
+def _plain_state(rng: np.random.Generator):
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+
+    return plain(rng.bit_generator.state)
+
+
+def _assert_batch_matches_one_pair_draws(env, reference, plan, seed):
+    arms = [arm % env.n_arms for arm, _ in plan]
+    counts = [count for _, count in plan]
+    batch, alone = rng_new(seed), rng_new(seed)
+    got = env.pull_sums(arms, counts, batch)
+    want = [reference(env, arm, count, alone) for arm, count in zip(arms, counts)]
+    assert all(type(x) is float for x in got)
+    assert got == want
+    assert _plain_state(batch) == _plain_state(alone)
+
+
+_PLANS = st.lists(
+    st.tuples(
+        st.integers(0, 50),
+        st.one_of(st.integers(0, 3), st.integers(1, 80), st.integers(1500, 4500)),
+    ),
+    min_size=1,
+    max_size=7,
+)
+_CROSSING = [(0, 3000), (1, 1), (0, 1500), (2, 4500), (1, 0), (1, 1)]
+
+
+@settings(max_examples=40)
+@example(gen_seed=0, n=2, m=2, piecewise=False, width=4, plan=_CROSSING, seed=0)
+@example(gen_seed=1, n=4, m=3, piecewise=True, width=3, plan=_CROSSING, seed=1)
+@given(
+    gen_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(2, 3),
+    piecewise=st.booleans(),
+    width=st.integers(2, 5),
+    plan=_PLANS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contract_pull_sums_match_one_pair_draws(gen_seed, n, m, piecewise, width, plan, seed):
+    gen = random.Random(gen_seed)
+    inst = random_instance(gen, n, m)
+    gamma = random_piecewise(gen) if piecewise else uniform_distribution()
+    env = contract_environment(inst, gamma, F(1, width))
+    _assert_batch_matches_one_pair_draws(env, contract_pull_sum, plan, seed)
+
+
+@settings(max_examples=40)
+@example(k=3, sigma=0.5, offsets=True, plan=_CROSSING, seed=2)
+@given(
+    k=st.integers(1, 6),
+    sigma=st.sampled_from([0.0, 0.1, 1.0]),
+    offsets=st.booleans(),
+    plan=_PLANS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gaussian_pull_sums_match_one_pair_draws(k, sigma, offsets, plan, seed):
+    gen = np.random.default_rng(k)
+    X = ArmSet(arms=tuple(map(tuple, gen.uniform(-1, 1, (k, 3)).tolist())))
+    shift = tuple(gen.uniform(-0.1, 0.1, k).tolist()) if offsets else None
+    env = LinearGaussianEnvironment(X, phi=(0.5, -0.25, 0.2), sigma=sigma, offsets=shift)
+    _assert_batch_matches_one_pair_draws(env, gaussian_pull_sum, plan, seed)
+
+
+def test_pull_sums_draw_once_per_chunk(desk_instance):
+    # chunks are runs of whole pairs of at most 4,096 pulls; a larger pair is
+    # a chunk of its own, and a chunk of no pulls draws nothing
+    env = contract_environment(desk_instance, uniform_distribution(), F(1, 4))
+    calls = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            calls.append(size)
+            return self.rng.random(size)
+
+    arms, counts = zip(*[(0, 3000), (1, 1000), (2, 96), (0, 1), (1, 5000), (1, 0), (2, 1)])
+    env.pull_sums(list(arms), list(counts), Counting(rng_new(0)))
+    assert calls == [2 * 4096, 2 * 1, 2 * 5000, 2 * 1]
+    calls.clear()
+    assert env.pull_sums([0, 1], [0, 0], Counting(rng_new(0))) == [0.0, 0.0]
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "row, u",
+    [
+        # u equal to an entry of cumulative F: searchsorted side "right"
+        # puts it past that entry, on outcome 1 of 2
+        ((F(1, 2), F(1, 2), F(0)), 0.5),
+        # cumulative F ends at 0.9999999999999999 <= u: clamped to outcome 2
+        ((F(1, 6), F(2, 3), F(1, 6)), float(np.nextafter(1.0, 0.0))),
+    ],
+)
+def test_pull_sums_outcome_edges(row, u):
+    class Constant:
+        def random(self, size):
+            return np.full(size, u)
+
+    inst = Instance(F=(row,), r=(F(0), F(1), F(1)), c=(F(0),))
+    env = ContractEnvironment(inst, uniform_distribution(), F(1, 2), [(F(0),) * 3])
+    got = env.pull_sums([0, 0], [3, 1], Constant())
+    assert got == [contract_pull_sum(env, 0, c, Constant()) for c in (3, 1)]
+    assert got == [3.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,34 @@ def test_bandit_pac_eta5_contract_is_a_reference_candidate(files, capsys, seed):
     desk = serialize.load_instance(files["instance"], "rational")
     types = grid_points(Fraction(5, 48) ** 2)
     assert contract in candidate_contracts_by_rows(desk, types)
+    # pinned: the output of the one-pair sampler on these seeds
+    assert payload["contract"] == ["0", "475/1024"]
+    assert payload["samples"] == 64512
+
+
+def test_bandit_regret_curves_pinned(files, capsys):
+    # the benchmark's regret settings; the digest of every line after the
+    # config line (which holds the input paths) is that of the one-pair sampler
+    out_path = files["dir"] / "regret.csv"
+    code, _, _ = run(
+        capsys,
+        "bandit-regret",
+        "--instance",
+        files["instance"],
+        "--dist",
+        files["uniform"],
+        "-T",
+        "2000",
+        "--seeds",
+        "2",
+        "-o",
+        str(out_path),
+    )
+    assert code == 0
+    body = out_path.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == (
+        "0f76227c83464b9fd89fd8a7849dde93ef44d875e43cd8f8e18d42ca484bfbba"
+    )
 
 
 def test_selftest(capsys):

@@ -22,7 +22,7 @@ from contractlab import (
     principal_utility,
     robustify,
 )
-from contractlab.core import TIE_TOL, ResponseTable
+from contractlab.core import TIE_TOL, ResponseTable, stacked_actions
 from contractlab.dist import PiecewiseConstant, cdf
 from helpers import (
     brute_best_response,
@@ -489,3 +489,43 @@ def test_response_table_actions_match_respond(inst, data):
         thetas = [k / 12 for k in range(13)] + [float(t) for t in crossings]
         got = table.actions(np.asarray(thetas))
         assert got.tolist() == [table.respond(t).action for t in thetas]
+
+
+# The stacked rule answers each row from its own table: rows of several
+# tables, interleaved at random over the types and crossings of all of them,
+# each give ``respond(float(theta)).action`` of their table, on the same
+# three models as above.
+
+
+@settings(max_examples=40)
+@given(inst=rational_instances(), data=st.data())
+def test_stacked_actions_answer_each_row_from_its_table(inst, data):
+    r = [float(x) for x in inst.r]
+    nudged = list(r)
+    nudged[0] += 5e-10 if r[0] < 1 else -5e-10
+    F_float = tuple(tuple(float(f) for f in row) for row in inst.F)
+    c_float = tuple(float(x) for x in inst.c)
+    k = data.draw(st.integers(1, 4))
+    contracts = [_contract(data, inst.n_outcomes) for _ in range(k)]
+    for model in (
+        inst,
+        Instance(F=F_float, r=tuple(r), c=c_float),
+        Instance(F=F_float, r=tuple(nudged), c=c_float),
+    ):
+        tables = [ResponseTable(model, p) for p in contracts]
+        thetas = [k / 12 for k in range(13)]
+        thetas += [float(t) for table in tables for t in table.breakpoints()]
+        rows = data.draw(
+            st.lists(
+                st.integers(0, len(tables) - 1), min_size=len(thetas), max_size=len(thetas)
+            )
+        )
+        got = stacked_actions(
+            np.array([t.fp_arr for t in tables]),
+            np.array([t.pu_arr for t in tables]),
+            np.array([t.near_arr for t in tables]),
+            model.c_arr,
+            np.array(rows, dtype=np.intp),
+            np.asarray(thetas),
+        )
+        assert got.tolist() == [tables[i].respond(t).action for i, t in zip(rows, thetas)]
