@@ -602,39 +602,29 @@ def phased_elimination(
         remaining -= pulled
         planned = sum(c for _, c in plan)
         complete = pulled == (t_ell if block_budget else planned)
-        if not complete:
-            blocks.append(
-                BlockRecord(
-                    ell=ell,
-                    t_ell=t_ell,
-                    active_before=tuple(active),
-                    pulls=pulled,
-                    phi_hat=None,
-                    threshold=math.nan,
-                    active_after=tuple(active),
-                    complete=False,
-                )
-            )
-            break
-        phi = _solve_estimate(G, b)
-        phi_last = tuple(float(v) for v in phi)
-        delta_ell = 6.0 * delta / (math.pi**2 * ell * ell)
-        threshold = 2.0 * math.sqrt((4.0 * d / t_ell) * math.log(k0 / delta_ell))
-        est = A[active] @ phi
-        best = float(est.max())
-        keep = [arm for arm, e in zip(active, est) if best - e <= threshold]
+        phi_hat, threshold, keep = None, math.nan, active
+        if complete:
+            phi = _solve_estimate(G, b)
+            phi_hat = phi_last = tuple(float(v) for v in phi)
+            delta_ell = 6.0 * delta / (math.pi**2 * ell * ell)
+            threshold = 2.0 * math.sqrt((4.0 * d / t_ell) * math.log(k0 / delta_ell))
+            est = A[active] @ phi
+            best = float(est.max())
+            keep = [arm for arm, e in zip(active, est) if best - e <= threshold]
         blocks.append(
             BlockRecord(
                 ell=ell,
                 t_ell=t_ell,
                 active_before=tuple(active),
                 pulls=pulled,
-                phi_hat=phi_last,
+                phi_hat=phi_hat,
                 threshold=threshold,
                 active_after=tuple(keep),
-                complete=True,
+                complete=complete,
             )
         )
+        if not complete:
+            break
         active = keep
     state = EliminationState(
         ell=ell,

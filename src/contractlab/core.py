@@ -72,6 +72,20 @@ class Instance:
     def c_arr(self) -> np.ndarray:
         return np.asarray(self.c, dtype=float)
 
+    @cached_property
+    def ic_rows(self) -> tuple[tuple[tuple[tuple[Fraction, ...], Fraction], ...], ...]:
+        """ic_rows[a][b] = (F_a - F_b, c_a - c_b), exact: floats enter at
+        their binary value.  Type theta weakly prefers a to b under p exactly
+        when (F_a - F_b).p >= theta (c_a - c_b)."""
+        F = [[as_fraction(x) for x in row] for row in self.F]
+        c = [as_fraction(x) for x in self.c]
+        return tuple(
+            tuple(
+                (tuple(x - y for x, y in zip(fa, fb)), ca - cb) for fb, cb in zip(F, c)
+            )
+            for fa, ca in zip(F, c)
+        )
+
 
 @dataclass(frozen=True)
 class BestResponse:

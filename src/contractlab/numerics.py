@@ -13,7 +13,7 @@ import numpy as np
 from .errors import UsageError
 
 Num: TypeAlias = "int | float | Fraction"
-Relation: TypeAlias = Literal["<=", ">=", "=="]
+Relation: TypeAlias = Literal["<=", ">="]
 LPStatus: TypeAlias = Literal["optimal", "infeasible", "unbounded"]
 
 
@@ -44,13 +44,12 @@ def is_exact(*values: object) -> bool:
 class RationalLP:
     """maximize objective . x  subject to rows, x >= 0.
 
-    constraints: (coefficients, relation, rhs) rows. upper_bounds entries may
-    be None for free-above variables. constant is added to the optimal value.
+    constraints: (coefficients, relation, rhs) rows, relation "<=" or ">=".
+    constant is added to the optimal value.
     """
 
     objective: tuple[Fraction, ...]
     constraints: tuple[tuple[tuple[Fraction, ...], Relation, Fraction], ...]
-    upper_bounds: tuple[Fraction | None, ...] | None = None
     constant: Fraction = Fraction(0)
 
 
@@ -155,49 +154,33 @@ def lp_solve(lp: RationalLP) -> LPResult:
     for coeffs, rel, _ in lp.constraints:
         if len(coeffs) != n:
             raise UsageError("constraint dimension mismatch")
-        if rel not in ("<=", ">=", "=="):
+        if rel not in ("<=", ">="):
             raise UsageError(f"unknown relation {rel!r}")
-    if lp.upper_bounds is not None and len(lp.upper_bounds) != n:
-        raise UsageError("upper_bounds length mismatch")
 
-    # fold upper bounds in as rows x_j <= ub_j
-    rows_in: list[tuple[Sequence[Num], Relation, Num]] = list(lp.constraints)
-    if lp.upper_bounds is not None:
-        for j, ub in enumerate(lp.upper_bounds):
-            if ub is None:
-                continue
-            if ub < 0:
-                return LPResult("infeasible", None, None)
-            rows_in.append(([int(i == j) for i in range(n)], "<=", ub))
-
-    m = len(rows_in)
-    n_slack = sum(1 for _, rel, _ in rows_in if rel != "==")
-    slack_cols = n + n_slack
-    scaled: list[tuple[list[int], Relation, int]] = []
-    for coeffs, rel, rhs in rows_in:
+    # every row gets a slack column; a ">=" row (after the flip) also gets
+    # an artificial column, which starts in the basis
+    m = len(lp.constraints)
+    slack_cols = n + m
+    rows: list[list[int]] = []
+    basis: list[int] = []
+    art_scales: list[int] = []
+    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
         ints, scale = _integer_row([*coeffs, rhs])
         if ints[-1] < 0:
             ints = [-v for v in ints]
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        scaled.append((ints, rel, scale))
-    art_scales = [scale for _, rel, scale in scaled if rel != "<="]
-    n_art = len(art_scales)
-
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    si = ai = 0
-    for ints, rel, _ in scaled:
-        row = ints[:-1] + [0] * (n_slack + n_art) + [ints[-1]]
-        if rel != "==":
-            row[n + si] = 1 if rel == "<=" else -1
-            si += 1
+            rel = ">=" if rel == "<=" else "<="
+        row = ints[:-1] + [0] * m + [ints[-1]]
         if rel == "<=":
-            basis.append(n + si - 1)
+            row[n + i] = 1
+            basis.append(n + i)
         else:
-            row[slack_cols + ai] = 1
-            basis.append(slack_cols + ai)
-            ai += 1
+            row[n + i] = -1
+            basis.append(slack_cols + len(art_scales))
+            art_scales.append(scale)
         rows.append(row)
+    n_art = len(art_scales)
+    for row, b in zip(rows, basis):  # the artificial columns, before the rhs
+        row[-1:-1] = [int(b == slack_cols + j) for j in range(n_art)]
 
     d = 1
     if n_art:
@@ -207,8 +190,9 @@ def lp_solve(lp: RationalLP) -> LPResult:
         assert status == "optimal"  # phase 1 is always bounded
         if any(rows[i][-1] for i in range(m) if basis[i] >= slack_cols):
             return LPResult("infeasible", None, None)
-        # drive leftover zero-valued artificials out of the basis; a negative
-        # pivot here flips the sign of T and D together to keep D > 0
+        # drive leftover zero-valued artificials out of the basis (a ">="
+        # row with rhs 0 can leave one there); a negative pivot here flips
+        # the sign of T and D together to keep D > 0
         for i in range(m):
             if basis[i] >= slack_cols:
                 col = next((j for j in range(slack_cols) if rows[i][j]), None)
@@ -223,7 +207,7 @@ def lp_solve(lp: RationalLP) -> LPResult:
         basis = [basis[i] for i in keep]
 
     objective, _ = _integer_row(lp.objective)
-    cost2 = objective + [0] * n_slack
+    cost2 = objective + [0] * m
     if rows:
         status, d = _simplex_phase(rows, basis, cost2, d)
     else:
@@ -243,15 +227,17 @@ def lp_solve(lp: RationalLP) -> LPResult:
 
 
 def rational_solve(
-    matrix: Sequence[Sequence[Num]], rhs: Sequence[Num]
-) -> tuple[Fraction, ...] | None:
-    """Solve a square system exactly; None when the matrix is singular.
-    Gauss-Jordan on the rows scaled to integers, with the simplex's
-    fraction-free step; row scaling leaves the solution unchanged."""
-    n = len(rhs)
-    aug = [_integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
-    if any(len(row) != n + 1 for row in aug) or len(aug) != n:
+    matrix: Sequence[Sequence[Num]], rhs: Sequence[Sequence[Num]]
+) -> tuple[tuple[Fraction, ...], ...] | None:
+    """Solve matrix . X = rhs exactly, as rows: row i of rhs holds equation
+    i's right-hand sides (any number of columns), and the unit rows give the
+    inverse. None when the square matrix is singular. Gauss-Jordan on the
+    augmented rows scaled to integers, with the simplex's fraction-free
+    step; scaling an augmented row leaves every column's solution unchanged."""
+    n = len(matrix)
+    if len(rhs) != n or any(len(row) != n for row in matrix):
         raise UsageError("rational_solve needs a square system")
+    aug = [_integer_row([*row, *b])[0] for row, b in zip(matrix, rhs)]
     d = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
@@ -260,7 +246,7 @@ def rational_solve(
         aug[col], aug[piv] = aug[piv], aug[col]
         d = _pivot(aug, col, col, d)
     # every pivot row ends with d on its diagonal
-    return tuple(Fraction(row[-1], d) for row in aug)
+    return tuple(tuple(Fraction(v, d) for v in row[n:]) for row in aug)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ def contract_for_tuple(
     """LP for one action-per-type assignment: maximize expected principal
     utility subject to every assigned action being incentive compatible for
     its type, payments >= 0 (and <= 1 in the bounded regime)."""
+    # both checks come before any indexing: a negative index would wrap
     k = len(gamma.points)
     if len(actions) != k:
         raise UsageError(f"tuple has {len(actions)} entries, expected {k}")
@@ -57,33 +58,38 @@ def contract_for_tuple(
         if not 0 <= a < inst.n_actions:
             raise UsageError(f"action index {a} out of range")
     m = inst.n_outcomes
-    F = [[as_fraction(x) for x in row] for row in inst.F]
     r = [as_fraction(x) for x in inst.r]
-    c = [as_fraction(x) for x in inst.c]
-    masses = [as_fraction(w) for w in gamma.weights]
     thetas = [as_fraction(t) for t in gamma.points]
 
-    # objective: const - sum_w (sum_i gamma_i F[a_i, w]) p_w
+    # objective: const - sum_w (sum_i gamma_i F[a_i, w]) p_w, with the type
+    # masses summed per action first. Regrouping is exact: with Fractions,
+    # sum_i gamma_i F[a_i] equals sum_a (sum_{i: a_i = a} gamma_i) F[a]
+    # entry for entry, and likewise the constant. So the RationalLP is the
+    # per-type one field for field, and Bland's rule makes the same pivots.
+    mass: dict[int, Fraction] = {}
+    for a, g in zip(actions, gamma.weights):
+        mass[a] = mass.get(a, _ZERO) + as_fraction(g)
     weight = [_ZERO] * m
     const = _ZERO
-    for i, a in enumerate(actions):
-        const += masses[i] * sum(f * rw for f, rw in zip(F[a], r))
+    for a, g in mass.items():
+        row = [as_fraction(x) for x in inst.F[a]]
+        const += g * sum(f * rw for f, rw in zip(row, r))
         for w in range(m):
-            weight[w] += masses[i] * F[a][w]
-    objective = [-x for x in weight]
+            weight[w] += g * row[w]
 
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for i, a in enumerate(actions):
-        for b in range(inst.n_actions):
-            if b == a:
-                continue
-            coeffs = [F[a][w] - F[b][w] for w in range(m)]
-            rows.append((coeffs, ">=", thetas[i] * (c[a] - c[b])))
-    ub = tuple(_ONE for _ in range(m)) if bounded else None
+    rows = [
+        (coeffs, ">=", theta * dc)
+        for theta, a in zip(thetas, actions)
+        for b, (coeffs, dc) in enumerate(inst.ic_rows[a])
+        if b != a
+    ]
+    if bounded:
+        for w in range(m):
+            unit = tuple(_ONE if j == w else _ZERO for j in range(m))
+            rows.append((unit, "<=", _ONE))
     lp = RationalLP(
-        objective=tuple(objective),
-        constraints=tuple((tuple(co), rel, rhs) for co, rel, rhs in rows),
-        upper_bounds=ub,
+        objective=tuple(-x for x in weight),
+        constraints=tuple(rows),
         constant=const,
     )
     return lp_solve(lp)
@@ -152,10 +158,10 @@ def solve_discrete_optimal(
 
     best_value: Fraction | None = None
     best_point: tuple[Fraction, ...] | None = None
-    solved = 0
+    # chain_count counts what _iter_chains yields: the sequences whose costs
+    # do not increase
     for tup in _iter_chains(costs, k):
         res = contract_for_tuple(inst, gamma, tup, bounded)
-        solved += 1
         if res.status != "optimal":
             continue
         assert res.value is not None and res.point is not None
@@ -168,17 +174,8 @@ def solve_discrete_optimal(
     return SolveReport(
         best_contract=best_point,
         value=as_fraction(value) if is_exact(value) else value,
-        tuples_solved=solved,
+        tuples_solved=count,
     )
-
-
-def _canonical_row(
-    coeffs: tuple[Fraction, ...], rhs: Fraction
-) -> tuple[tuple[Fraction, ...], Fraction] | None:
-    lead = next((x for x in coeffs if x != 0), None)
-    if lead is None:
-        return None
-    return tuple(x / lead for x in coeffs), rhs / lead
 
 
 def candidate_contract_set(
@@ -190,29 +187,31 @@ def candidate_contract_set(
     box facets, filtered to the box and deduplicated exactly.
 
     The constraints are grouped by direction (canonical coefficient vector),
-    each direction holding its right-hand sides. Every m-set of distinct
-    directions costs one exact inverse, and each choice of one right-hand
-    side per direction is then one matrix-vector product. BASIS_GUARD bounds
-    that work: the sum, over m-sets of distinct directions, of the product
-    of their class sizes, which is at least the number of direction sets."""
+    each direction holding its right-hand sides; a pair of actions gives one
+    direction, from its row of ``Instance.ic_rows``. Every m-set of distinct
+    directions costs one exact inverse, from one elimination on [D | I], and
+    each choice of one right-hand side per direction is then one
+    matrix-vector product. BASIS_GUARD bounds that work: the sum, over
+    m-sets of distinct directions, of the product of their class sizes,
+    which is at least the number of direction sets."""
     m = inst.n_outcomes
     if m > CANDIDATE_MAX_OUTCOMES:
         raise ResourceGuardError(
             f"candidate enumeration supports at most "
             f"{CANDIDATE_MAX_OUTCOMES} outcomes, got {m}"
         )
-    F = [[as_fraction(x) for x in row] for row in inst.F]
-    c = [as_fraction(x) for x in inst.c]
+    thetas = [as_fraction(t) for t in types]
 
     classes: dict[tuple[Fraction, ...], dict[Fraction, None]] = {}
     for a in range(inst.n_actions):
         for b in range(a + 1, inst.n_actions):
-            coeffs = tuple(F[a][w] - F[b][w] for w in range(m))
-            dc = c[a] - c[b]
-            for t in types:
-                row = _canonical_row(coeffs, as_fraction(t) * dc)
-                if row is not None:
-                    classes.setdefault(row[0], {}).setdefault(row[1], None)
+            coeffs, dc = inst.ic_rows[a][b]
+            lead = next((x for x in coeffs if x != 0), None)
+            if lead is None:
+                continue
+            direction = tuple(x / lead for x in coeffs)
+            for t in thetas:
+                classes.setdefault(direction, {}).setdefault(t * dc / lead, None)
     units = [tuple(_ONE if j == w else _ZERO for j in range(m)) for w in range(m)]
     for unit in units:
         classes.setdefault(unit, {}).update({_ZERO: None, _ONE: None})
@@ -236,11 +235,9 @@ def candidate_contract_set(
     # and then no choice of right-hand sides has a basic solution either.
     seen: dict[tuple[Fraction, ...], None] = {}
     for dirs in itertools.combinations(classes, m):
-        first = rational_solve(dirs, units[0])
-        if first is None:
+        inverse = rational_solve(dirs, units)
+        if inverse is None:
             continue
-        cols = [first] + [rational_solve(dirs, e) for e in units[1:]]
-        inverse = list(zip(*cols))
         for rhs in itertools.product(*(classes[d] for d in dirs)):
             point = tuple(sum(x * b for x, b in zip(row, rhs)) for row in inverse)
             if all(0 <= x <= 1 for x in point):

@@ -98,41 +98,23 @@ def fraction_lp_solve(lp: RationalLP, pivots: list | None = None) -> LPResult:
     pivots = [] if pivots is None else pivots
     zero, one = Fraction(0), Fraction(1)
     n = len(lp.objective)
-    rows_in = [(list(coeffs), rel, rhs) for coeffs, rel, rhs in lp.constraints]
-    if lp.upper_bounds is not None:
-        for j, ub in enumerate(lp.upper_bounds):
-            if ub is None:
-                continue
-            if ub < 0:
-                return LPResult("infeasible", None, None)
-            unit = [zero] * n
-            unit[j] = one
-            rows_in.append((unit, "<=", ub))
-
-    m = len(rows_in)
-    n_slack = sum(1 for _, rel, _ in rows_in if rel != "==")
-    slack_cols = n + n_slack
+    m = len(lp.constraints)
+    slack_cols = n + m
     art_needed = []
     rows = []
     basis = []
-    si = 0
-    for coeffs, rel, rhs in rows_in:
-        row = list(coeffs) + [zero] * n_slack
+    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+        row = list(coeffs) + [zero] * m
         if rhs < 0:
             row = [-v for v in row]
             rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+            rel = {"<=": ">=", ">=": "<="}[rel]
         if rel == "<=":
-            row[n + si] = one
-            basis.append(n + si)
+            row[n + i] = one
+            basis.append(n + i)
             art_needed.append(False)
-            si += 1
-        elif rel == ">=":
-            row[n + si] = -one
-            basis.append(-1)
-            art_needed.append(True)
-            si += 1
         else:
+            row[n + i] = -one
             basis.append(-1)
             art_needed.append(True)
         row.append(rhs)
@@ -222,6 +204,15 @@ def random_instance(
     c[gen.randrange(n)] = Fraction(0)
     r = tuple(Fraction(gen.randrange(0, denom + 1), denom) for _ in range(m))
     return Instance(F=tuple(rows), r=r, c=tuple(c))
+
+
+def float_instance(inst: Instance) -> Instance:
+    """The instance read in float mode: every entry of F, r and c a float."""
+    return Instance(
+        F=tuple(tuple(float(x) for x in row) for row in inst.F),
+        r=tuple(float(x) for x in inst.r),
+        c=tuple(float(x) for x in inst.c),
+    )
 
 
 def random_atoms(gen: random.Random, k: int, denom: int = 12) -> Discrete:
@@ -445,6 +436,37 @@ def full_product_solve(
             best_value, best_point = res.value, res.point
     assert best_point is not None, "no feasible action tuple"
     return expected_principal_utility(inst, gamma, best_point), best_point, statuses
+
+
+def per_type_tuple_lp(inst: Instance, gamma: Discrete, actions, bounded: bool) -> RationalLP:
+    """Slow reference for the LP that contract_for_tuple hands to lp_solve:
+    the objective built type by type, F_a - F_b recomputed for every
+    incentive row, and in the bounded regime the box rows p_w <= 1 after
+    them."""
+    m = inst.n_outcomes
+    F = [[as_fraction(x) for x in row] for row in inst.F]
+    r = [as_fraction(x) for x in inst.r]
+    c = [as_fraction(x) for x in inst.c]
+    weight = [Fraction(0)] * m
+    const = Fraction(0)
+    for w, a in zip(gamma.weights, actions):
+        mass = as_fraction(w)
+        const += mass * sum(f * rw for f, rw in zip(F[a], r))
+        for j in range(m):
+            weight[j] += mass * F[a][j]
+    rows = []
+    for theta, a in zip(gamma.points, actions):
+        for b in range(inst.n_actions):
+            if b != a:
+                coeffs = tuple(F[a][j] - F[b][j] for j in range(m))
+                rows.append((coeffs, ">=", as_fraction(theta) * (c[a] - c[b])))
+    if bounded:
+        for w in range(m):
+            unit = tuple(Fraction(int(j == w)) for j in range(m))
+            rows.append((unit, "<=", Fraction(1)))
+    return RationalLP(
+        objective=tuple(-x for x in weight), constraints=tuple(rows), constant=const
+    )
 
 
 def candidate_contracts_by_rows(inst: Instance, types) -> tuple[tuple[Fraction, ...], ...]:

@@ -102,21 +102,6 @@ def test_lp_infeasible_and_unbounded():
     assert lp_solve(unbounded).status == "unbounded"
 
 
-def test_lp_equality_and_bounds():
-    row = ((F(1), F(1)), "==", F(1))
-    lp = RationalLP(
-        objective=(F(2), F(3)), constraints=(row,), upper_bounds=(F(1, 4), None)
-    )
-    res = lp_solve(lp)
-    assert res.status == "optimal"
-    assert res.value == 3  # x = (0, 1)
-    lp2 = RationalLP(
-        objective=(F(1), F(0)), constraints=(row,), upper_bounds=(F(1, 4), None)
-    )
-    res2 = lp_solve(lp2)
-    assert res2.value == F(1, 4)
-
-
 def test_lp_solve_validation():
     one = (F(1),)
     with pytest.raises(UsageError, match="dimension"):
@@ -124,8 +109,9 @@ def test_lp_solve_validation():
     # an unknown relation is refused, not solved as an equality
     with pytest.raises(UsageError, match="unknown relation '<'"):
         lp_solve(RationalLP(objective=one, constraints=((one, "<", F(1)),)))
-    with pytest.raises(UsageError, match="upper_bounds"):
-        lp_solve(RationalLP(objective=one, constraints=(), upper_bounds=(F(1), F(1))))
+    # equality rows are not supported: "==" is an unknown relation too
+    with pytest.raises(UsageError, match="unknown relation '=='"):
+        lp_solve(RationalLP(objective=one, constraints=((one, "==", F(1)),)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +119,22 @@ def test_lp_solve_validation():
 # ---------------------------------------------------------------------------
 
 
-def _oracle_lp(objective, rows, upper):
-    """Enumerate all vertices (choices of nv tight constraints), keep the
-    feasible ones, return (status, best value)."""
+def _oracle_lp(objective, rows):
+    """Enumerate all vertices (choices of nv tight constraints among the
+    rows and the facets x_j = 0), keep the feasible ones, return (status,
+    best value). The rows must bound the feasible region."""
     nv = len(objective)
     pool = [(list(co), rhs) for co, _, rhs in rows]
     for j in range(nv):
         e = [F(0)] * nv
         e[j] = F(1)
-        pool.append((list(e), F(0)))
-        pool.append((list(e), upper))
+        pool.append((e, F(0)))
     best = None
     for chosen in itertools.combinations(pool, nv):
         x = fraction_solve([co for co, _ in chosen], [rhs for _, rhs in chosen])
         if x is None:
             continue
-        if any(v < 0 or v > upper for v in x):
+        if any(v < 0 for v in x):
             continue
         feasible = True
         for co, rel, rhs in rows:
@@ -181,13 +167,12 @@ def test_lp_matches_basis_enumeration_oracle():
             rel = gen.choice(["<=", ">="])
             rhs = F(gen.randrange(-2, 5), gen.choice([1, 2]))
             rows.append((tuple(co), rel, rhs))
-        lp = RationalLP(
-            objective=tuple(objective),
-            constraints=tuple(rows),
-            upper_bounds=(upper,) * nv,
-        )
+        # the box x_j <= upper, stated as rows
+        for j in range(nv):
+            rows.append((tuple(F(int(i == j)) for i in range(nv)), "<=", upper))
+        lp = RationalLP(objective=tuple(objective), constraints=tuple(rows))
         res = lp_solve(lp)
-        status, value = _oracle_lp(objective, rows, upper)
+        status, value = _oracle_lp(objective, rows)
         assert res.status == status, (trial, res.status, status)
         if status == "optimal":
             assert res.value == value, (trial, res.value, value)
@@ -207,14 +192,12 @@ def random_lps(draw) -> RationalLP:
     n = draw(st.integers(1, 4))
     row = st.tuples(
         st.tuples(*(small_fractions() for _ in range(n))),
-        st.sampled_from(("<=", ">=", "==")),
+        st.sampled_from(("<=", ">=")),
         st.one_of(st.just(F(0)), small_fractions(-5, 5)),
     )
-    bound = st.one_of(st.none(), st.just(F(0)), small_fractions(1, 5))
     return RationalLP(
         objective=draw(st.tuples(*(small_fractions() for _ in range(n)))),
-        constraints=tuple(draw(st.lists(row, max_size=6))),
-        upper_bounds=draw(st.one_of(st.none(), st.tuples(*(bound for _ in range(n))))),
+        constraints=tuple(draw(st.lists(row, max_size=8))),
         constant=draw(small_fractions()),
     )
 
@@ -248,9 +231,14 @@ def test_lp_matches_fraction_simplex(lp):
 
 
 def test_rational_solve_exact():
-    assert rational_solve([[2, 0], [0, 4]], [1, 1]) == (F(1, 2), F(1, 4))
-    assert rational_solve([[1, 1], [1, -1]], [1, 0]) == (F(1, 2), F(1, 2))
-    assert rational_solve([[1, 2], [2, 4]], [1, 2]) is None  # singular
+    assert rational_solve([[2, 0], [0, 4]], [[1], [1]]) == ((F(1, 2),), (F(1, 4),))
+    assert rational_solve([[1, 1], [1, -1]], [[1], [0]]) == ((F(1, 2),), (F(1, 2),))
+    assert rational_solve([[1, 2], [2, 4]], [[1], [2]]) is None  # singular
+    # two right-hand-side columns in one elimination
+    assert rational_solve([[1, 1], [1, -1]], [[1, 2], [0, 4]]) == (
+        (F(1, 2), F(3)),
+        (F(1, 2), F(-1)),
+    )
 
 
 def test_rational_solve_random_roundtrip():
@@ -260,26 +248,50 @@ def test_rational_solve_random_roundtrip():
         a = [[F(gen.randrange(-4, 5)) for _ in range(n)] for _ in range(n)]
         x = [F(gen.randrange(-3, 4), 2) for _ in range(n)]
         b = [sum(ai * xi for ai, xi in zip(row, x)) for row in a]
-        sol = rational_solve(a, b)
+        sol = rational_solve(a, [[v] for v in b])
         if sol is not None:
-            back = [sum(ai * xi for ai, xi in zip(row, sol)) for row in a]
+            back = [sum(ai * xi[0] for ai, xi in zip(row, sol)) for row in a]
             assert back == b
 
 
 @settings(max_examples=200)
-@given(data=st.data(), n=st.integers(1, 4))
-def test_rational_solve_matches_fraction_solve(data, n):
+@given(data=st.data(), n=st.integers(1, 4), cols=st.integers(1, 3))
+def test_rational_solve_matches_fraction_solve(data, n, cols):
     entries = st.lists(small_fractions(-3, 3), min_size=n, max_size=n)
     matrix = data.draw(st.lists(entries, min_size=n, max_size=n))
     if n >= 2 and data.draw(st.booleans()):
         matrix[-1] = [2 * v for v in matrix[0]]  # singular
-    rhs = data.draw(entries)
-    assert rational_solve(matrix, rhs) == fraction_solve(matrix, rhs)
+    columns = [data.draw(entries) for _ in range(cols)]
+    rhs = [list(row) for row in zip(*columns)]
+    got = rational_solve(matrix, rhs)
+    expected = [fraction_solve(matrix, col) for col in columns]
+    if expected[0] is None:
+        assert got is None
+    else:
+        assert [tuple(col) for col in zip(*got)] == expected
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_rational_solve_unit_rows_give_inverse(data, n):
+    entries = st.lists(small_fractions(-3, 3), min_size=n, max_size=n)
+    matrix = data.draw(st.lists(entries, min_size=n, max_size=n))
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = rational_solve(matrix, units)
+    if inverse is None:
+        assert fraction_solve(matrix, [1] * n) is None
+        return
+    product = [
+        [sum(a * x[j] for a, x in zip(row, inverse)) for j in range(n)] for row in matrix
+    ]
+    assert product == units
 
 
 def test_rational_solve_shape_validation():
     with pytest.raises(UsageError):
-        rational_solve([[1, 2]], [1])
+        rational_solve([[1, 2]], [[1]])
+    with pytest.raises(UsageError):
+        rational_solve([[1, 0], [0, 1]], [[1]])
 
 
 # ---------------------------------------------------------------------------
