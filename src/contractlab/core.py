@@ -3,21 +3,34 @@ principal-favorable tie-breaking, epsilon-IC sets, and robustification."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, TypeAlias
+from operator import mul
+from typing import NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
 from .dist import Discrete, TypeDistribution, interval_mass
 from .errors import UsageError
-from .numerics import Num, as_fraction, is_exact
+from .numerics import Num, as_fraction, integer_row, is_exact
 
 Contract: TypeAlias = "tuple[Num, ...]"
 
 TIE_TOL = 1e-9
 _ROW_SUM_TOL = 1e-12
+
+
+class ScaledInstance(NamedTuple):
+    """An exact instance on integers: F / dF, c / dc and F_a.r = Fr[a] / (dF dr)."""
+
+    F: list[list[int]]
+    dF: int
+    c: list[int]
+    dc: int
+    Fr: list[int]
+    dr: int
 
 
 @dataclass(frozen=True)
@@ -38,15 +51,18 @@ class Instance:
             raise UsageError("cost vector length must match action count")
         if self.labels is not None and len(self.labels) != n:
             raise UsageError("labels length must match action count")
+        # An exact instance's rows are checked on the integers F[a] * dF:
+        # scaling by dF > 0 keeps each comparison and equality.
         for a, row in enumerate(self.F):
             if len(row) != m:
                 raise UsageError(f"F row {a} has length {len(row)}, expected {m}")
-            if any(x < 0 or x > 1 for x in row):
+            nums, one = (self.scaled.F[a], self.scaled.dF) if self.exact else (row, 1)
+            if any(x < 0 or x > one for x in nums):
                 raise UsageError(f"F row {a} has entries outside [0,1]")
-            total = sum(row)
+            total = sum(nums)
             if is_exact(*row):
-                if total != 1:
-                    raise UsageError(f"F row {a} sums to {total}, expected 1")
+                if total != one:
+                    raise UsageError(f"F row {a} sums to {Fraction(total, one)}, expected 1")
             elif abs(total - 1.0) > _ROW_SUM_TOL:
                 raise UsageError(f"F row {a} sums to {total!r}, expected 1")
         if any(x < 0 or x > 1 for x in self.r):
@@ -71,6 +87,16 @@ class Instance:
     @cached_property
     def c_arr(self) -> np.ndarray:
         return np.asarray(self.c, dtype=float)
+
+    @cached_property
+    def scaled(self) -> ScaledInstance | None:
+        """The instance as integers (``ScaledInstance``); None unless exact."""
+        if not self.exact:
+            return None
+        dF = math.lcm(*(x.denominator for row in self.F for x in row))
+        F = [integer_row(row, dF)[0] for row in self.F]
+        (r, dr), (c, dc) = integer_row(self.r), integer_row(self.c)
+        return ScaledInstance(F, dF, c, dc, [sum(map(mul, row, r)) for row in F], dr)
 
     @cached_property
     def ic_rows(self) -> tuple[tuple[tuple[tuple[Fraction, ...], Fraction], ...], ...]:
@@ -129,21 +155,31 @@ class ResponseTable:
     """Best responses to one contract p, for any type.
 
     Validates p once and stores rp[w] = r[w] - p[w], fp[a] = F_a.p and
-    pu[a] = F_a.(r - p) by the expressions of ``agent_utility`` and
-    ``principal_utility``, so values are bit-identical to theirs.  One table
-    serves every type: with p fixed, the agent utility fp[a] - theta c[a] is
-    affine in theta and the principal utility pu[a] does not depend on theta,
-    so fp, pu and c decide the best response of any type, ties included.
-    The ``*_arr`` float arrays are these lists converted, not recomputed.
+    pu[a] = F_a.(r - p), the values of ``agent_utility`` and
+    ``principal_utility``: on exact inputs fp[a] = F[a].P / (dF dp) and pu[a]
+    = (Fr[a] dp - F[a].P dr) / (dF dp dr) with p = P / dp and the ``scaled``
+    instance, each a normalised Fraction.  One table serves every type: with
+    p fixed, the agent utility fp[a] - theta c[a] is affine in theta and the
+    principal utility pu[a] does not depend on theta, so fp, pu and c decide
+    the best response of any type, ties included.  The ``*_arr`` float
+    arrays are these lists converted, not recomputed.
     """
 
     def __init__(self, inst: Instance, p: Sequence[Num]) -> None:
         _check_contract(inst, p)
         self.inst = inst
         self.rp = [rw - x for rw, x in zip(inst.r, p)]
-        self.fp = [sum(f * x for f, x in zip(row, p)) for row in inst.F]
-        self.pu = [sum(f * d for f, d in zip(row, self.rp)) for row in inst.F]
         self.exact = inst.exact and is_exact(*p)
+        if self.exact:
+            s, (P, dp) = inst.scaled, integer_row(p)
+            self._fp_num = fp = [sum(map(mul, row, P)) for row in s.F]
+            self._pu_num = [fr * dp - x * s.dr for fr, x in zip(s.Fr, fp)]
+            self._dfp = dfp = s.dF * dp
+            self.fp = [Fraction(x, dfp) for x in fp]
+            self.pu = [Fraction(x, dfp * s.dr) for x in self._pu_num]
+        else:
+            self.fp = [sum(f * x for f, x in zip(row, p)) for row in inst.F]
+            self.pu = [sum(f * d for f, d in zip(row, self.rp)) for row in inst.F]
 
     @cached_property
     def fp_arr(self) -> np.ndarray:
@@ -170,26 +206,38 @@ class ResponseTable:
             near[b, a] = self.pu[a] >= thr[b]
         return near
 
-    def eps_set(self, theta: Num, eps: Num) -> tuple[list[Num], list[int], Num]:
-        """Agent utilities at theta, the actions within eps of the best, and
-        the tie tolerance: 0 on rational data, TIE_TOL otherwise."""
-        c = self.inst.c
-        utils = [f - theta * c[a] for a, f in enumerate(self.fp)]
-        tol = 0 if self.exact and is_exact(theta) else TIE_TOL
-        cutoff = max(utils) - eps - tol
-        return utils, [a for a, u in enumerate(utils) if u >= cutoff], tol
+    def eps_set(self, theta: Num, eps: Num) -> tuple:
+        """(utils, ic, den, keys, tol): the agent utilities utils[a] / den at
+        theta, the actions ic within eps of the best, keys ordered as pu, and
+        the tie tolerance.  On an exact table, theta and eps: integers over
+        den = dF dp dc den(theta), the numerators of pu, and 0 (a positive
+        scale keeps order and equality, and an integer u is >= top - eps den
+        iff u >= top - floor(eps den)).  Otherwise fp[a] - theta c[a], None,
+        pu, and TIE_TOL, or 0 on an exact table and theta."""
+        if self.exact and is_exact(theta, eps):
+            s, tn, td = self.inst.scaled, theta.numerator, theta.denominator
+            fs, cs, den = s.dc * td, tn * self._dfp, self._dfp * s.dc * td
+            utils = [f * fs - c * cs for f, c in zip(self._fp_num, s.c)]
+            cutoff = max(utils) - eps.numerator * den // eps.denominator
+            keys, tol = self._pu_num, 0
+        else:
+            c = self.inst.c
+            utils = [f - theta * c[a] for a, f in enumerate(self.fp)]
+            tol = 0 if self.exact and is_exact(theta) else TIE_TOL
+            cutoff = max(utils) - eps - tol
+            den, keys = None, self.pu
+        return utils, [a for a, u in enumerate(utils) if u >= cutoff], den, keys, tol
 
     def respond(self, theta: Num) -> BestResponse:
         """Agent-optimal action; ties favor the principal, then the lowest
         index."""
-        utils, ic, tol = self.eps_set(theta, 0)
-        pu = self.pu
-        best = max(pu[a] for a in ic)
-        action = min(a for a in ic if pu[a] >= best - tol)
+        utils, ic, den, keys, tol = self.eps_set(theta, 0)
+        best = max(keys[a] for a in ic)
+        action = min(a for a in ic if keys[a] >= best - tol)
         return BestResponse(
             action=action,
-            agent_utility=utils[action],
-            principal_utility=pu[action],
+            agent_utility=utils[action] if den is None else Fraction(utils[action], den),
+            principal_utility=self.pu[action],
             ic_set=frozenset(ic),
         )
 

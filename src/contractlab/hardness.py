@@ -373,7 +373,7 @@ def _expected_value(
     """``core.expected_principal_utility`` from the types' responses (every
     type weight is positive)."""
     # Summed from the responses the verifiers already hold: answering the n+1
-    # types again through ResponseTable.expected_utility costs about 27% more.
+    # types again through ResponseTable.expected_utility slows verify_onlyif_bounds 12-13%.
     return sum(w * br.principal_utility for w, br in zip(ri.gamma.weights, responses))
 
 

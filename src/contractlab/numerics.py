@@ -63,10 +63,11 @@ class LPResult:
 _ZERO = Fraction(0)
 
 
-def _integer_row(values: Sequence[Num]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
+def integer_row(values: Sequence[Num], scale: int = 0) -> tuple[list[int], int]:
+    """The row times scale, by default the lcm of its denominators, and that
+    scale (a common multiple of the denominators when given)."""
     exact = [as_fraction(v) for v in values]
-    scale = math.lcm(*(v.denominator for v in exact))
+    scale = scale or math.lcm(*(v.denominator for v in exact))
     return [v.numerator * (scale // v.denominator) for v in exact], scale
 
 
@@ -165,7 +166,7 @@ def lp_solve(lp: RationalLP) -> LPResult:
     basis: list[int] = []
     art_scales: list[int] = []
     for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        ints, scale = _integer_row([*coeffs, rhs])
+        ints, scale = integer_row([*coeffs, rhs])
         if ints[-1] < 0:
             ints = [-v for v in ints]
             rel = ">=" if rel == "<=" else "<="
@@ -206,7 +207,7 @@ def lp_solve(lp: RationalLP) -> LPResult:
         rows = [rows[i][:slack_cols] + [rows[i][-1]] for i in keep]
         basis = [basis[i] for i in keep]
 
-    objective, _ = _integer_row(lp.objective)
+    objective, _ = integer_row(lp.objective)
     cost2 = objective + [0] * m
     if rows:
         status, d = _simplex_phase(rows, basis, cost2, d)
@@ -237,7 +238,7 @@ def rational_solve(
     n = len(matrix)
     if len(rhs) != n or any(len(row) != n for row in matrix):
         raise UsageError("rational_solve needs a square system")
-    aug = [_integer_row([*row, *b])[0] for row, b in zip(matrix, rhs)]
+    aug = [integer_row([*row, *b])[0] for row, b in zip(matrix, rhs)]
     d = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)

@@ -542,6 +542,37 @@ def per_action_best_response(inst: Instance, p, theta) -> BestResponse:
     )
 
 
+class FractionResponseTable:
+    """Slow reference for the exact path of ``core.ResponseTable``: the
+    Fraction sums F_a.p and F_a.(r - p), and the scan and tie rule on
+    Fraction agent utilities, as the library computed them before its
+    integer kernel."""
+
+    def __init__(self, inst: Instance, p) -> None:
+        self.inst = inst
+        self.rp = [rw - x for rw, x in zip(inst.r, p)]
+        self.fp = [sum(f * x for f, x in zip(row, p)) for row in inst.F]
+        self.pu = [sum(f * d for f, d in zip(row, self.rp)) for row in inst.F]
+
+    def eps_set(self, theta, eps) -> tuple[list, list[int]]:
+        """Agent utilities at theta and the actions within eps of the best."""
+        c = self.inst.c
+        utils = [f - theta * c[a] for a, f in enumerate(self.fp)]
+        cutoff = max(utils) - eps
+        return utils, [a for a, u in enumerate(utils) if u >= cutoff]
+
+    def respond(self, theta) -> BestResponse:
+        utils, ic = self.eps_set(theta, 0)
+        best = max(self.pu[a] for a in ic)
+        action = min(a for a in ic if self.pu[a] >= best)
+        return BestResponse(
+            action=action,
+            agent_utility=utils[action],
+            principal_utility=self.pu[action],
+            ic_set=frozenset(ic),
+        )
+
+
 def _full_inverse_max_leverage(Z: np.ndarray, w: np.ndarray) -> float:
     G = Z.T @ (Z * w[:, None])
     try:

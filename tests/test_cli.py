@@ -320,6 +320,38 @@ def test_bandit_regret_curves_pinned(files, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["reduce-setcover", "--universe", "3", "--sets", "1,2;2;1,3;3"],
+            "207a48cc5dd3e91451368abd91638a902428c45982c07ab37fa6b1f0f95a2464",
+        ),
+        (
+            ["verify-reduction", "--universe", "3", "--sets", "1,2;2;1,3;3",
+             "--cover", "2,3"],
+            "6cb88bef34694a7a558689f83501e47b3fbc03934b254a5409c9b06ad2896c52",
+        ),
+        (
+            ["reduce-setcover", "--universe", "5", "--sets", "1,2,3;3,4;4,5;1,5;2,4"],
+            "da6fe64344ed17f5d5366b25ff7b3f5dc8d54597d7e3f477d85f3c280feeef5e",
+        ),
+        (
+            ["verify-reduction", "--universe", "5", "--sets", "1,2,3;3,4;4,5;1,5;2,4",
+             "--cover", "1,3"],
+            "5e87f77d2f84b932f6cdc46c019dbe795583c5d8ddbcbefc8e1648a52d56c510",
+        ),
+    ],
+    ids=["reduce-n3", "verify-n3", "reduce-n5", "verify-n5"],
+)
+def test_hardness_commands_pinned(capsys, argv, digest):
+    # every byte of the reduction and verifier output, as the Fraction
+    # best-response kernel printed it
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -16,6 +16,7 @@ from contractlab import (
     UsageError,
     agent_utility,
     best_response,
+    core,
     eps_best_responses,
     expected_principal_utility,
     expected_principal_utility_continuous,
@@ -24,8 +25,11 @@ from contractlab import (
 )
 from contractlab.core import TIE_TOL, ResponseTable, stacked_actions
 from contractlab.dist import PiecewiseConstant, cdf
+from contractlab.hardness import cover_contract, reduce
 from helpers import (
+    FractionResponseTable,
     brute_best_response,
+    min_cover,
     per_action_best_response,
     per_type_expectation,
     quadrature_expectation,
@@ -33,6 +37,7 @@ from helpers import (
     random_contract,
     random_instance,
     random_piecewise,
+    random_setcover,
 )
 
 F = Fraction
@@ -56,6 +61,38 @@ def test_instance_validation():
         Instance(F=((F(1, 2), F(1, 2)),), r=(F(0), F(1)), c=(F(1),))  # no free action
     with pytest.raises(UsageError):
         Instance(F=((F(1, 2), F(1, 2)),), r=(F(0), F(1)), c=(F(0), F(1)))  # shape
+
+
+def _row_error(*rows) -> str:
+    with pytest.raises(UsageError) as err:
+        Instance(F=rows, r=(F(0), F(1)), c=(F(0),) * len(rows))
+    return str(err.value)
+
+
+def test_instance_row_messages_pinned(monkeypatch):
+    # the exact-row messages, and which row and which check speaks first
+    assert _row_error((F(-1, 2), F(3, 2))) == "F row 0 has entries outside [0,1]"
+    assert _row_error((F(3, 2), F(0))) == "F row 0 has entries outside [0,1]"
+    assert _row_error((F(1, 2), F(1))) == "F row 0 sums to 3/2, expected 1"
+    assert _row_error((1, 1)) == "F row 0 sums to 2, expected 1"
+    assert _row_error((0, 1), (1, F(1, 2))) == "F row 1 sums to 3/2, expected 1"
+    assert _row_error((1, F(1, 4)), (F(1),)) == "F row 0 sums to 5/4, expected 1"
+    assert _row_error((F(1), F(0)), (F(1), F(0), F(0))) == (
+        "F row 1 has length 3, expected 2"
+    )
+    assert _row_error((F(1, 2), F(1, 3)), (F(2), F(-1))) == (
+        "F row 0 sums to 5/6, expected 1"
+    )
+    Instance(F=((0, 1), (1, F(0)), (F(1, 3), F(2, 3))), r=(0, 1), c=(0, F(1), 1))
+    # a float row, alone or beside exact rows, is held to _ROW_SUM_TOL
+    near = (0.5, 0.5 + 1e-13)
+    Instance(F=(near, (F(1), F(0))), r=(F(0), F(1)), c=(F(0), F(1)))
+    assert _row_error((0.5, 0.5 + 1e-11)) == (
+        f"F row 0 sums to {0.5 + (0.5 + 1e-11)!r}, expected 1"
+    )
+    assert _row_error((F(1), F(0)), (0.5, F(1, 4))) == "F row 1 sums to 0.75, expected 1"
+    monkeypatch.setattr(core, "_ROW_SUM_TOL", 0.0)
+    assert _row_error(near) == f"F row 0 sums to {0.5 + (0.5 + 1e-13)!r}, expected 1"
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +462,58 @@ def test_response_table_matches_bruteforce(inst, data):
         assert got.ic_set == ic
         assert isinstance(got.agent_utility, Fraction)
         assert isinstance(got.principal_utility, Fraction)
+
+
+# On exact inputs the table forms F.p and F.(r - p) as integer dot products
+# and scans integer agent utilities over one denominator.  It must give the
+# very values of the Fraction sums and scan it replaced
+# (``helpers.FractionResponseTable``): fp, pu and rp, every field of
+# ``respond`` and the eps-set, all Fractions.  Tied costs and duplicated rows
+# make agent and principal ties common; the types are 0, 1, the instance's
+# own types and every crossing; eps is 0, 1/24 or the gap from the best
+# agent utility to another, which puts that action on the cutoff.
+
+
+@st.composite
+def exact_tables(draw) -> tuple[Instance, tuple[Fraction, ...], list[Fraction]]:
+    gen = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        sc = random_setcover(gen)
+        ri = reduce(sc)
+        cover = cover_contract(ri, min_cover(sc))
+        p = draw(st.sampled_from([cover, random_contract(gen, ri.inst.n_outcomes)]))
+        return ri.inst, p, list(ri.gamma.points)
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    inst = random_instance(gen, n, m, denom=draw(st.sampled_from([2, 4, 12])))
+    rows, c = list(inst.F), list(inst.c)
+    a, b = gen.sample(range(n), 2)
+    if draw(st.booleans()):
+        c[b] = c[a]
+        if 0 not in c:
+            c[a] = c[b] = F(0)
+    if draw(st.booleans()):
+        rows[b] = rows[a]
+    return Instance(F=tuple(rows), r=inst.r, c=tuple(c)), random_contract(gen, m), []
+
+
+@settings(max_examples=60)
+@given(case=exact_tables(), data=st.data())
+def test_integer_kernel_matches_fraction_reference(case, data):
+    inst, p, types = case
+    table, ref = ResponseTable(inst, p), FractionResponseTable(inst, p)
+    assert table.exact
+    for got, want in ((table.fp, ref.fp), (table.pu, ref.pu), (table.rp, ref.rp)):
+        assert got == want
+        assert all(isinstance(x, Fraction) for x in got)
+    for theta in [0, 1, *types, *table.breakpoints()]:
+        got = table.respond(theta)
+        assert got == ref.respond(theta)
+        assert isinstance(got.agent_utility, Fraction)
+        assert isinstance(got.principal_utility, Fraction)
+        utils = ref.eps_set(theta, 0)[0]
+        gap = max(utils) - utils[data.draw(st.integers(0, len(utils) - 1))]
+        for eps in (0, F(1, 24), gap):
+            assert table.eps_set(theta, eps)[1] == ref.eps_set(theta, eps)[1]
 
 
 @settings(max_examples=60)
