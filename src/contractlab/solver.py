@@ -1,5 +1,5 @@
-"""Exact optimal contracts for discrete-type instances by action-tuple
-enumeration, and the finite distribution-free candidate contract set."""
+"""Exact optimal contracts for discrete-type instances by branch-and-bound
+over action chains, and the finite distribution-free candidate contract set."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import core
 from .core import Contract, Instance
@@ -34,7 +34,8 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class SolveReport:
     """Optimum of a discrete-type instance. tuples_solved is the number of
-    per-tuple LPs solved, one per cost-monotone action chain."""
+    cost-monotone action chains the search covers, each one either solved
+    as a per-tuple LP or ruled out by the welfare bound."""
 
     best_contract: Contract
     value: Num
@@ -112,41 +113,24 @@ def chain_count(costs: Sequence[Fraction], k: int) -> int:
     return sum(counts)
 
 
-def _iter_chains(costs: Sequence[Fraction], k: int) -> Iterator[tuple[int, ...]]:
-    """Action tuples over k types whose costs do not increase with type, in
-    lexicographic order.
-
-    Every other tuple has an infeasible LP. If types theta_i < theta_j play a
-    and b, the IC row of i against b plus the IC row of j against a give
-    (theta_j - theta_i)(c_a - c_b) >= 0, so c_a >= c_b. Types are strictly
-    increasing, so checking adjacent positions suffices. The check is a
-    prefix filter on itertools.product, so the kept tuples come out in the
-    same order and the first-wins scan picks the same LP as the full scan."""
-    n = len(costs)
-    cheaper = [[b for b in range(n) if costs[b] <= costs[a]] for a in range(n)]
-    tup: list[int] = []
-    options = [iter(range(n))]
-    while options:
-        a = next(options[-1], None)
-        if a is None:
-            options.pop()
-            if tup:
-                tup.pop()
-        elif len(tup) == k - 1:
-            yield (*tup, a)
-        else:
-            tup.append(a)
-            options.append(iter(cheaper[a]))
-
-
 def solve_discrete_optimal(
     inst: Instance, gamma: Discrete, bounded: bool = False
 ) -> SolveReport:
     """Exact maximum over the per-tuple LPs of the cost-monotone action
-    chains (every other tuple is infeasible, see _iter_chains); tuple ties
-    resolve in lexicographic order. The reported value is recomputed through
-    the model evaluation path, which agrees with the winning LP value
-    exactly; it is a Fraction on rational inputs and a float otherwise."""
+    chains, by depth-first branch-and-bound over chain prefixes.
+
+    Every other tuple is infeasible: if types theta_i < theta_j play a and b,
+    the IC row of i against b plus the IC row of j against a give
+    (theta_j - theta_i)(c_a - c_b) >= 0, so c_a >= c_b, and as types
+    strictly increase, adjacent positions suffice. Children are expanded in
+    decreasing order of the welfare bound below, ties by action index, and a
+    prefix is pruned only when its bound is strictly below the best LP value
+    found. Every optimal chain has bound >= OPT >= that value, so all of them
+    are solved, and the lexicographically smallest wins: the chain of a scan
+    of every chain in lexicographic order, first optimum winning. The
+    reported value is recomputed through the model evaluation path, which
+    agrees with the winning LP value exactly; it is a Fraction on rational
+    inputs and a float otherwise."""
     n, k = inst.n_actions, len(gamma.points)
     costs = [as_fraction(x) for x in inst.c]
     count = chain_count(costs, k)
@@ -156,18 +140,60 @@ def solve_discrete_optimal(
             f"({n} actions, {k} types), above the guard of {TUPLE_GUARD}"
         )
 
+    # Welfare bound. A free action z exists (Instance enforces it) and p >= 0,
+    # so a type theta that plays a has F_a.p - theta c_a >= F_z.p >= 0, and
+    # its principal utility F_a.(r - p) is at most W(a, theta) = F_a.r -
+    # theta c_a; for a = z this is F_z.(r - p) <= F_z.r. A chain's LP value
+    # is therefore at most sum_i w_i W(a_i, theta_i). gain[i][b] is one term;
+    # rest[i][a], the best sum over positions i.. after action a, is the max
+    # over b with c_b <= c_a of gain[i][b] + rest[i + 1][b]. All in
+    # Fractions, so the bound is exact in float mode too.
+    r = [as_fraction(x) for x in inst.r]
+    fr = [sum(as_fraction(f) * rw for f, rw in zip(row, r)) for row in inst.F]
+    gain = [
+        [as_fraction(w) * (fr[b] - as_fraction(t) * costs[b]) for b in range(n)]
+        for t, w in zip(gamma.points, gamma.weights)
+    ]
+    cheaper = [[b for b in range(n) if costs[b] <= costs[a]] for a in range(n)]
+    rest = [[_ZERO] * n for _ in range(k + 1)]
+    for i in range(k - 1, 0, -1):
+        rest[i] = [max(gain[i][b] + rest[i + 1][b] for b in cheaper[a]) for a in range(n)]
+
+    def children(i: int, base: Fraction, allowed: Sequence[int]) -> list:
+        # ascending (bound, -b), so pop() takes the best bound, then lowest b
+        return sorted((base + gain[i][b] + rest[i + 1][b], -b) for b in allowed)
+
     best_value: Fraction | None = None
     best_point: tuple[Fraction, ...] | None = None
-    # chain_count counts what _iter_chains yields: the sequences whose costs
-    # do not increase
-    for tup in _iter_chains(costs, k):
-        res = contract_for_tuple(inst, gamma, tup, bounded)
+    best_chain: tuple[int, ...] = ()
+    # one frame of at most n children per position: O(n k) entries
+    prefix: list[int] = []
+    sums = [_ZERO]
+    stack = [children(0, _ZERO, range(n))]
+    while stack:
+        frame = stack[-1]
+        if not frame or (best_value is not None and frame[-1][0] < best_value):
+            # the frame is sorted, so every sibling left is pruned too
+            stack.pop()
+            if prefix:
+                prefix.pop()
+                sums.pop()
+            continue
+        b = -frame.pop()[1]
+        i = len(prefix)
+        if i < k - 1:
+            prefix.append(b)
+            sums.append(sums[-1] + gain[i][b])
+            stack.append(children(i + 1, sums[-1], cheaper[b]))
+            continue
+        chain = (*prefix, b)
+        res = contract_for_tuple(inst, gamma, chain, bounded)
         if res.status != "optimal":
             continue
         assert res.value is not None and res.point is not None
-        if best_value is None or res.value > best_value:
-            best_value = res.value
-            best_point = res.point
+        # a larger value, or an equal value from an earlier chain
+        if best_value is None or (res.value, best_chain) > (best_value, chain):
+            best_value, best_point, best_chain = res.value, res.point, chain
     if best_point is None:
         raise UsageError("no feasible action tuple; instance is inconsistent")
     value = core.expected_principal_utility(inst, gamma, best_point)

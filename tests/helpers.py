@@ -35,7 +35,7 @@ from contractlab.dist import Discrete, PiecewiseConstant, cdf, sample_many
 from contractlab.errors import UsageError
 from contractlab.hardness import SetCoverInput
 from contractlab.numerics import LPResult, RationalLP, as_fraction, is_exact
-from contractlab.solver import contract_for_tuple
+from contractlab.solver import SolveReport, contract_for_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +438,52 @@ def full_product_solve(
     return expected_principal_utility(inst, gamma, best_point), best_point, statuses
 
 
+def iter_chains(costs, k: int):
+    """Action tuples over k types whose costs do not increase with type, in
+    lexicographic order: a prefix filter on itertools.product (every other
+    tuple has an infeasible LP), kept as the library enumerated them before
+    its branch-and-bound."""
+    n = len(costs)
+    cheaper = [[b for b in range(n) if costs[b] <= costs[a]] for a in range(n)]
+    tup: list[int] = []
+    options = [iter(range(n))]
+    while options:
+        a = next(options[-1], None)
+        if a is None:
+            options.pop()
+            if tup:
+                tup.pop()
+        elif len(tup) == k - 1:
+            yield (*tup, a)
+        else:
+            tup.append(a)
+            options.append(iter(cheaper[a]))
+
+
+def scan_discrete_optimal(
+    inst: Instance, gamma: Discrete, bounded: bool = False
+) -> SolveReport:
+    """Slow reference for ``solve_discrete_optimal``: the LP of every
+    cost-monotone chain in lexicographic order, the first optimum of largest
+    value winning, with no bound and no pruning; tuples_solved counts the
+    chains."""
+    best_value = None
+    best_point = None
+    count = 0
+    for tup in iter_chains([as_fraction(x) for x in inst.c], len(gamma.points)):
+        count += 1
+        res = contract_for_tuple(inst, gamma, tup, bounded)
+        if res.status == "optimal" and (best_value is None or res.value > best_value):
+            best_value, best_point = res.value, res.point
+    assert best_point is not None, "no feasible action tuple"
+    value = expected_principal_utility(inst, gamma, best_point)
+    return SolveReport(
+        best_contract=best_point,
+        value=as_fraction(value) if is_exact(value) else value,
+        tuples_solved=count,
+    )
+
+
 def per_type_tuple_lp(inst: Instance, gamma: Discrete, actions, bounded: bool) -> RationalLP:
     """Slow reference for the LP that contract_for_tuple hands to lp_solve:
     the objective built type by type, F_a - F_b recomputed for every
@@ -469,12 +515,11 @@ def per_type_tuple_lp(inst: Instance, gamma: Discrete, actions, bounded: bool) -
     )
 
 
-def candidate_contracts_by_rows(inst: Instance, types) -> tuple[tuple[Fraction, ...], ...]:
-    """Slow reference for the candidate contract set: every m-subset of the
-    deduplicated constraint rows (each incentive row scaled so its first
-    nonzero coefficient is 1, then the box facets x_w = 0 and x_w = 1) is
-    solved on its own; nonsingular solutions inside [0,1]^m are kept, sorted
-    and deduplicated."""
+def _row_vertices(inst: Instance, types, box: bool) -> tuple[tuple[Fraction, ...], ...]:
+    """Every m-subset of the deduplicated constraint rows (each incentive row
+    scaled so its first nonzero coefficient is 1, then the facets x_w = 0 and,
+    with box, x_w = 1) solved on its own; nonsingular solutions with x >= 0
+    (and x <= 1 with box) are kept, sorted and deduplicated."""
     m = inst.n_outcomes
     F = [[as_fraction(x) for x in row] for row in inst.F]
     c = [as_fraction(x) for x in inst.c]
@@ -491,13 +536,40 @@ def candidate_contracts_by_rows(inst: Instance, types) -> tuple[tuple[Fraction, 
     for w in range(m):
         unit = tuple(Fraction(int(j == w)) for j in range(m))
         pool.setdefault((unit, Fraction(0)), None)
-        pool.setdefault((unit, Fraction(1)), None)
+        if box:
+            pool.setdefault((unit, Fraction(1)), None)
     seen = {}
     for chosen in itertools.combinations(pool, m):
         point = fraction_solve([row for row, _ in chosen], [rhs for _, rhs in chosen])
-        if point is not None and all(0 <= x <= 1 for x in point):
+        if point is not None and all(0 <= x and (x <= 1 or not box) for x in point):
             seen.setdefault(point, None)
     return tuple(sorted(seen))
+
+
+def candidate_contracts_by_rows(inst: Instance, types) -> tuple[tuple[Fraction, ...], ...]:
+    """Slow reference for the candidate contract set: the basic solutions of
+    the incentive rows and the box facets that lie in [0,1]^m."""
+    return _row_vertices(inst, types, box=True)
+
+
+def vertex_oracle(inst: Instance, gamma: Discrete) -> Fraction:
+    """Independent exact optimum of the unbounded regime (p >= 0): the best
+    expected utility over the vertices of the arrangement of the incentive
+    hyperplanes and the facets p_w = 0, each type answered by
+    ``brute_best_response``.
+
+    Exact because on each closed cell of the arrangement every type keeps
+    one agent-best action, so the expected utility is at least one linear
+    function there and equal to it inside (ties go the principal's way);
+    that function is bounded above by sum_i w_i F_a.r, and the cell is
+    pointed since p >= 0, so its maximum over the cell sits at a vertex."""
+    return max(
+        sum(
+            as_fraction(w) * brute_best_response(inst, p, as_fraction(t))[2]
+            for t, w in zip(gamma.points, gamma.weights)
+        )
+        for p in _row_vertices(inst, gamma.points, box=False)
+    )
 
 
 def brute_best_response(

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from contractlab import UsageError, agent_utility, eps_best_responses
+from contractlab import UsageError, agent_utility, eps_best_responses, solve_discrete_optimal
 from contractlab.hardness import (
     ReductionParams,
     SetCoverInput,
@@ -304,3 +305,31 @@ def test_onlyif_contract_validation(three_element_reduced):
         verify_onlyif_bounds(three_element_reduced, (F(0),) * 3)
     with pytest.raises(UsageError):
         verify_onlyif_bounds(three_element_reduced, (F(-1),) + (F(0),) * 5)
+
+
+def test_n3_reduction_solved_exactly():
+    # the exact optimum of a reduced n = 3 system, whose minimum cover has
+    # two sets, lands on the cover value; the only-if caps hold there, and
+    # the fields guaranteed only for n >= 16 are printed, not asserted
+    sc = SetCoverInput(n=3, sets=((1, 2), (2, 3), (1, 3)))
+    ri = reduce(sc)
+    start = time.perf_counter()
+    rep = solve_discrete_optimal(ri.inst, ri.gamma, bounded=False)
+    only = verify_onlyif_bounds(ri, rep.best_contract)
+    product_s = time.perf_counter() - start
+    start = time.perf_counter()
+    cover = min_cover(sc)
+    oracle_s = time.perf_counter() - start
+    ell = ell_value(sc.n, sc.m, len(cover))
+    assert len(cover) == 2
+    assert rep.tuples_solved == 3217
+    assert rep.value == ell
+    assert only.ok
+    print(
+        f"n=3 m=3: OPT - ell(3, 3, 2) = {rep.value - ell}, "
+        f"gap_value(3, 3) = {gap_value(sc.n, sc.m)}, "
+        f"ell(3, 3, 1) - OPT = {ell_value(sc.n, sc.m, 1) - rep.value}, "
+        f"small_gap_step_holds = {only.small_gap_step_holds} "
+        f"(product {product_s:.2f}s, min-cover oracle {oracle_s:.4f}s)",
+        flush=True,
+    )

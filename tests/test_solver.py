@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contractlab import (
@@ -21,7 +21,7 @@ from contractlab import (
     solve_discrete_optimal,
     solver,
 )
-from contractlab.dist import grid_points
+from contractlab.dist import discretize, grid_points
 from contractlab.hardness import ell_value
 from contractlab.numerics import rational_solve
 from contractlab.solver import candidate_contract_set, chain_count, contract_for_tuple
@@ -32,10 +32,13 @@ from helpers import (
     full_product_solve,
     grid_best,
     grid_values,
+    iter_chains,
     payment_grid,
     per_type_tuple_lp,
     random_atoms,
     random_instance,
+    scan_discrete_optimal,
+    vertex_oracle,
 )
 
 F = Fraction
@@ -129,7 +132,7 @@ def test_solve_reports_consistent_value_and_log(desk_instance):
     gamma = Discrete(points=(F(1, 4), F(3, 4)), weights=(F(1, 2), F(1, 2)))
     rep = solve_discrete_optimal(desk_instance, gamma)
     # (idle, work) is the one tuple whose cost rises with type
-    chains = list(solver._iter_chains(desk_instance.c, 2))
+    chains = list(iter_chains(desk_instance.c, 2))
     assert chains == [(0, 0), (1, 0), (1, 1)]
     assert rep.tuples_solved == len(chains)
     results = [contract_for_tuple(desk_instance, gamma, tup) for tup in chains]
@@ -222,13 +225,90 @@ def test_chain_enumeration_matches_full_product(inst, bounded, data):
     rep = solve_discrete_optimal(inst, gamma, bounded=bounded)
     assert rep.value == value
     assert rep.best_contract == contract
-    chains = list(solver._iter_chains(inst.c, len(gamma.points)))
+    chains = list(iter_chains(inst.c, len(gamma.points)))
     assert rep.tuples_solved == len(chains)
     assert chains == sorted(chains)
     chain_set = set(chains)
     assert all(
         status != "optimal" for tup, status in statuses.items() if tup not in chain_set
     )
+
+
+@st.composite
+def scan_cases(draw) -> tuple[Instance, Discrete]:
+    inst = draw(tied_cost_instances())
+    n = inst.n_actions
+    if draw(st.booleans()):
+        # a duplicate action: one action's row and cost copied onto another
+        src, dst = draw(st.permutations(range(n)))[:2]
+        rows, c = list(inst.F), list(inst.c)
+        rows[dst], c[dst] = rows[src], c[src]
+        if 0 in c:
+            inst = Instance(F=tuple(rows), r=inst.r, c=tuple(c))
+    gamma = draw(rational_type_grids(5 if n <= 3 else 4))
+    if draw(st.booleans()):
+        inst = float_instance(inst)
+        gamma = Discrete(tuple(map(float, gamma.points)), tuple(map(float, gamma.weights)))
+    return inst, gamma
+
+
+# Two one-type chains of LP value 1/2 with different contracts: (1,) has the
+# larger bound (3/4 against 1/2), so the search solves it first, yet the
+# scan's winner is (0,) at p = (0, 0).
+TIED_CHAINS = (
+    Instance(F=((F(1, 2), F(1, 2)), (F(0), F(1))), r=(F(0), F(1)), c=(F(0), F(1, 2))),
+    Discrete((F(1, 2),), (F(1),)),
+)
+
+
+@settings(max_examples=200)
+@given(case=scan_cases(), bounded=st.booleans())
+@example(case=TIED_CHAINS, bounded=False)
+def test_branch_and_bound_matches_chain_scan(case, bounded):
+    # tied and zero costs and duplicate actions give chains of equal LP
+    # value: the search must solve all of them and keep the first in
+    # lexicographic order, as the scan of every chain does
+    inst, gamma = case
+    rep = solve_discrete_optimal(inst, gamma, bounded=bounded)
+    slow = scan_discrete_optimal(inst, gamma, bounded)
+    assert rep.best_contract == slow.best_contract
+    assert type(rep.value) is type(slow.value)
+    assert rep.value == slow.value
+    assert rep.tuples_solved == slow.tuples_solved
+
+
+def test_welfare_bound_prunes_chains(desk_instance, uniform_gamma, n2_reduced, monkeypatch):
+    # the chains handed to the LP, counted where the tracer counts them
+    solved = []
+
+    def counted(*args, **kwargs):
+        solved.append(args[2])
+        return contract_for_tuple(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "contract_for_tuple", counted)
+    rep = solve_discrete_optimal(desk_instance, discretize(uniform_gamma, F(1, 9)))
+    assert (len(solved), rep.tuples_solved) == (4, 10)
+    solved.clear()
+    rep = solve_discrete_optimal(n2_reduced.inst, n2_reduced.gamma)
+    assert rep.tuples_solved == 56
+    assert len(solved) < 56
+
+
+@st.composite
+def unbounded_cases(draw) -> tuple[Instance, Discrete]:
+    gen = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        inst = draw(tied_cost_instances())
+    else:
+        inst = random_instance(gen, draw(st.integers(2, 4)), draw(st.integers(2, 3)))
+    return inst, random_atoms(gen, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=60)
+@given(case=unbounded_cases())
+def test_unbounded_optimum_matches_vertex_oracle(case):
+    inst, gamma = case
+    assert solve_discrete_optimal(inst, gamma, bounded=False).value == vertex_oracle(inst, gamma)
 
 
 @st.composite
