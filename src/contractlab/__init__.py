@@ -45,7 +45,6 @@ from .bandit import (
     ArmSet,
     ContractEnvironment,
     DesignWeights,
-    LinearGaussianEnvironment,
     algorithm1_regret,
     contract_environment,
     g_optimal_design,
@@ -65,7 +64,6 @@ __all__ = [
     "InputError",
     "Instance",
     "LPResult",
-    "LinearGaussianEnvironment",
     "PiecewiseConstant",
     "PtasConfig",
     "PtasDiagnostics",

@@ -30,7 +30,6 @@ __all__ = [
     "DesignWeights",
     "g_optimal_design",
     "Environment",
-    "LinearGaussianEnvironment",
     "ContractEnvironment",
     "contract_environment",
     "utility_map",
@@ -274,54 +273,6 @@ class Environment:
     @property
     def n_arms(self) -> int:
         return self.arms.k
-
-
-class LinearGaussianEnvironment(Environment):
-    """Gaussian rewards around linear means, with optional per-arm offsets
-    modelling misspecification."""
-
-    def __init__(
-        self,
-        arms: ArmSet,
-        phi: Sequence[float],
-        sigma: float = 0.1,
-        offsets: Sequence[float] | None = None,
-    ) -> None:
-        if len(phi) != arms.dim:
-            raise UsageError(
-                f"parameter length {len(phi)} does not match arm dimension {arms.dim}"
-            )
-        if sigma < 0:
-            raise UsageError(f"noise scale must be nonnegative, got {sigma}")
-        self.arms = arms
-        self.phi = np.asarray(phi, dtype=float)
-        self.sigma = float(sigma)
-        self._means = self.arms.matrix @ self.phi
-        if offsets is not None:
-            if len(offsets) != arms.k:
-                raise UsageError("offsets must match arm count")
-            self._means = self._means + np.asarray(offsets, dtype=float)
-
-    def pull_sums(
-        self, arms: Sequence[int], counts: Sequence[int], rng: np.random.Generator
-    ) -> list[float]:
-        """One standard normal z per pair with a positive count, in pair
-        order, and the sum count * mean + (sigma * sqrt(count)) * z; a count
-        of 0 draws nothing and sums to 0.0."""
-        n = np.asarray(counts, dtype=np.intp)
-        pulled = n > 0
-        z = np.zeros(n.size)
-        if pulled.any():
-            z[pulled] = rng.standard_normal(int(pulled.sum()))
-        loc = n * self._means[np.asarray(arms, dtype=np.intp)]
-        return np.where(pulled, loc + self.sigma * np.sqrt(n) * z, 0.0).tolist()
-
-    def pull_sum(self, arm: int, count: int, rng: np.random.Generator) -> float:
-        """Sum of `count` independent rewards from one arm."""
-        return self.pull_sums([arm], [count], rng)[0]
-
-    def true_mean(self, arm: int) -> float:
-        return float(self._means[arm])
 
 
 # Pulls drawn at once by ContractEnvironment.pull_sums: a batch is cut into

@@ -1,9 +1,11 @@
 """Exact optimal contracts for discrete-type instances by branch-and-bound
-over action chains, and the finite distribution-free candidate contract set."""
+over action chains under a virtual-cost bound, and the finite
+distribution-free candidate contract set."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +20,7 @@ from .numerics import (
     Num,
     RationalLP,
     as_fraction,
+    integer_row,
     is_exact,
     lp_solve,
     rational_solve,
@@ -35,7 +38,7 @@ _ONE = Fraction(1)
 class SolveReport:
     """Optimum of a discrete-type instance. tuples_solved is the number of
     cost-monotone action chains the search covers, each one either solved
-    as a per-tuple LP or ruled out by the welfare bound."""
+    as a per-tuple LP or ruled out by the virtual-cost bound."""
 
     best_contract: Contract
     value: Num
@@ -113,6 +116,45 @@ def chain_count(costs: Sequence[Fraction], k: int) -> int:
     return sum(counts)
 
 
+def _chain_gains(inst: Instance, gamma: Discrete) -> tuple[list[list[int]], int]:
+    """The chain bound as integers over one denominator: (gain, scale), where
+    gain[j][b] / scale = w_j F_b.r - v_j c_b is the virtual-cost term of type
+    j playing b, with v_j = theta_j G_j - theta_{j-1} G_{j-1} and G_j = w_0 +
+    ... + w_j (G_{-1} = 0). A chain's LP value is at most the sum of its terms.
+
+    Proof. Let U_i = F_{a_i}.p - theta_i c_{a_i} be type i's agent utility.
+    The chain LP keeps type i's IC row against a_{i+1}, so U_i >= U_{i+1} +
+    (theta_{i+1} - theta_i) c_{a_{i+1}} (trivially when a_{i+1} = a_i); and
+    U_{k-1} >= F_z.p >= 0 by IC against the free action z, as p >= 0. Hence
+    U_i >= sum_{j>i} (theta_j - theta_{j-1}) c_{a_j}, and the value
+    sum_i w_i F_{a_i}.(r - p) = sum_i w_i (F_{a_i}.r - theta_i c_{a_i} - U_i)
+    is at most sum_j [w_j (F_{a_j}.r - theta_j c_{a_j}) - (theta_j -
+    theta_{j-1}) G_{j-1} c_{a_j}], whose j-th term is gain[j][a_j] / scale,
+    as w_j theta_j + (theta_j - theta_{j-1}) G_{j-1} = v_j.
+    The box rows of the bounded regime only lower the LP value, so the bound
+    holds in both regimes. Myerson's (1981) virtual values, for costs: each
+    lower type is left the rent of the types above it.
+
+    Exact in float mode too: every input enters at its binary value."""
+    r = [as_fraction(x) for x in inst.r]
+    fr = [sum(as_fraction(f) * rw for f, rw in zip(row, r)) for row in inst.F]
+    w = [as_fraction(x) for x in gamma.weights]
+    tg = [as_fraction(t) * g for t, g in zip(gamma.points, itertools.accumulate(w))]
+    v = [x - y for x, y in zip(tg, [_ZERO, *tg])]
+    (num_fr, d_fr), (num_c, d_c) = integer_row(fr), integer_row(inst.c)
+    num_wv, d_wv = integer_row(w + v)
+    k = len(w)
+    # w_j = num_wv[j] / d_wv, v_j = num_wv[k + j] / d_wv, F_b.r = num_fr[b] /
+    # d_fr and c_b = num_c[b] / d_c, so each term is an integer over scale
+    fr_part = [x * d_c for x in num_fr]
+    c_part = [x * d_fr for x in num_c]
+    gain = [
+        [wj * x - vj * y for x, y in zip(fr_part, c_part)]
+        for wj, vj in zip(num_wv[:k], num_wv[k:])
+    ]
+    return gain, d_wv * d_fr * d_c
+
+
 def solve_discrete_optimal(
     inst: Instance, gamma: Discrete, bounded: bool = False
 ) -> SolveReport:
@@ -122,12 +164,15 @@ def solve_discrete_optimal(
     Every other tuple is infeasible: if types theta_i < theta_j play a and b,
     the IC row of i against b plus the IC row of j against a give
     (theta_j - theta_i)(c_a - c_b) >= 0, so c_a >= c_b, and as types
-    strictly increase, adjacent positions suffice. Children are expanded in
-    decreasing order of the welfare bound below, ties by action index, and a
-    prefix is pruned only when its bound is strictly below the best LP value
-    found. Every optimal chain has bound >= OPT >= that value, so all of them
-    are solved, and the lexicographically smallest wins: the chain of a scan
-    of every chain in lexicographic order, first optimum winning. The
+    strictly increase, adjacent positions suffice. A chain's LP value is at
+    most the sum of its virtual-cost terms (``_chain_gains``), and a suffix
+    maximum over the cost-allowed actions bounds every completion of a
+    prefix. Children are expanded in decreasing order of that bound, ties by
+    action index, and a prefix is pruned only when its bound is strictly
+    below the best LP value found; the bound is kept on integers over one
+    denominator. Every optimal chain has bound >= OPT >= that value, so all
+    of them are solved, and the lexicographically smallest wins: the chain
+    of a scan of every chain in lexicographic order, first optimum winning. The
     reported value is recomputed through the model evaluation path, which
     agrees with the winning LP value exactly; it is a Fraction on rational
     inputs and a float otherwise."""
@@ -140,39 +185,33 @@ def solve_discrete_optimal(
             f"({n} actions, {k} types), above the guard of {TUPLE_GUARD}"
         )
 
-    # Welfare bound. A free action z exists (Instance enforces it) and p >= 0,
-    # so a type theta that plays a has F_a.p - theta c_a >= F_z.p >= 0, and
-    # its principal utility F_a.(r - p) is at most W(a, theta) = F_a.r -
-    # theta c_a; for a = z this is F_z.(r - p) <= F_z.r. A chain's LP value
-    # is therefore at most sum_i w_i W(a_i, theta_i). gain[i][b] is one term;
-    # rest[i][a], the best sum over positions i.. after action a, is the max
-    # over b with c_b <= c_a of gain[i][b] + rest[i + 1][b]. All in
-    # Fractions, so the bound is exact in float mode too.
-    r = [as_fraction(x) for x in inst.r]
-    fr = [sum(as_fraction(f) * rw for f, rw in zip(row, r)) for row in inst.F]
-    gain = [
-        [as_fraction(w) * (fr[b] - as_fraction(t) * costs[b]) for b in range(n)]
-        for t, w in zip(gamma.points, gamma.weights)
-    ]
+    gain, scale = _chain_gains(inst, gamma)
     cheaper = [[b for b in range(n) if costs[b] <= costs[a]] for a in range(n)]
-    rest = [[_ZERO] * n for _ in range(k + 1)]
+    # rest[i][a], the best sum over positions i.. after action a, is the max
+    # over b with c_b <= c_a of gain[i][b] + rest[i + 1][b]
+    rest = [[0] * n for _ in range(k + 1)]
     for i in range(k - 1, 0, -1):
         rest[i] = [max(gain[i][b] + rest[i + 1][b] for b in cheaper[a]) for a in range(n)]
 
-    def children(i: int, base: Fraction, allowed: Sequence[int]) -> list:
+    def children(i: int, base: int, allowed: Sequence[int]) -> list:
         # ascending (bound, -b), so pop() takes the best bound, then lowest b
         return sorted((base + gain[i][b] + rest[i + 1][b], -b) for b in allowed)
 
     best_value: Fraction | None = None
     best_point: tuple[Fraction, ...] | None = None
     best_chain: tuple[int, ...] = ()
+    # A bound is an integer x over scale, and for an integer x, x < y exactly
+    # when x < ceil(y); so x / scale < best_value exactly when x < cut =
+    # ceil(best_value * scale), the strict rule unchanged. No incumbent yet:
+    # nothing is pruned.
+    cut: float = -math.inf
     # one frame of at most n children per position: O(n k) entries
     prefix: list[int] = []
-    sums = [_ZERO]
-    stack = [children(0, _ZERO, range(n))]
+    sums = [0]
+    stack = [children(0, 0, range(n))]
     while stack:
         frame = stack[-1]
-        if not frame or (best_value is not None and frame[-1][0] < best_value):
+        if not frame or frame[-1][0] < cut:
             # the frame is sorted, so every sibling left is pruned too
             stack.pop()
             if prefix:
@@ -194,6 +233,7 @@ def solve_discrete_optimal(
         # a larger value, or an equal value from an earlier chain
         if best_value is None or (res.value, best_chain) > (best_value, chain):
             best_value, best_point, best_chain = res.value, res.point, chain
+            cut = math.ceil(best_value * scale)
     if best_point is None:
         raise UsageError("no feasible action tuple; instance is inconsistent")
     value = core.expected_principal_utility(inst, gamma, best_point)

@@ -23,7 +23,6 @@ import pytest
 from contractlab import (
     Discrete,
     Instance,
-    LinearGaussianEnvironment,
     PtasConfig,
     algorithm1_regret,
     best_response,
@@ -51,6 +50,7 @@ from contractlab.ptas import verify_discretization_identity
 from contractlab.cli import main
 
 from helpers import (
+    LinearGaussianEnvironment,
     three_element_setcover,
     grid_best,
     grid_best_continuous,

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from contractlab import (
     ArmSet,
     DesignWeights,
-    LinearGaussianEnvironment,
     ResourceGuardError,
     UsageError,
     algorithm1_regret,
@@ -42,6 +41,7 @@ from contractlab import core
 from contractlab.core import Instance
 from contractlab.dist import PiecewiseConstant
 from helpers import (
+    LinearGaussianEnvironment,
     contract_pull_sum,
     full_inverse_design,
     gaussian_pull_sum,

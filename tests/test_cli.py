@@ -97,6 +97,26 @@ def test_ptas(files, capsys):
     assert payload["config"]["alpha"] == "1/2"
 
 
+def test_ptas_default_grid(files, capsys):
+    # eps = 0.4 sets delta = 1/100: 101 chains over k = 100 types
+    code, out, _ = run(
+        capsys,
+        "ptas",
+        "--instance",
+        files["instance"],
+        "--dist",
+        files["uniform"],
+        "--eps",
+        "0.4",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["k"] == 100
+    assert payload["config"]["delta"] == "1/100"
+    assert payload["contract"] == ["0", "2191/4000"]
+    assert payload["discrete_value"] == "201/400"
+
+
 def test_ptas_float_mode_prints_numbers(files, capsys):
     code, out, _ = run(
         capsys,

@@ -287,11 +287,25 @@ def test_welfare_bound_prunes_chains(desk_instance, uniform_gamma, n2_reduced, m
 
     monkeypatch.setattr(solver, "contract_for_tuple", counted)
     rep = solve_discrete_optimal(desk_instance, discretize(uniform_gamma, F(1, 9)))
-    assert (len(solved), rep.tuples_solved) == (4, 10)
+    # the virtual-cost bound leaves only the optimal chain to solve
+    assert (len(solved), rep.tuples_solved) == (1, 10)
     solved.clear()
     rep = solve_discrete_optimal(n2_reduced.inst, n2_reduced.gamma)
     assert rep.tuples_solved == 56
     assert len(solved) < 56
+
+
+@settings(max_examples=200)
+@given(case=scan_cases(), bounded=st.booleans())
+@example(case=TIED_CHAINS, bounded=False)
+def test_virtual_cost_bound_holds_on_every_chain(case, bounded):
+    # the pruning rule is sound only if no chain's LP beats its bound
+    inst, gamma = case
+    gain, scale = solver._chain_gains(inst, gamma)
+    for chain in iter_chains(inst.c, len(gamma.points)):
+        res = contract_for_tuple(inst, gamma, chain, bounded)
+        if res.status == "optimal":
+            assert res.value * scale <= sum(g[a] for g, a in zip(gain, chain))
 
 
 @st.composite
