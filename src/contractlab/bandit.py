@@ -309,14 +309,29 @@ class ContractEnvironment(Environment):
         self.gamma = gamma
         self.eps = float(eps)
         self.tables = [core.ResponseTable(inst, p) for p in contracts]
-        rows = tuple(tuple(_utilities_at(t, grid).tolist()) for t in self.tables)
-        self.arms = ArmSet(arms=rows, contracts=tuple(contracts))
         self._cum_f = np.cumsum(np.asarray(inst.F, dtype=float), axis=1)
         self._fp = np.array([t.fp_arr for t in self.tables])
         self._pu = np.array([t.pu_arr for t in self.tables])
         self._near = np.array([t.near_arr for t in self.tables])
         self._rp = np.array([t.rp_arr for t in self.tables])
+        self.arms = ArmSet(arms=self._arm_rows(grid), contracts=tuple(contracts))
         self._means: dict[int, float] = {}
+
+    def _arm_rows(self, grid: np.ndarray) -> tuple[tuple[float, ...], ...]:
+        """The ``utility_map`` row of each table, bit for bit (answers are
+        elementwise): one ``stacked_actions`` call per chunk of whole arms
+        with at most _CHUNK_PULLS (arm, type, action) entries, or one arm."""
+        n, d, k = self.inst.n_actions, grid.size, len(self.tables)
+        per = max(1, _CHUNK_PULLS // (d * n))
+        rows: list[list[float]] = []
+        for start in range(0, k, per):
+            arms = np.repeat(np.arange(start, min(start + per, k)), d)
+            thetas = np.tile(grid, arms.size // d)
+            acts = core.stacked_actions(
+                self._fp, self._pu, self._near, self.inst.c_arr, arms, thetas
+            )
+            rows += np.take(self._pu, arms * n + acts).reshape(-1, d).tolist()
+        return tuple(map(tuple, rows))
 
     def pull_sums(
         self, arms: Sequence[int], counts: Sequence[int], rng: np.random.Generator

@@ -12,7 +12,13 @@ from typing import NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
-from .dist import Discrete, TypeDistribution, interval_mass
+from .dist import (
+    Discrete,
+    PiecewiseConstant,
+    TypeDistribution,
+    interval_mass,
+    segment_masses,
+)
 from .errors import UsageError
 from .numerics import Num, as_fraction, integer_row, is_exact
 
@@ -252,10 +258,11 @@ class ResponseTable:
     def breakpoints(self) -> list[Num]:
         """Types in (0,1) where two affine agent utilities cross,
         t = (fp[a] - fp[b]) / (c[a] - c[b]), sorted.  Exact Fractions on
-        rational inputs, floats otherwise."""
-        conv = as_fraction if self.exact else float
-        fp = [conv(x) for x in self.fp]
-        c = [conv(x) for x in self.inst.c]
+        rational inputs (from ``_crossings``), floats otherwise."""
+        if self.exact:
+            return sorted({Fraction(num, den) for num, den in self._crossings()})
+        fp = [float(x) for x in self.fp]
+        c = [float(x) for x in self.inst.c]
         pts = set()
         n = len(fp)
         for a in range(n):
@@ -265,6 +272,21 @@ class ResponseTable:
                     if 0 < t < 1:
                         pts.add(t)
         return sorted(pts)
+
+    def _crossings(self) -> list[tuple[int, int]]:
+        """An exact table's crossings in (0,1) as integer pairs (num, den),
+        den > 0: with c = c' / dc (``Instance.scaled``), a and b cross at
+        (F[a].P - F[b].P) dc / ((c'[a] - c'[b]) dF dp)."""
+        s, fp = self.inst.scaled, self._fp_num
+        out = []
+        for a in range(len(fp)):
+            for b in range(a + 1, len(fp)):
+                num, den = (fp[a] - fp[b]) * s.dc, (s.c[a] - s.c[b]) * self._dfp
+                if den < 0:
+                    num, den = -num, -den
+                if 0 < num < den:
+                    out.append((num, den))
+        return out
 
     def expected_utility(self, gamma: TypeDistribution) -> Num:
         """E_{theta ~ Gamma}[U^P(p, theta)], the principal's expected utility.
@@ -278,8 +300,8 @@ class ResponseTable:
         maximizers, and with it the principal-favorable tie-break, is
         constant between consecutive crossings; the density is constant
         between its breakpoints; and the cut points themselves carry no mass
-        under a bounded density.  Exact Fractions on rational inputs; float
-        inputs keep the TIE_TOL rule of ``respond``.
+        under a bounded density.  Exact tables and densities sum on integers
+        (``_exact_density_mean``); float inputs keep respond's TIE_TOL rule.
         """
         if isinstance(gamma, Discrete):
             total = 0
@@ -287,15 +309,42 @@ class ResponseTable:
                 if w != 0:
                     total += w * self.respond(theta).principal_utility
             return total
+        if self.exact and is_exact(*gamma.breakpoints, *gamma.densities):
+            return self._exact_density_mean(gamma)
         cuts = {0, 1, *gamma.breakpoints, *self.breakpoints()}
-        exact = self.exact and is_exact(*gamma.breakpoints, *gamma.densities)
-        pts = sorted(as_fraction(x) if exact else float(x) for x in cuts)
-        total = Fraction(0) if exact else 0.0
+        pts = sorted(float(x) for x in cuts)
+        total = 0.0
         for lo, hi in zip(pts, pts[1:]):
             mass = interval_mass(gamma, lo, hi)
             if mass != 0:
                 total += mass * self.respond((lo + hi) / 2).principal_utility
         return total
+
+    def _exact_density_mean(self, gamma: PiecewiseConstant) -> Fraction:
+        """``expected_utility``'s segment sum with every cut, the crossings
+        and the breakpoints, an integer over one denominator q.  At the
+        midpoint (lo + hi) / 2q the agent utility times 2 q dF dp dc > 0 is
+        an integer (c = c' / dc), so the maximizers and respond's tie-breaks
+        are kept."""
+        s, fp, dfp = self.inst.scaled, self._fp_num, self._dfp
+        n = len(fp)
+        crossings = self._crossings()
+        bps = [as_fraction(b) for b in gamma.breakpoints]
+        q = math.lcm(*(den for _, den in crossings), *(b.denominator for b in bps))
+        cuts = sorted({
+            *(num * (q // den) for num, den in crossings),
+            *(b.numerator * (q // b.denominator) for b in bps),
+        })
+        masses, mden = segment_masses(gamma, cuts, q)
+        fs, c, pu = 2 * q * s.dc, s.c, self._pu_num
+        total = 0
+        for lo, hi, mass in zip(cuts, cuts[1:], masses):
+            if mass:
+                mid = (lo + hi) * dfp
+                utils = [f * fs - mid * ca for f, ca in zip(fp, c)]
+                best = max(range(n), key=lambda a: (utils[a], pu[a], -a))
+                total += mass * pu[best]
+        return Fraction(total, mden * dfp * s.dr)
 
 
 def stacked_actions(

@@ -7,12 +7,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TypeAlias, Union
+from typing import Sequence, TypeAlias, Union
 
 import numpy as np
 
 from .errors import UsageError
-from .numerics import Num, as_fraction, is_exact
+from .numerics import Num, as_fraction, integer_row, is_exact
 
 _SUM_TOL = 1e-12
 
@@ -156,12 +156,42 @@ def grid_points(delta: Num) -> tuple[Num, ...]:
     return tuple(pts)
 
 
+def segment_masses(
+    d: PiecewiseConstant, cuts: Sequence[int], den: int
+) -> tuple[list[int], int]:
+    """The ``interval_mass`` of each segment between consecutive cuts, as
+    integers over one returned denominator, in one O(len(cuts) + K) sweep.
+    Cuts are integers over den, nondecreasing from 0 to den, and den is a
+    multiple of the (exact) breakpoints' denominators."""
+    dens, dd = integer_row(d.densities)
+    bps = [b.numerator * (den // b.denominator) for b in map(as_fraction, d.breakpoints)]
+    masses = []
+    j = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        # piece j starts at or before lo and ends at or after it; each later
+        # piece the segment reaches starts inside the segment
+        total = dens[j] * (min(hi, bps[j + 1]) - lo)
+        while bps[j + 1] < hi:
+            j += 1
+            total += dens[j] * (min(hi, bps[j + 1]) - bps[j])
+        masses.append(total)
+    return masses, den * dd
+
+
 def discretize(d: TypeDistribution, delta: Num) -> Discrete:
     """Cell masses on the tiling ((i-1)*delta, i*delta] (first cell closed at
     0, last cell clipped at 1) attached to the half-offset grid points, so the
-    weights always sum to the full mass."""
+    weights always sum to the full mass: one ``segment_masses`` sweep on an
+    exact width and density, else one ``interval_mass`` per cell."""
     pts = grid_points(delta)
     k = len(pts)
+    if isinstance(d, PiecewiseConstant) and is_exact(delta, *d.breakpoints, *d.densities):
+        dlt = as_fraction(delta)
+        den = math.lcm(dlt.denominator, *(as_fraction(b).denominator for b in d.breakpoints))
+        step = dlt.numerator * (den // dlt.denominator)
+        # (k - 1) delta < 1 <= k delta, so the last cell ends at 1
+        masses, total = segment_masses(d, [i * step for i in range(k)] + [den], den)
+        return Discrete(pts, tuple(Fraction(x, total) for x in masses))
     one = Fraction(1) if is_exact(delta) else 1.0
     weights = []
     for i in range(1, k + 1):

@@ -227,11 +227,12 @@ def lp_solve(lp: RationalLP) -> LPResult:
     return LPResult("optimal", point, value)
 
 
-def rational_solve(
+def integer_solve(
     matrix: Sequence[Sequence[Num]], rhs: Sequence[Sequence[Num]]
-) -> tuple[tuple[Fraction, ...], ...] | None:
-    """Solve matrix . X = rhs exactly, as rows: row i of rhs holds equation
-    i's right-hand sides (any number of columns), and the unit rows give the
+) -> tuple[list[list[int]], int] | None:
+    """Solve matrix . X = rhs exactly as integers over one denominator:
+    (rows, d) with X = rows / d and d > 0; row i of rhs holds equation i's
+    right-hand sides (any number of columns), and the unit rows give the
     inverse. None when the square matrix is singular. Gauss-Jordan on the
     augmented rows scaled to integers, with the simplex's fraction-free
     step; scaling an augmented row leaves every column's solution unchanged."""
@@ -247,7 +248,19 @@ def rational_solve(
         aug[col], aug[piv] = aug[piv], aug[col]
         d = _pivot(aug, col, col, d)
     # every pivot row ends with d on its diagonal
-    return tuple(tuple(Fraction(v, d) for v in row[n:]) for row in aug)
+    sign = 1 if d > 0 else -1
+    return [[sign * v for v in row[n:]] for row in aug], sign * d
+
+
+def rational_solve(
+    matrix: Sequence[Sequence[Num]], rhs: Sequence[Sequence[Num]]
+) -> tuple[tuple[Fraction, ...], ...] | None:
+    """``integer_solve`` as Fractions: X as rows, None when singular."""
+    solved = integer_solve(matrix, rhs)
+    if solved is None:
+        return None
+    rows, d = solved
+    return tuple(tuple(Fraction(v, d) for v in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

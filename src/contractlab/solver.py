@@ -9,6 +9,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import core
@@ -21,9 +22,9 @@ from .numerics import (
     RationalLP,
     as_fraction,
     integer_row,
+    integer_solve,
     is_exact,
     lp_solve,
-    rational_solve,
 )
 
 TUPLE_GUARD = 10**7
@@ -172,10 +173,11 @@ def solve_discrete_optimal(
     below the best LP value found; the bound is kept on integers over one
     denominator. Every optimal chain has bound >= OPT >= that value, so all
     of them are solved, and the lexicographically smallest wins: the chain
-    of a scan of every chain in lexicographic order, first optimum winning. The
-    reported value is recomputed through the model evaluation path, which
-    agrees with the winning LP value exactly; it is a Fraction on rational
-    inputs and a float otherwise."""
+    of a scan of every chain in lexicographic order, first optimum winning. On
+    rational inputs the reported value is the winning LP value, which equals
+    the model evaluation of the contract (the proof is at the code); on other
+    inputs it is that evaluation, with float ties decided within TIE_TOL. It
+    is a Fraction on rational inputs and a float on float inputs."""
     n, k = inst.n_actions, len(gamma.points)
     costs = [as_fraction(x) for x in inst.c]
     count = chain_count(costs, k)
@@ -236,7 +238,18 @@ def solve_discrete_optimal(
             cut = math.ceil(best_value * scale)
     if best_point is None:
         raise UsageError("no feasible action tuple; instance is inconsistent")
-    value = core.expected_principal_utility(inst, gamma, best_point)
+    if inst.exact and is_exact(*gamma.points, *gamma.weights):
+        # The evaluation of best_point equals best_value. At least: each type
+        # i is IC for its chain action a_i at best_point, so a_i is among its
+        # agent maximizers, and the principal-favourable tie-break picks an
+        # action whose principal utility is at least a_i's. At most: the
+        # actions played form a tuple whose LP best_point is feasible for,
+        # with the evaluation as its objective, so it is at most that LP's
+        # value, which is at most OPT = best_value.
+        value: Num = best_value
+    else:
+        # float ties are decided within TIE_TOL, so evaluate the contract
+        value = core.expected_principal_utility(inst, gamma, best_point)
     return SolveReport(
         best_contract=best_point,
         value=as_fraction(value) if is_exact(value) else value,
@@ -259,28 +272,37 @@ def candidate_contract_set(
     each choice of one right-hand side per direction is then one
     matrix-vector product. BASIS_GUARD bounds that work: the sum, over
     m-sets of distinct directions, of the product of their class sizes,
-    which is at least the number of direction sets."""
+    which is at least the number of direction sets. The products run on
+    integers: right-hand sides over one denominator L, each inverse over its
+    own D > 0, so a basic solution is x / (D L) and 0 <= x <= D L is the box
+    test; only the points that pass become Fractions."""
     m = inst.n_outcomes
     if m > CANDIDATE_MAX_OUTCOMES:
         raise ResourceGuardError(
             f"candidate enumeration supports at most "
             f"{CANDIDATE_MAX_OUTCOMES} outcomes, got {m}"
         )
-    thetas = [as_fraction(t) for t in types]
+    nums, dt = integer_row(types)
 
-    classes: dict[tuple[Fraction, ...], dict[Fraction, None]] = {}
+    # each type nums[i] / dt gives the rhs theta q, q = dc / lead; L = dt lq
+    ratios: dict[tuple[Fraction, ...], list[Fraction]] = {}
     for a in range(inst.n_actions):
         for b in range(a + 1, inst.n_actions):
             coeffs, dc = inst.ic_rows[a][b]
             lead = next((x for x in coeffs if x != 0), None)
-            if lead is None:
-                continue
-            direction = tuple(x / lead for x in coeffs)
-            for t in thetas:
-                classes.setdefault(direction, {}).setdefault(t * dc / lead, None)
+            if lead is not None and nums:  # no type, no incentive row
+                ratios.setdefault(tuple(x / lead for x in coeffs), []).append(dc / lead)
+    lq = math.lcm(*(q.denominator for qs in ratios.values() for q in qs))
+    scale = dt * lq
+    classes: dict[tuple[Fraction, ...], dict[int, None]] = {}
+    for direction, qs in ratios.items():
+        rhs = classes[direction] = {}
+        for q in qs:
+            f = q.numerator * (lq // q.denominator)
+            rhs.update(dict.fromkeys(t * f for t in nums))
     units = [tuple(_ONE if j == w else _ZERO for j in range(m)) for w in range(m)]
     for unit in units:
-        classes.setdefault(unit, {}).update({_ZERO: None, _ONE: None})
+        classes.setdefault(unit, {}).update({0: None, scale: None})
 
     # work = e_m(class sizes), the elementary symmetric polynomial, by DP
     sums = [1] + [0] * m
@@ -301,11 +323,13 @@ def candidate_contract_set(
     # and then no choice of right-hand sides has a basic solution either.
     seen: dict[tuple[Fraction, ...], None] = {}
     for dirs in itertools.combinations(classes, m):
-        inverse = rational_solve(dirs, units)
-        if inverse is None:
+        solved = integer_solve(dirs, units)
+        if solved is None:
             continue
+        inverse, den = solved
+        top = den * scale
         for rhs in itertools.product(*(classes[d] for d in dirs)):
-            point = tuple(sum(x * b for x, b in zip(row, rhs)) for row in inverse)
-            if all(0 <= x <= 1 for x in point):
-                seen.setdefault(point, None)
+            point = [sum(map(mul, row, rhs)) for row in inverse]
+            if all(0 <= x <= top for x in point):
+                seen.setdefault(tuple(Fraction(x, top) for x in point), None)
     return tuple(sorted(seen))

@@ -33,7 +33,14 @@ from contractlab.bandit import (
     block_constant,
 )
 from contractlab.core import TIE_TOL, BestResponse, ResponseTable
-from contractlab.dist import Discrete, PiecewiseConstant, cdf, sample_many
+from contractlab.dist import (
+    Discrete,
+    PiecewiseConstant,
+    cdf,
+    grid_points,
+    interval_mass,
+    sample_many,
+)
 from contractlab.errors import UsageError
 from contractlab.hardness import SetCoverInput
 from contractlab.numerics import LPResult, RationalLP, as_fraction, is_exact
@@ -386,6 +393,49 @@ def per_type_expectation(inst: Instance, gamma: Discrete, p):
     return total
 
 
+def fraction_crossings(inst: Instance, p) -> list[Fraction]:
+    """Slow reference for the exact ``ResponseTable.breakpoints``: every
+    t = (F_a.p - F_b.p) / (c_a - c_b) in (0, 1), in Fractions, sorted."""
+    table = ResponseTable(inst, p)
+    fp, c = table.fp, [as_fraction(x) for x in inst.c]
+    cuts = set()
+    for a, b in itertools.combinations(range(inst.n_actions), 2):
+        if c[a] != c[b]:
+            t = (fp[a] - fp[b]) / (c[a] - c[b])
+            if 0 < t < 1:
+                cuts.add(t)
+    return sorted(cuts)
+
+
+def segment_sum_expectation(inst: Instance, gamma: PiecewiseConstant, p) -> Fraction:
+    """Slow reference for the exact density path of
+    ``ResponseTable.expected_utility``: the Fraction segment sum the library
+    computed before its integer sweep. Cuts at 0, 1, the density breakpoints
+    and every crossing in (0, 1), as Fractions; each segment adds its
+    ``interval_mass`` times the principal utility of the best response at
+    its midpoint."""
+    table = ResponseTable(inst, p)
+    pts = sorted({
+        Fraction(0), Fraction(1), *map(as_fraction, gamma.breakpoints),
+        *fraction_crossings(inst, p),
+    })
+    total = Fraction(0)
+    for lo, hi in zip(pts, pts[1:]):
+        mass = interval_mass(gamma, lo, hi)
+        if mass != 0:
+            total += mass * table.respond((lo + hi) / 2).principal_utility
+    return total
+
+
+def cellwise_discretize(gamma, delta) -> Discrete:
+    """Slow reference for ``dist.discretize``: one ``interval_mass`` per cell
+    ((i-1) delta, i delta], the first closed at 0 and the last clipped at 1."""
+    pts = grid_points(delta)
+    cells = [(i * delta, min((i + 1) * delta, 1)) for i in range(len(pts))]
+    masses = [interval_mass(gamma, lo, hi, closed_lo=(i == 0)) for i, (lo, hi) in enumerate(cells)]
+    return Discrete(pts, tuple(masses))
+
+
 def quadrature_expectation(inst: Instance, gamma, p, resolution: float = 1e-5) -> float:
     """Slow float reference for the continuous expectation: composite midpoint
     quadrature at the given resolution, with cells also split at density
@@ -552,6 +602,39 @@ def candidate_contracts_by_rows(inst: Instance, types) -> tuple[tuple[Fraction, 
     """Slow reference for the candidate contract set: the basic solutions of
     the incentive rows and the box facets that lie in [0,1]^m."""
     return _row_vertices(inst, types, box=True)
+
+
+def fraction_candidate_contract_set(inst: Instance, types) -> tuple[tuple[Fraction, ...], ...]:
+    """Slow reference for ``solver.candidate_contract_set``: the same
+    direction classes, one inverse per direction set and one product per
+    choice of right-hand sides, all in Fractions, as the library computed
+    them before its integer products."""
+    m = inst.n_outcomes
+    thetas = [as_fraction(t) for t in types]
+    classes: dict = {}
+    for a in range(inst.n_actions):
+        for b in range(a + 1, inst.n_actions):
+            coeffs, dc = inst.ic_rows[a][b]
+            lead = next((x for x in coeffs if x != 0), None)
+            if lead is None:
+                continue
+            direction = tuple(x / lead for x in coeffs)
+            for t in thetas:
+                classes.setdefault(direction, {}).setdefault(t * dc / lead, None)
+    units = [tuple(Fraction(int(j == w)) for j in range(m)) for w in range(m)]
+    for unit in units:
+        classes.setdefault(unit, {}).update({Fraction(0): None, Fraction(1): None})
+    seen = {}
+    for dirs in itertools.combinations(classes, m):
+        # column j of the inverse solves the system for the unit vector e_j
+        cols = [fraction_solve(dirs, unit) for unit in units]
+        if cols[0] is None:
+            continue
+        for rhs in itertools.product(*(classes[d] for d in dirs)):
+            point = tuple(sum(col[i] * b for col, b in zip(cols, rhs)) for i in range(m))
+            if all(0 <= x <= 1 for x in point):
+                seen.setdefault(point, None)
+    return tuple(sorted(seen))
 
 
 def vertex_oracle(inst: Instance, gamma: Discrete) -> Fraction:

@@ -37,12 +37,14 @@ from contractlab.bandit import (
     block_length,
     pac_blocks,
 )
-from contractlab import core
+from contractlab import bandit, core
 from contractlab.core import Instance
-from contractlab.dist import PiecewiseConstant
+from contractlab.dist import PiecewiseConstant, grid_points
+from contractlab.solver import candidate_contract_set
 from helpers import (
     LinearGaussianEnvironment,
     contract_pull_sum,
+    float_instance,
     full_inverse_design,
     gaussian_pull_sum,
     random_instance,
@@ -325,18 +327,20 @@ def test_contract_environment_exact_mean():
     assert abs(total / 4000 - 0.25) < 0.02
 
 
+_TRIO = Instance(
+    F=(
+        (F(3, 4), F(1, 4), F(0)),
+        (F(1, 4), F(1, 2), F(1, 4)),
+        (F(0), F(1, 4), F(3, 4)),
+    ),
+    r=(F(0), F(1, 2), F(1)),
+    c=(F(0), F(1, 4), F(1, 2)),
+)
+
+
 def test_true_mean_reads_the_arm_table(desk_instance, monkeypatch):
     # true_mean answers from the response table that pull_sum samples from,
     # building none, and gives the public expectation of the arm's contract
-    trio = Instance(
-        F=(
-            (F(3, 4), F(1, 4), F(0)),
-            (F(1, 4), F(1, 2), F(1, 4)),
-            (F(0), F(1, 4), F(3, 4)),
-        ),
-        r=(F(0), F(1, 2), F(1)),
-        c=(F(0), F(1, 4), F(1, 2)),
-    )
     half_heavy = PiecewiseConstant((F(0), F(1, 2), F(1)), (F(3, 2), F(1, 2)))
     init = core.ResponseTable.__init__
     built = []
@@ -345,7 +349,7 @@ def test_true_mean_reads_the_arm_table(desk_instance, monkeypatch):
         built.append(args)
         init(self, *args)
 
-    for inst, gamma in ((desk_instance, uniform_distribution()), (trio, half_heavy)):
+    for inst, gamma in ((desk_instance, uniform_distribution()), (_TRIO, half_heavy)):
         env = contract_environment(inst, gamma, F(1, 8))
         monkeypatch.setattr(core.ResponseTable, "__init__", counted_init)
         means = [env.true_mean(a) for a in range(env.n_arms)]
@@ -355,6 +359,37 @@ def test_true_mean_reads_the_arm_table(desk_instance, monkeypatch):
             float(expected_principal_utility_continuous(inst, gamma, p))
             for p in env.arms.contracts
         ]
+
+
+def _bits(rows) -> list[list[str]]:
+    return [[x.hex() for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 45, 500, None])
+@pytest.mark.parametrize("case", ["desk", "trio", "float"])
+def test_arm_rows_match_per_table_rows(desk_instance, monkeypatch, chunk, case):
+    # one stacked_actions call per chunk of whole arms gives each arm the
+    # row of its own table's utility_map, bit for bit; DESK on the learn
+    # regret grid (94 arms of 45 types, 2 actions) spans three chunks at the
+    # default bound, and smaller bounds cut every arm set into many
+    inst, eps = {
+        "desk": (desk_instance, 1 / math.sqrt(2000)),
+        "trio": (_TRIO, F(1, 9)),
+        "float": (float_instance(_TRIO), 0.15),
+    }[case]
+    if chunk is not None:
+        monkeypatch.setattr(bandit, "_CHUNK_PULLS", chunk)
+    contracts = None
+    if case == "float":
+        exact = candidate_contract_set(_TRIO, grid_points(F(3, 20)))
+        contracts = [tuple(float(x) for x in p) for p in exact]
+    env = ContractEnvironment(inst, uniform_distribution(), eps, contracts)
+    grid = np.asarray(grid_points(eps), dtype=float)
+    want = [bandit._utilities_at(t, grid).tolist() for t in env.tables]
+    assert _bits(env.arms.arms) == _bits(want)
+    if case == "desk" and chunk is None:
+        assert (env.n_arms, env.arms.dim) == (94, 45)
+        assert env.n_arms * env.arms.dim * 2 > 2 * bandit._CHUNK_PULLS
 
 
 def test_contract_environment_builder(desk_instance):

@@ -29,6 +29,7 @@ from contractlab.hardness import cover_contract, reduce
 from helpers import (
     FractionResponseTable,
     brute_best_response,
+    fraction_crossings,
     min_cover,
     per_action_best_response,
     per_type_expectation,
@@ -38,6 +39,7 @@ from helpers import (
     random_instance,
     random_piecewise,
     random_setcover,
+    segment_sum_expectation,
 )
 
 F = Fraction
@@ -399,6 +401,41 @@ def test_continuous_value_segment_sum_property(inst, gamma, atoms, data):
     assert abs(float(got) - quadrature_expectation(inst, gamma, p)) <= 1e-9
     on_atoms = expected_principal_utility_continuous(inst, atoms, p)
     assert on_atoms == per_type_expectation(inst, atoms, p)
+
+
+@st.composite
+def mean_cases(draw) -> tuple[Instance, PiecewiseConstant, tuple]:
+    """An instance with tied costs or a duplicate action now and then, a
+    density with zero pieces allowed, and a contract of small Fractions or
+    of floats entered at their binary value."""
+    inst = draw(rational_instances())
+    n, F_, c = inst.n_actions, list(inst.F), list(inst.c)
+    if draw(st.booleans()):
+        c[1] = c[0]  # tied costs: the pair never crosses
+    if draw(st.booleans()):
+        F_[n - 1], c[n - 1] = F_[0], c[0]  # a duplicate action
+    if 0 in c:
+        inst = Instance(F=tuple(F_), r=inst.r, c=tuple(c))
+    gamma = draw(piecewise_densities(draw(st.sampled_from((16, 15, 2**40)))))
+    m = inst.n_outcomes
+    if draw(st.booleans()):
+        p = tuple(F(x) for x in draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)))
+    else:
+        p = draw(st.tuples(*[st.integers(0, 24).map(lambda x: F(x, 24))] * m))
+    return inst, gamma, p
+
+
+@settings(max_examples=150)
+@given(case=mean_cases())
+def test_exact_density_mean_matches_fraction_segment_sum(case):
+    # the integer sweep adds the same masses times the same principal
+    # utilities as the Fraction segment sum, so the Fraction is the same
+    inst, gamma, p = case
+    table = ResponseTable(inst, p)
+    got = table.expected_utility(gamma)
+    assert type(got) is Fraction
+    assert got == segment_sum_expectation(inst, gamma, p)
+    assert table.breakpoints() == fraction_crossings(inst, p)
 
 
 @st.composite

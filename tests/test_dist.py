@@ -21,7 +21,7 @@ from contractlab import (
     uniform_distribution,
 )
 from contractlab.dist import cdf, grid_points, grid_size, sample_many
-from helpers import ks_statistic, random_piecewise
+from helpers import cellwise_discretize, ks_statistic, random_piecewise
 
 F = Fraction
 
@@ -185,6 +185,40 @@ def test_discretize_weights_sum_to_one_exactly():
         grid = discretize(d, delta)
         assert sum(grid.weights) == 1
         assert len(grid.points) == len(grid.weights)
+
+
+@st.composite
+def exact_densities(draw) -> PiecewiseConstant:
+    denom = draw(st.sampled_from((8, 9, 2**30)))
+    cuts = draw(st.lists(st.integers(1, denom - 1), max_size=5, unique=True))
+    bps = [F(0)] + [F(x, denom) for x in sorted(cuts)] + [F(1)]
+    raw = draw(
+        st.lists(st.integers(0, 5), min_size=len(bps) - 1, max_size=len(bps) - 1)
+        .filter(any)
+    )
+    total = sum(w * (b - a) for w, a, b in zip(raw, bps, bps[1:]))
+    return PiecewiseConstant(tuple(bps), tuple(w / total for w in raw))
+
+
+@settings(max_examples=150)
+@given(
+    d=exact_densities(),
+    delta=st.tuples(st.integers(1, 40), st.integers(1, 40))
+    .filter(lambda t: t[0] <= t[1])
+    .map(lambda t: F(*t)),
+)
+def test_discretize_sweep_matches_cellwise_interval_mass(d, delta):
+    # zero pieces, cells that hold several pieces and pieces that span
+    # several cells: the one sweep gives every cell's exact interval mass
+    got = discretize(d, delta)
+    assert got == cellwise_discretize(d, delta)
+    assert all(type(w) is F for w in got.weights)
+
+
+def test_discretize_float_width_is_per_cell():
+    grid = discretize(HALF_HEAVY, 0.3)
+    assert grid == cellwise_discretize(HALF_HEAVY, 0.3)
+    assert all(type(w) is float for w in grid.weights)
 
 
 # ---------------------------------------------------------------------------

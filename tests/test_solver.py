@@ -20,14 +20,16 @@ from contractlab import (
     expected_principal_utility,
     solve_discrete_optimal,
     solver,
+    uniform_distribution,
 )
 from contractlab.dist import discretize, grid_points
 from contractlab.hardness import ell_value
-from contractlab.numerics import rational_solve
+from contractlab.numerics import integer_solve
 from contractlab.solver import candidate_contract_set, chain_count, contract_for_tuple
 from helpers import (
     candidate_contracts_by_rows,
     float_instance,
+    fraction_candidate_contract_set,
     fraction_lp_solve,
     full_product_solve,
     grid_best,
@@ -277,6 +279,29 @@ def test_branch_and_bound_matches_chain_scan(case, bounded):
     assert rep.tuples_solved == slow.tuples_solved
 
 
+def test_exact_solve_reports_the_lp_value_unevaluated(desk_instance, monkeypatch):
+    # on rational inputs the winner's LP value is the reported value, with no
+    # evaluation of the contract; float mode still evaluates it
+    gamma = discretize(uniform_distribution(), F(1, 9))
+    calls = []
+    evaluate = solver.core.expected_principal_utility
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(solver.core, "expected_principal_utility", counted)
+    rep = solve_discrete_optimal(desk_instance, gamma)
+    assert calls == []
+    monkeypatch.undo()
+    assert type(rep.value) is F
+    assert rep.value == expected_principal_utility(desk_instance, gamma, rep.best_contract)
+    monkeypatch.setattr(solver.core, "expected_principal_utility", counted)
+    flt = float_instance(desk_instance)
+    rep = solve_discrete_optimal(flt, Discrete(tuple(map(float, gamma.points)), gamma.weights))
+    assert len(calls) == 1
+
+
 def test_welfare_bound_prunes_chains(desk_instance, uniform_gamma, n2_reduced, monkeypatch):
     # the chains handed to the LP, counted where the tracer counts them
     solved = []
@@ -516,6 +541,38 @@ def test_candidates_match_subsets_of_rows(case):
     assert candidate_contract_set(inst, types) == candidate_contracts_by_rows(inst, types)
 
 
+# Float grids: types enter at their binary value, so a grid of width
+# 1/sqrt(N) has denominators near 2^60 and arbitrary floats reach far beyond
+_FLOAT_GRIDS = st.one_of(
+    st.integers(2, 40).map(lambda n: list(grid_points(1 / math.sqrt(n)))),
+    st.lists(st.floats(0, 1), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=80)
+@given(case=candidate_cases(), floats=st.one_of(st.none(), _FLOAT_GRIDS))
+def test_integer_candidates_match_fraction_products(case, floats):
+    # the integer products over D L keep every point, box test and
+    # duplicate of the Fraction products, so the sorted tuple is the same
+    inst, types = case
+    if floats is not None:
+        types = floats
+    got = candidate_contract_set(inst, types)
+    assert got == fraction_candidate_contract_set(inst, types)
+    assert all(type(x) is F for p in got for x in p)
+    if len(types) <= 6:
+        assert got == candidate_contracts_by_rows(inst, types)
+
+
+def test_integer_candidates_on_the_learn_regret_grid(desk_instance):
+    # the grid of width 1/sqrt(2000): 45 float types, 94 candidates
+    types = grid_points(1 / math.sqrt(2000))
+    got = candidate_contract_set(desk_instance, types)
+    assert len(types) == 45 and len(got) == 94
+    assert got == fraction_candidate_contract_set(desk_instance, types)
+    assert got == candidate_contracts_by_rows(desk_instance, types)
+
+
 def test_candidates_solve_once_per_direction_set(desk_instance, monkeypatch):
     # DESK on the learn_pac grid (d = 93) has 3 directions: work minus idle
     # and the two box facets, so at most C(3, m) = 3 eliminations, each
@@ -524,11 +581,11 @@ def test_candidates_solve_once_per_direction_set(desk_instance, monkeypatch):
 
     def counted(matrix, rhs):
         calls.append(matrix)
-        return rational_solve(matrix, rhs)
+        return integer_solve(matrix, rhs)
 
     types = grid_points(F(5, 48) ** 2)
     assert len(types) == 93
-    monkeypatch.setattr(solver, "rational_solve", counted)
+    monkeypatch.setattr(solver, "integer_solve", counted)
     pts = candidate_contract_set(desk_instance, types)
     assert len(pts) == 190
     assert len(calls) <= math.comb(3, 2)
