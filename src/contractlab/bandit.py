@@ -52,7 +52,6 @@ _ARM_TOL = 1e-9
 _RANK_TOL = 1e-12
 _DESIGN_REFRESH = 256
 _DESIGN_MAX_ITERS = 20_000
-_DESIGN_TOL = 0.05
 
 
 def utility_map(inst: Instance, p: Sequence[Num], eps: float) -> np.ndarray:
@@ -536,7 +535,7 @@ def phased_elimination(
             weights = np.zeros(k0)
             if A[active].any():
                 sub = ArmSet(arms=tuple(X.arms[i] for i in active))
-                weights[active] = g_optimal_design(sub, tol=_DESIGN_TOL).weights
+                weights[active] = g_optimal_design(sub).weights
             else:
                 # zero arms span nothing, so every allocation is G-optimal
                 weights[active] = 1.0 / len(active)

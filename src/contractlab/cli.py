@@ -9,6 +9,7 @@ input or usage, 3 resource guard tripped.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -16,7 +17,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import bandit, core, dist, hardness, ptas, serialize, solver
 from .errors import InputError, ResourceGuardError, UsageError
@@ -30,16 +31,22 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".contractlab-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(
+            dir=directory, prefix=".contractlab-", suffix=".part"
+        )
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, output)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # a missing directory, a directory as target, no permission
+            reason = exc.strerror or exc
+            raise UsageError(f"cannot write output {output}: {reason}") from exc
         raise
 
 
@@ -296,7 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, with_mode: bool = True) -> None:
+    def common(
+        sp: argparse.ArgumentParser,
+        handler: Callable[[argparse.Namespace], Any],
+        with_mode: bool = True,
+    ) -> None:
+        sp.set_defaults(handler=handler)
         sp.add_argument(
             "-o", "--output", default=None, help="write output to this file atomically"
         )
@@ -316,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--bounded", action="store_true", help="restrict payments to [0,1]"
     )
-    common(sp)
+    common(sp, _cmd_solve_discrete)
 
     sp = sub.add_parser("ptas", help="grid-solve-robustify approximation")
     sp.add_argument("--instance", required=True)
@@ -324,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", required=True, help="additive error target")
     sp.add_argument("--delta", default=None, help="override grid width")
     sp.add_argument("--alpha", default=None, help="override robustification weight")
-    common(sp)
+    common(sp, _cmd_ptas)
 
     sp = sub.add_parser(
         "reduce-setcover", help="build the contract instance of a set-cover system"
@@ -333,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--sets", required=True, help="semicolon-separated sets, e.g. '1,2;2;1,3;3'"
     )
-    common(sp, with_mode=False)
+    common(sp, _cmd_reduce_setcover, with_mode=False)
 
     sp = sub.add_parser(
         "verify-reduction", help="check a cover contract on a set-cover instance"
@@ -341,14 +353,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--universe", type=int, required=True)
     sp.add_argument("--sets", required=True)
     sp.add_argument("--cover", required=True, help="comma-separated set ids")
-    common(sp, with_mode=False)
+    common(sp, _cmd_verify_reduction, with_mode=False)
 
     sp = sub.add_parser("bandit-regret", help="seeded regret curves as CSV")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--dist", required=True)
     sp.add_argument("-T", "--horizon", type=int, required=True)
     sp.add_argument("--seeds", type=int, default=1, help="number of seeds (0-based)")
-    common(sp)
+    common(sp, _regret_csv)
 
     sp = sub.add_parser(
         "bandit-pac", help="fixed-confidence near-optimal contract search"
@@ -358,40 +370,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", required=True, help="suboptimality target")
     sp.add_argument("--delta", required=True, help="failure probability")
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
+    common(sp, _cmd_bandit_pac)
 
     sp = sub.add_parser("selftest", help="run quick internal checks")
-    common(sp, with_mode=False)
+    common(sp, _cmd_selftest, with_mode=False)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "bandit-regret":
-            text = _regret_csv(args)
-        elif args.command == "solve-discrete":
-            text = _json_text(_cmd_solve_discrete(args))
-        elif args.command == "ptas":
-            text = _json_text(_cmd_ptas(args))
-        elif args.command == "reduce-setcover":
-            text = _json_text(_cmd_reduce_setcover(args))
-        elif args.command == "verify-reduction":
-            text = _json_text(_cmd_verify_reduction(args))
-        elif args.command == "bandit-pac":
-            text = _json_text(_cmd_bandit_pac(args))
-        else:
-            payload = _cmd_selftest(args)
-            _emit(_json_text(payload), args.output)
-            return 0 if payload["ok"] else 1
-        _emit(text, args.output)
+        payload = args.handler(args)
+        _emit(payload if isinstance(payload, str) else _json_text(payload), args.output)
     except ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, UsageError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    # selftest's payload alone is a verdict: a failed check exits 1
+    return 1 if args.handler is _cmd_selftest and not payload["ok"] else 0
 
 
 if __name__ == "__main__":

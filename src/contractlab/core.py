@@ -29,14 +29,17 @@ _ROW_SUM_TOL = 1e-12
 
 
 class ScaledInstance(NamedTuple):
-    """An exact instance on integers: F / dF, c / dc and F_a.r = Fr[a] / (dF dr)."""
+    """An instance on integers, exact: F / dF, r / dr, c / dc and F_a.r =
+    Fr[a] / (dF dr).  The one place where an instance's entries are put on
+    exact numbers."""
 
     F: list[list[int]]
     dF: int
+    r: list[int]
+    dr: int
     c: list[int]
     dc: int
     Fr: list[int]
-    dr: int
 
 
 @dataclass(frozen=True)
@@ -95,28 +98,13 @@ class Instance:
         return np.asarray(self.c, dtype=float)
 
     @cached_property
-    def scaled(self) -> ScaledInstance | None:
-        """The instance as integers (``ScaledInstance``); None unless exact."""
-        if not self.exact:
-            return None
-        dF = math.lcm(*(x.denominator for row in self.F for x in row))
+    def scaled(self) -> ScaledInstance:
+        """The instance as integers (``ScaledInstance``), exact for any
+        instance: floats enter at their binary value."""
+        dF = math.lcm(*(as_fraction(x).denominator for row in self.F for x in row))
         F = [integer_row(row, dF)[0] for row in self.F]
         (r, dr), (c, dc) = integer_row(self.r), integer_row(self.c)
-        return ScaledInstance(F, dF, c, dc, [sum(map(mul, row, r)) for row in F], dr)
-
-    @cached_property
-    def ic_rows(self) -> tuple[tuple[tuple[tuple[Fraction, ...], Fraction], ...], ...]:
-        """ic_rows[a][b] = (F_a - F_b, c_a - c_b), exact: floats enter at
-        their binary value.  Type theta weakly prefers a to b under p exactly
-        when (F_a - F_b).p >= theta (c_a - c_b)."""
-        F = [[as_fraction(x) for x in row] for row in self.F]
-        c = [as_fraction(x) for x in self.c]
-        return tuple(
-            tuple(
-                (tuple(x - y for x, y in zip(fa, fb)), ca - cb) for fb, cb in zip(F, c)
-            )
-            for fa, ca in zip(F, c)
-        )
+        return ScaledInstance(F, dF, r, dr, c, dc, [sum(map(mul, row, r)) for row in F])
 
 
 @dataclass(frozen=True)

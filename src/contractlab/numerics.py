@@ -238,7 +238,7 @@ def integer_solve(
     step; scaling an augmented row leaves every column's solution unchanged."""
     n = len(matrix)
     if len(rhs) != n or any(len(row) != n for row in matrix):
-        raise UsageError("rational_solve needs a square system")
+        raise UsageError("an exact solve needs a square system")
     aug = [integer_row([*row, *b])[0] for row, b in zip(matrix, rhs)]
     d = 1
     for col in range(n):

@@ -62,45 +62,52 @@ def contract_for_tuple(
     for a in actions:
         if not 0 <= a < inst.n_actions:
             raise UsageError(f"action index {a} out of range")
-    m = inst.n_outcomes
-    r = [as_fraction(x) for x in inst.r]
+    m, s = inst.n_outcomes, inst.scaled
     thetas = [as_fraction(t) for t in gamma.points]
 
     # objective: const - sum_w (sum_i gamma_i F[a_i, w]) p_w, with the type
-    # masses summed per action first. Regrouping is exact: with Fractions,
-    # sum_i gamma_i F[a_i] equals sum_a (sum_{i: a_i = a} gamma_i) F[a]
-    # entry for entry, and likewise the constant. So the RationalLP is the
-    # per-type one field for field, and Bland's rule makes the same pivots.
-    mass: dict[int, Fraction] = {}
-    for a, g in zip(actions, gamma.weights):
-        mass[a] = mass.get(a, _ZERO) + as_fraction(g)
-    weight = [_ZERO] * m
-    const = _ZERO
-    for a, g in mass.items():
-        row = [as_fraction(x) for x in inst.F[a]]
-        const += g * sum(f * rw for f, rw in zip(row, r))
-        for w in range(m):
-            weight[w] += g * row[w]
+    # masses summed per action first, as integers over one denominator dw:
+    # gamma_i = g_i / dw, F = s.F / dF and F_a.r = s.Fr[a] / (dF dr). The
+    # regrouping is exact, so each coefficient and the constant are the
+    # Fractions of the per-type sum, the RationalLP is the per-type one field
+    # for field, and Bland's rule makes the same pivots.
+    g, dw = integer_row(gamma.weights)
+    mass: dict[int, int] = {}
+    for a, ga in zip(actions, g):
+        mass[a] = mass.get(a, 0) + ga
+    den = dw * s.dF
+    weight = [sum(ga * s.F[a][w] for a, ga in mass.items()) for w in range(m)]
+    const = Fraction(sum(ga * s.Fr[a] for a, ga in mass.items()), den * s.dr)
 
+    # type theta weakly prefers a to b under p exactly when
+    # (F_a - F_b).p >= theta (c_a - c_b)
+    diffs = {
+        a: [
+            (tuple(Fraction(x - y, s.dF) for x, y in zip(s.F[a], fb)),
+             Fraction(s.c[a] - cb, s.dc))
+            for b, (fb, cb) in enumerate(zip(s.F, s.c))
+            if b != a
+        ]
+        for a in mass
+    }
     rows = [
         (coeffs, ">=", theta * dc)
         for theta, a in zip(thetas, actions)
-        for b, (coeffs, dc) in enumerate(inst.ic_rows[a])
-        if b != a
+        for coeffs, dc in diffs[a]
     ]
     if bounded:
         for w in range(m):
             unit = tuple(_ONE if j == w else _ZERO for j in range(m))
             rows.append((unit, "<=", _ONE))
     lp = RationalLP(
-        objective=tuple(-x for x in weight),
+        objective=tuple(Fraction(-x, den) for x in weight),
         constraints=tuple(rows),
         constant=const,
     )
     return lp_solve(lp)
 
 
-def chain_count(costs: Sequence[Fraction], k: int) -> int:
+def chain_count(costs: Sequence[Num], k: int) -> int:
     """Number of action tuples over k types whose costs do not increase with
     type. A DP over the distinct cost levels, costliest first: counts[l] is
     the number of prefixes whose last action costs levels[l], and the next
@@ -137,23 +144,21 @@ def _chain_gains(inst: Instance, gamma: Discrete) -> tuple[list[list[int]], int]
     lower type is left the rent of the types above it.
 
     Exact in float mode too: every input enters at its binary value."""
-    r = [as_fraction(x) for x in inst.r]
-    fr = [sum(as_fraction(f) * rw for f, rw in zip(row, r)) for row in inst.F]
+    s = inst.scaled
     w = [as_fraction(x) for x in gamma.weights]
     tg = [as_fraction(t) * g for t, g in zip(gamma.points, itertools.accumulate(w))]
     v = [x - y for x, y in zip(tg, [_ZERO, *tg])]
-    (num_fr, d_fr), (num_c, d_c) = integer_row(fr), integer_row(inst.c)
     num_wv, d_wv = integer_row(w + v)
     k = len(w)
-    # w_j = num_wv[j] / d_wv, v_j = num_wv[k + j] / d_wv, F_b.r = num_fr[b] /
-    # d_fr and c_b = num_c[b] / d_c, so each term is an integer over scale
-    fr_part = [x * d_c for x in num_fr]
-    c_part = [x * d_fr for x in num_c]
+    # w_j = num_wv[j] / d_wv, v_j = num_wv[k + j] / d_wv, F_b.r = s.Fr[b] /
+    # (dF dr) and c_b = s.c[b] / dc, so each term is an integer over scale
+    fr_part = [x * s.dc for x in s.Fr]
+    c_part = [x * s.dF * s.dr for x in s.c]
     gain = [
         [wj * x - vj * y for x, y in zip(fr_part, c_part)]
         for wj, vj in zip(num_wv[:k], num_wv[k:])
     ]
-    return gain, d_wv * d_fr * d_c
+    return gain, d_wv * s.dF * s.dr * s.dc
 
 
 def solve_discrete_optimal(
@@ -179,7 +184,8 @@ def solve_discrete_optimal(
     inputs it is that evaluation, with float ties decided within TIE_TOL. It
     is a Fraction on rational inputs and a float on float inputs."""
     n, k = inst.n_actions, len(gamma.points)
-    costs = [as_fraction(x) for x in inst.c]
+    # the integer costs c_b dc keep the order and ties of the costs
+    costs = inst.scaled.c
     count = chain_count(costs, k)
     if count > TUPLE_GUARD:
         raise ResourceGuardError(
@@ -267,9 +273,9 @@ def candidate_contract_set(
 
     The constraints are grouped by direction (canonical coefficient vector),
     each direction holding its right-hand sides; a pair of actions gives one
-    direction, from its row of ``Instance.ic_rows``. Every m-set of distinct
-    directions costs one exact inverse, from one elimination on [D | I], and
-    each choice of one right-hand side per direction is then one
+    direction, from the integer rows of ``Instance.scaled``. Every m-set of
+    distinct directions costs one exact inverse, from one elimination on
+    [D | I], and each choice of one right-hand side per direction is then one
     matrix-vector product. BASIS_GUARD bounds that work: the sum, over
     m-sets of distinct directions, of the product of their class sizes,
     which is at least the number of direction sets. The products run on
@@ -284,14 +290,19 @@ def candidate_contract_set(
         )
     nums, dt = integer_row(types)
 
-    # each type nums[i] / dt gives the rhs theta q, q = dc / lead; L = dt lq
+    # each type nums[i] / dt gives the rhs theta q, q = (c_a - c_b) / lead;
+    # L = dt lq. With F = s.F / dF and c = s.c / dc, the direction is the
+    # integer difference over its lead and q = (c'_a - c'_b) dF / (dc lead')
+    s = inst.scaled
     ratios: dict[tuple[Fraction, ...], list[Fraction]] = {}
     for a in range(inst.n_actions):
         for b in range(a + 1, inst.n_actions):
-            coeffs, dc = inst.ic_rows[a][b]
-            lead = next((x for x in coeffs if x != 0), None)
+            diff = [x - y for x, y in zip(s.F[a], s.F[b])]
+            lead = next((x for x in diff if x != 0), None)
             if lead is not None and nums:  # no type, no incentive row
-                ratios.setdefault(tuple(x / lead for x in coeffs), []).append(dc / lead)
+                ratios.setdefault(tuple(Fraction(x, lead) for x in diff), []).append(
+                    Fraction((s.c[a] - s.c[b]) * s.dF, s.dc * lead)
+                )
     lq = math.lcm(*(q.denominator for qs in ratios.values() for q in qs))
     scale = dt * lq
     classes: dict[tuple[Fraction, ...], dict[int, None]] = {}

@@ -611,10 +611,12 @@ def fraction_candidate_contract_set(inst: Instance, types) -> tuple[tuple[Fracti
     them before its integer products."""
     m = inst.n_outcomes
     thetas = [as_fraction(t) for t in types]
+    F = [[as_fraction(x) for x in row] for row in inst.F]
+    c = [as_fraction(x) for x in inst.c]
     classes: dict = {}
     for a in range(inst.n_actions):
         for b in range(a + 1, inst.n_actions):
-            coeffs, dc = inst.ic_rows[a][b]
+            coeffs, dc = [x - y for x, y in zip(F[a], F[b])], c[a] - c[b]
             lead = next((x for x in coeffs if x != 0), None)
             if lead is None:
                 continue

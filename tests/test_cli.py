@@ -372,12 +372,108 @@ def test_hardness_commands_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+TRIO = {
+    "F": [["3/4", "1/4", "0"], ["1/4", "1/2", "1/4"], ["0", "1/4", "3/4"]],
+    "r": ["0", "1/2", "1"],
+    "c": ["0", "1/4", "1/2"],
+}
+TWO_PIECE = {
+    "kind": "piecewise",
+    "breakpoints": ["0", "1/2", "1"],
+    "densities": ["1/2", "3/2"],
+}
+THREE_TYPES = {
+    "kind": "discrete",
+    "points": ["1/5", "1/2", "4/5"],
+    "weights": ["1/4", "1/2", "1/4"],
+}
+
+
+def _solve(inst, types, mode, *bounded):
+    return ["solve-discrete", "--instance", inst, "--dist", types,
+            "--mode", mode, *bounded]
+
+
+def _ptas(inst, density, delta, alpha, mode):
+    return ["ptas", "--instance", inst, "--dist", density, "--eps", "0.4",
+            "--delta", delta, "--alpha", alpha, "--mode", mode]
+
+
+def _pac(eta):
+    return ["bandit-pac", "--instance", "desk.json", "--dist", "uniform.json",
+            "--eta", eta, "--delta", "1/10", "--mode", "float"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["selftest"],
+         "6bd6e96665f868e95c9578b8e7ad1bba62285b1d97a01efd85b6b0bf181ab1e7"),
+        (_solve("desk.json", "two-types.json", "rational"),
+         "34219b1153fddd4f496af221b4de8c8bf7245a0a73fb0733c5c6b14fa5b95008"),
+        (_solve("desk.json", "two-types.json", "rational", "--bounded"),
+         "70aeef08c2b8c23cf97a76832e3fe3116e944374dd18abc431c99f00899c3ebb"),
+        (_solve("desk.json", "two-types.json", "float"),
+         "d5e908dbe66df4defd7e19a943f0b6656b54967048b1a725911e7b427d1958ac"),
+        (_solve("desk.json", "two-types.json", "float", "--bounded"),
+         "0b0f226eaef64b215a0a99cd3d1ca3fb609c2dd9bb9d832529c4b212031ad69f"),
+        (_solve("trio.json", "three-types.json", "rational"),
+         "a86c8db4c244fec5305a971e40d0eeeec0f09f4b47c802af84a6d6a2a0df3a8f"),
+        (_solve("trio.json", "three-types.json", "rational", "--bounded"),
+         "b8d87bb99fc978268c042f8f7af15a82dc2e89ce295f386e54c22a7c7427835b"),
+        (_solve("trio.json", "three-types.json", "float"),
+         "58d0aa344ea014782f0fb658cd98dce0760ce68dbc080b2506fb694b6aa762f5"),
+        (_solve("trio.json", "three-types.json", "float", "--bounded"),
+         "b473a8d8271a05d5fd9312e65720a951e879c559f906c8dced2cf84b0b856571"),
+        (_ptas("desk.json", "uniform.json", "1/9", "1/3", "float"),
+         "e606b79b65501b58489b27d9744705c59fe42c7e19264b843ce2e17514c8a654"),
+        (_ptas("trio.json", "two-piece.json", "1/6", "1/4", "rational"),
+         "77955a33b48b2d525221689ea83cf1f1314d0e0d7bdee22cad30ee4d74869dd5"),
+        (_ptas("trio.json", "two-piece.json", "1/6", "1/4", "float"),
+         "37e4543766cc28fe351ff246700cf28f6a61b0d5e6d4c40c2636fd41d65ec5aa"),
+        (_pac("5"),
+         "4864d1a92459e5883b9a6a37b9ab1304b9add299e9fc38561a1c96d3795657bd"),
+        (_pac("12"),
+         "6913c76aa97ea0e9a9082a4acc13c368c4ba7ff32b29e5007f0e2584b99ca07a"),
+    ],
+    ids=[
+        "selftest",
+        "solve-desk-rational", "solve-desk-rational-bounded",
+        "solve-desk-float", "solve-desk-float-bounded",
+        "solve-trio-rational", "solve-trio-rational-bounded",
+        "solve-trio-float", "solve-trio-float-bounded",
+        "ptas-desk-float", "ptas-trio-rational", "ptas-trio-float",
+        "pac-float-eta5", "pac-float-eta12",
+    ],
+)
+def test_solver_commands_pinned(capsys, monkeypatch, tmp_path, argv, digest):
+    # every byte of the output; the inputs are named relative to the working
+    # directory, so the config block is the same on every run
+    for name, payload in (
+        ("desk.json", DESK), ("trio.json", TRIO), ("uniform.json", UNIFORM),
+        ("two-piece.json", TWO_PIECE), ("two-types.json", TWO_TYPES),
+        ("three-types.json", THREE_TYPES),
+    ):
+        (tmp_path / name).write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(c["ok"] for c in payload["checks"])
+
+
+def test_selftest_failed_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [("ok", True), ("bad", False)])
+    code, out, err = run(capsys, "selftest")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["ok"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +622,21 @@ def test_atomic_output_and_no_leftovers(files, capsys):
     assert payload["value"] == "5/8"
     leftovers = [f for f in os.listdir(files["dir"]) if f.endswith(".part")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/out.json", "No such file or directory"), ("taken", "Is a directory")],
+    ids=["missing-directory", "directory-target"],
+)
+def test_failed_output_write_exit_2(capsys, tmp_path, target, reason):
+    # a usage error naming the output, and the temporary .part file removed
+    (tmp_path / "taken").mkdir()
+    path = tmp_path / target
+    code, out, err = run(capsys, "selftest", "-o", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write output {path}: {reason}\n"
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".part")]
 
 
 def test_rerun_byte_identical(files, capsys):

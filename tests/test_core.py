@@ -97,6 +97,45 @@ def test_instance_row_messages_pinned(monkeypatch):
     assert _row_error(near) == f"F row 0 sums to {0.5 + (0.5 + 1e-13)!r}, expected 1"
 
 
+@st.composite
+def mixed_instances(draw) -> Instance:
+    """Random instances whose entries are all exact, all floats, or each one
+    either; float rewards and costs may be any float in [0, 1]."""
+    gen = random.Random(draw(st.integers(0, 2**32)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    base = random_instance(gen, n, m, denom=draw(st.sampled_from((1, 7, 12, 10**6))))
+    kind = draw(st.sampled_from(("rational", "float", "mixed")))
+
+    def enter(x, any_float=False):
+        if kind == "rational" or (kind == "mixed" and draw(st.booleans())):
+            return x
+        return draw(st.floats(0, 1)) if any_float and draw(st.booleans()) else float(x)
+
+    c = [enter(x, any_float=True) if x else x for x in base.c]
+    return Instance(
+        F=tuple(tuple(enter(x) for x in row) for row in base.F),
+        r=tuple(enter(x, any_float=True) for x in base.r),
+        c=tuple(c),
+    )
+
+
+@settings(max_examples=200)
+@given(inst=mixed_instances())
+def test_scaled_holds_every_entry_at_its_binary_value(inst):
+    # one exact form for every instance: floats enter at their binary value,
+    # and F_a.r is the exact dot product of those values
+    s = inst.scaled
+    exact_F = [[Fraction(x) for x in row] for row in inst.F]
+    exact_r = [Fraction(x) for x in inst.r]
+    assert min(s.dF, s.dr, s.dc) > 0
+    assert [[Fraction(x, s.dF) for x in row] for row in s.F] == exact_F
+    assert [Fraction(x, s.dr) for x in s.r] == exact_r
+    assert [Fraction(x, s.dc) for x in s.c] == [Fraction(x) for x in inst.c]
+    assert [Fraction(x, s.dF * s.dr) for x in s.Fr] == [
+        sum(f * rw for f, rw in zip(row, exact_r)) for row in exact_F
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Pointwise utilities
 # ---------------------------------------------------------------------------

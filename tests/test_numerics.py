@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from contractlab import LPResult, RationalLP, UsageError, lp_solve, numerics, rng_new
 from contractlab.numerics import (
     as_fraction,
+    integer_solve,
     is_exact,
     llog2,
     rational_solve,
@@ -288,10 +289,12 @@ def test_rational_solve_unit_rows_give_inverse(data, n):
 
 
 def test_rational_solve_shape_validation():
-    with pytest.raises(UsageError):
-        rational_solve([[1, 2]], [[1]])
-    with pytest.raises(UsageError):
-        rational_solve([[1, 0], [0, 1]], [[1]])
+    # the candidate set calls integer_solve directly, so the message names
+    # neither entry point
+    for solve in (integer_solve, rational_solve):
+        for matrix, rhs in (([[1, 2]], [[1]]), ([[1, 0], [0, 1]], [[1]])):
+            with pytest.raises(UsageError, match="^an exact solve needs a square system$"):
+                solve(matrix, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -396,9 +396,9 @@ def lp_capture_cases(draw) -> tuple[Instance, Discrete, tuple[int, ...]]:
 @settings(max_examples=150)
 @given(case=lp_capture_cases(), bounded=st.booleans())
 def test_contract_for_tuple_builds_the_per_type_lp(case, bounded):
-    # the type masses are summed per action and the incentive rows come from
-    # Instance.ic_rows, yet the LP handed to lp_solve is the per-type one
-    # field for field
+    # the type masses are summed per action over one denominator and the
+    # incentive rows come from the integers of Instance.scaled, yet the LP
+    # handed to lp_solve is the per-type one field for field
     inst, gamma, actions = case
     with mock.patch.object(solver, "lp_solve", lambda lp: lp):
         lp = contract_for_tuple(inst, gamma, actions, bounded)
