@@ -58,12 +58,10 @@ def utility_map(inst: Instance, p: Sequence[Num], eps: float) -> np.ndarray:
     """Principal utilities of one contract across the half-offset type grid."""
     if not 0 < eps <= 1:
         raise UsageError(f"grid width must lie in (0,1], got {eps}")
-    thetas = np.asarray(dist.grid_points(float(eps)), dtype=float)
-    return _utilities_at(core.ResponseTable(inst, p), thetas)
-
-
-def _utilities_at(table: core.ResponseTable, thetas: np.ndarray) -> np.ndarray:
-    return table.pu_arr[table.actions(thetas)]
+    grid = np.asarray(dist.grid_points(float(eps)), dtype=float)
+    t = core.ResponseTable(inst, p)
+    rows = _arm_rows(t.fp_arr[None], t.pu_arr[None], t.near_arr[None], inst.c_arr, grid)
+    return np.asarray(rows[0])
 
 
 @dataclass(frozen=True)
@@ -187,8 +185,8 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
     Rank-deficient arm sets are projected onto their span first.  Each
     Frank-Wolfe step and pruning trial is a rank-one update costing O(k d).
     """
-    if tol <= 0:
-        raise UsageError(f"design tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise UsageError(f"design tolerance must be positive and finite, got {tol}")
     A = X.matrix
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     rank = int((s > max(s[0], 1.0) * _RANK_TOL).sum()) if s.size else 0
@@ -280,6 +278,24 @@ class Environment:
 _CHUNK_PULLS = 4096
 
 
+def _arm_rows(
+    fp: np.ndarray, pu: np.ndarray, near: np.ndarray, c: np.ndarray, grid: np.ndarray
+) -> list[list[float]]:
+    """Row a: float(respond(theta).principal_utility) of the table stacked at
+    a, for each theta of the grid, bit for bit (see ``stacked_actions``), by
+    chunks of whole tables of at most _CHUNK_PULLS (table, type, action)
+    entries, or one table; answers are elementwise, so chunks do not matter."""
+    n, d, k = c.size, grid.size, len(pu)
+    per = max(1, _CHUNK_PULLS // (d * n))
+    rows: list[list[float]] = []
+    for start in range(0, k, per):
+        arms = np.repeat(np.arange(start, min(start + per, k)), d)
+        thetas = np.tile(grid, arms.size // d)
+        acts = core.stacked_actions(fp, pu, near, c, arms, thetas)
+        rows += np.take(pu, arms * n + acts).reshape(-1, d).tolist()
+    return rows
+
+
 class ContractEnvironment(Environment):
     """Reward oracle over candidate contracts: draws a type, lets the agent
     best-respond to the arm's contract, and samples an outcome reward.
@@ -313,24 +329,9 @@ class ContractEnvironment(Environment):
         self._pu = np.array([t.pu_arr for t in self.tables])
         self._near = np.array([t.near_arr for t in self.tables])
         self._rp = np.array([t.rp_arr for t in self.tables])
-        self.arms = ArmSet(arms=self._arm_rows(grid), contracts=tuple(contracts))
+        rows = _arm_rows(self._fp, self._pu, self._near, inst.c_arr, grid)
+        self.arms = ArmSet(arms=tuple(map(tuple, rows)), contracts=tuple(contracts))
         self._means: dict[int, float] = {}
-
-    def _arm_rows(self, grid: np.ndarray) -> tuple[tuple[float, ...], ...]:
-        """The ``utility_map`` row of each table, bit for bit (answers are
-        elementwise): one ``stacked_actions`` call per chunk of whole arms
-        with at most _CHUNK_PULLS (arm, type, action) entries, or one arm."""
-        n, d, k = self.inst.n_actions, grid.size, len(self.tables)
-        per = max(1, _CHUNK_PULLS // (d * n))
-        rows: list[list[float]] = []
-        for start in range(0, k, per):
-            arms = np.repeat(np.arange(start, min(start + per, k)), d)
-            thetas = np.tile(grid, arms.size // d)
-            acts = core.stacked_actions(
-                self._fp, self._pu, self._near, self.inst.c_arr, arms, thetas
-            )
-            rows += np.take(self._pu, arms * n + acts).reshape(-1, d).tolist()
-        return tuple(map(tuple, rows))
 
     def pull_sums(
         self, arms: Sequence[int], counts: Sequence[int], rng: np.random.Generator

@@ -20,7 +20,7 @@ from .dist import (
     segment_masses,
 )
 from .errors import UsageError
-from .numerics import Num, as_fraction, integer_row, is_exact
+from .numerics import Num, as_fraction, check_finite, integer_row, is_exact
 
 Contract: TypeAlias = "tuple[Num, ...]"
 
@@ -60,6 +60,7 @@ class Instance:
             raise UsageError("cost vector length must match action count")
         if self.labels is not None and len(self.labels) != n:
             raise UsageError("labels length must match action count")
+        check_finite(F=[x for row in self.F for x in row], rewards=self.r, costs=self.c)
         # An exact instance's rows are checked on the integers F[a] * dF:
         # scaling by dF > 0 keeps each comparison and equality.
         for a, row in enumerate(self.F):
@@ -125,6 +126,7 @@ def _check_contract(inst: Instance, p: Sequence[Num]) -> None:
         raise UsageError(
             f"contract has {len(p)} payments, expected {inst.n_outcomes}"
         )
+    check_finite(payments=p)
     if any(x < 0 for x in p):
         raise UsageError("payments must be nonnegative")
 
@@ -235,14 +237,6 @@ class ResponseTable:
             ic_set=frozenset(ic),
         )
 
-    def actions(self, thetas: np.ndarray) -> np.ndarray:
-        """``respond(theta).action`` for each float theta, bit for bit (see
-        ``stacked_actions``)."""
-        return stacked_actions(
-            self.fp_arr[None], self.pu_arr[None], self.near_arr[None],
-            self.inst.c_arr, np.zeros(thetas.shape, dtype=np.intp), thetas,
-        )
-
     def breakpoints(self) -> list[Num]:
         """Types in (0,1) where two affine agent utilities cross,
         t = (fp[a] - fp[b]) / (c[a] - c[b]), sorted.  Exact Fractions on
@@ -279,33 +273,28 @@ class ResponseTable:
     def expected_utility(self, gamma: TypeDistribution) -> Num:
         """E_{theta ~ Gamma}[U^P(p, theta)], the principal's expected utility.
 
-        On atoms, the weighted sum over the types of the principal utility
-        of each type's best response, zero weights skipped.  On a density, a
-        finite segment sum: the segments are cut at 0, 1, the density
-        breakpoints and every pairwise best-response crossing, and each adds
-        its mass times the principal utility of the best response at its
-        midpoint.  Agent utilities are affine in theta, so the set of agent
-        maximizers, and with it the principal-favorable tie-break, is
-        constant between consecutive crossings; the density is constant
-        between its breakpoints; and the cut points themselves carry no mass
-        under a bounded density.  Exact tables and densities sum on integers
-        (``_exact_density_mean``); float inputs keep respond's TIE_TOL rule.
+        One sum of weight times the principal utility of the type's best
+        response, zero weights skipped, over the atoms, or over the (float
+        midpoint, mass) of each segment of a density, cut at 0, 1, the
+        density breakpoints and every best-response crossing.  Agent
+        utilities are affine in theta, so the agent maximizers, and with
+        them the principal-favorable tie-break, are constant between
+        crossings; the density is constant between its breakpoints; and the
+        cut points carry no mass.  Exact tables and densities sum on
+        integers (``_exact_density_mean``); floats keep respond's TIE_TOL rule.
         """
         if isinstance(gamma, Discrete):
-            total = 0
-            for theta, w in zip(gamma.points, gamma.weights):
-                if w != 0:
-                    total += w * self.respond(theta).principal_utility
-            return total
-        if self.exact and is_exact(*gamma.breakpoints, *gamma.densities):
+            pairs = zip(gamma.points, gamma.weights)
+        elif self.exact and is_exact(*gamma.breakpoints, *gamma.densities):
             return self._exact_density_mean(gamma)
-        cuts = {0, 1, *gamma.breakpoints, *self.breakpoints()}
-        pts = sorted(float(x) for x in cuts)
-        total = 0.0
-        for lo, hi in zip(pts, pts[1:]):
-            mass = interval_mass(gamma, lo, hi)
-            if mass != 0:
-                total += mass * self.respond((lo + hi) / 2).principal_utility
+        else:
+            cuts = sorted(float(x) for x in {0, 1, *gamma.breakpoints, *self.breakpoints()})
+            segments = zip(cuts, cuts[1:])
+            pairs = (((lo + hi) / 2, interval_mass(gamma, lo, hi)) for lo, hi in segments)
+        total = 0
+        for theta, w in pairs:
+            if w != 0:
+                total += w * self.respond(theta).principal_utility
         return total
 
     def _exact_density_mean(self, gamma: PiecewiseConstant) -> Fraction:
@@ -384,7 +373,7 @@ def best_response(inst: Instance, p: Sequence[Num], theta: Num) -> BestResponse:
 
 def robustify(inst: Instance, p: Sequence[Num], alpha: Num) -> Contract:
     """Mix the contract toward the reward vector: p + alpha (r - p)."""
-    if alpha < 0 or alpha > 1:
+    if not 0 <= alpha <= 1:
         raise UsageError(f"alpha must lie in [0,1], got {alpha}")
     _check_contract(inst, p)
     # No entry is negative: p >= 0, r >= 0 and alpha in [0,1] give

@@ -12,7 +12,7 @@ from typing import Sequence, TypeAlias, Union
 import numpy as np
 
 from .errors import UsageError
-from .numerics import Num, as_fraction, integer_row, is_exact
+from .numerics import Num, as_fraction, check_finite, integer_row, is_exact
 
 _SUM_TOL = 1e-12
 
@@ -38,6 +38,7 @@ class Discrete:
     def __post_init__(self) -> None:
         if len(self.points) != len(self.weights) or not self.points:
             raise UsageError("points and weights must be equal nonzero length")
+        check_finite(points=self.points, weights=self.weights)
         if any(p < 0 or p > 1 for p in self.points):
             raise UsageError("points must lie in [0,1]")
         if any(a <= b for a, b in zip(self.points[1:], self.points)):
@@ -60,6 +61,7 @@ class PiecewiseConstant:
         bp, dens = self.breakpoints, self.densities
         if len(bp) < 2 or len(dens) != len(bp) - 1:
             raise UsageError("need K+1 breakpoints for K densities")
+        check_finite(breakpoints=bp, densities=dens)
         if bp[0] != 0 or bp[-1] != 1:
             raise UsageError("breakpoints must start at 0 and end at 1")
         if any(a <= b for a, b in zip(bp[1:], bp)):

@@ -244,10 +244,10 @@ def ell_value(n: int, m: int, k: int) -> Fraction:
 
 
 def gap_value(n: int, m: int) -> Fraction:
-    """Value separation between consecutive cover sizes: ell(k) - ell(k+1)."""
-    if n < 2 or m < 1:
-        raise UsageError("need universe size >= 2 and at least one subset")
-    return Fraction(1, n**15 * m)
+    """Value separation between consecutive cover sizes: ell(k) - ell(k+1)
+    = rho eps_r / n."""
+    params = ReductionParams.for_size(n, m)
+    return params.rho * params.eps_r / n
 
 
 @dataclass(frozen=True)
@@ -476,6 +476,14 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
     pbar = q[ri.bar_outcome]
     part = classify_types(ri, q, responses)
 
+    floor = Fraction(1, n) - 4 * pstar / eta
+    sbar = frozenset(s + 1 for s in range(m) if q[s] >= floor)
+    # Each class cap is const + slope p*, and so is the zero type's term
+    # rho (1 - m eps)(1/n - p*) - eps rho |sbar| floor; the aggregate bound
+    # sums them with the type weights as zero_bound + coef p*.
+    weight = (1 - rho) / n
+    zero_bound = rho * (1 - m * eps) / n - eps * rho * len(sbar) / n
+    coef = -rho * (1 - m * eps) + 4 * eps * rho * len(sbar) / eta
     checks: list[OnlyIfTypeCheck] = []
     floors_ok = True
     bars_ok = True
@@ -494,23 +502,18 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
             floors_ok = floors_ok and floor_ok
             bars_ok = bars_ok and full_floor >= stated_floor
         if i in part.e1:
-            klass = "E1"
-            bound = mu / (2 * i * n) + (mu / i) * pstar * (2 / eta - 1)
+            klass, const, slope = "E1", mu / (2 * i * n), (mu / i) * (2 / eta - 1)
         elif i in part.e2:
-            klass = "E2"
-            bound = mu * (
-                Fraction(1, 2 * i * n) - Fraction(1, 8 * n**4) + 2 * pstar / eta
-            )
-            j = owner[0]
-            sharp_ok = util <= mu * (
-                Fraction(1, j * n) - Fraction(i, 2 * j * j * n) + 2 * pstar / eta
-            )
-            strong_ok = util <= mu * (
-                Fraction(1, 2 * i * n) - Fraction(1, 2 * n**4) + 2 * pstar / eta
-            )
+            klass, slope, j = "E2", mu * 2 / eta, owner[0]
+            const = mu * (Fraction(1, 2 * i * n) - Fraction(1, 8 * n**4))
+            pay = slope * pstar  # the p* term of this cap and the two below
+            sharp_ok = util <= mu * (Fraction(1, j * n) - Fraction(i, 2 * j * j * n)) + pay
+            strong_ok = util <= mu * (Fraction(1, 2 * i * n) - Fraction(1, 2 * n**4)) + pay
         else:
-            klass = "E3"
-            bound = _ZERO
+            klass, const, slope = "E3", _ZERO, _ZERO
+        bound = const + slope * pstar
+        zero_bound += weight * const
+        coef += weight * slope
         checks.append(
             OnlyIfTypeCheck(
                 element=i,
@@ -530,25 +533,10 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
     theta0_formula = _theta0_value(ri, q)
     theta0_star = br0.action == ri.star_action
 
-    floor = Fraction(1, n) - 4 * pstar / eta
-    sbar = frozenset(s + 1 for s in range(m) if q[s] >= floor)
     covered = set().union(*(ri.sc.sets[s - 1] for s in sbar)) if sbar else set()
     e1_covered = part.e1 <= covered
 
-    weight = (1 - rho) / n
-    agg = rho * (1 - m * eps) * (Fraction(1, n) - pstar) - eps * rho * len(sbar) * floor
-    coef = -rho * (1 - m * eps) + 4 * eps * rho * len(sbar) / eta
-    zero_bound = rho * (1 - m * eps) / n - eps * rho * len(sbar) / n
-    for t in checks:
-        agg += weight * t.bound  # the cap of the type's class; 0 for E3
-        i = t.element
-        if t.klass == "E1":
-            coef += weight * (mu / i) * (2 / eta - 1)
-            zero_bound += weight * mu / (2 * i * n)
-        elif t.klass == "E2":
-            coef += weight * mu * 2 / eta
-            zero_bound += weight * mu * (Fraction(1, 2 * i * n) - Fraction(1, 8 * n**4))
-
+    agg = zero_bound + coef * pstar
     total = _expected_value(ri, responses)
     chain = 2 * Fraction(1, n**7) - Fraction(1, 2 * n**6) + 4 * Fraction(1, n**12)
     ok = (

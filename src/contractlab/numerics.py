@@ -22,6 +22,14 @@ def as_fraction(x: Num) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def check_finite(**fields: Sequence[Num]) -> None:
+    """UsageError naming the first field that holds a NaN or infinite float.
+    Exact values are finite at any size (math.isfinite would overflow)."""
+    for what, values in fields.items():
+        if not all(math.isfinite(x) for x in values if isinstance(x, float)):
+            raise UsageError(f"{what} must be finite")
+
+
 def is_exact(*values: object) -> bool:
     """True when every scalar (recursing into sequences) is an int or Fraction."""
     for v in values:

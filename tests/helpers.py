@@ -32,7 +32,7 @@ from contractlab.bandit import (
     _greedy_basis,
     block_constant,
 )
-from contractlab.core import TIE_TOL, BestResponse, ResponseTable
+from contractlab.core import TIE_TOL, BestResponse, ResponseTable, stacked_actions
 from contractlab.dist import (
     Discrete,
     PiecewiseConstant,
@@ -420,6 +420,23 @@ def segment_sum_expectation(inst: Instance, gamma: PiecewiseConstant, p) -> Frac
         *fraction_crossings(inst, p),
     })
     total = Fraction(0)
+    for lo, hi in zip(pts, pts[1:]):
+        mass = interval_mass(gamma, lo, hi)
+        if mass != 0:
+            total += mass * table.respond((lo + hi) / 2).principal_utility
+    return total
+
+
+def float_segment_expectation(inst: Instance, gamma: PiecewiseConstant, p) -> float:
+    """Slow reference for the float density path of
+    ``ResponseTable.expected_utility``: the segment loop it ran before its
+    one weighted sum.  Cuts at 0, 1, the density breakpoints and every
+    crossing, as floats; each segment adds its ``interval_mass`` times the
+    principal utility of the best response at its float midpoint, from 0.0."""
+    table = ResponseTable(inst, p)
+    cuts = {0, 1, *gamma.breakpoints, *table.breakpoints()}
+    pts = sorted(float(x) for x in cuts)
+    total = 0.0
     for lo, hi in zip(pts, pts[1:]):
         mass = interval_mass(gamma, lo, hi)
         if mass != 0:
@@ -866,6 +883,15 @@ class LinearGaussianEnvironment(Environment):
 # ---------------------------------------------------------------------------
 
 
+def table_actions(table: ResponseTable, thetas: np.ndarray) -> np.ndarray:
+    """``table.respond(theta).action`` for each float theta, through
+    ``stacked_actions`` on the one table."""
+    return stacked_actions(
+        table.fp_arr[None], table.pu_arr[None], table.near_arr[None],
+        table.inst.c_arr, np.zeros(thetas.shape, dtype=np.intp), thetas,
+    )
+
+
 def contract_pull_sum(env, arm: int, count: int, rng: np.random.Generator) -> float:
     """Sum of `count` rewards of one arm of a ``ContractEnvironment``, drawn
     alone: count type uniforms, then one draw of outcome uniforms for each
@@ -875,7 +901,7 @@ def contract_pull_sum(env, arm: int, count: int, rng: np.random.Generator) -> fl
         return 0.0
     table = env.tables[arm]
     thetas = sample_many(env.gamma, rng, count)
-    actions = table.actions(thetas)
+    actions = table_actions(table, thetas)
     cum_f = np.cumsum(np.asarray(env.inst.F, dtype=float), axis=1)
     last = env.inst.n_outcomes - 1
     total = 0.0

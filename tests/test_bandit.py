@@ -368,10 +368,11 @@ def _bits(rows) -> list[list[str]]:
 @pytest.mark.parametrize("chunk", [1, 7, 45, 500, None])
 @pytest.mark.parametrize("case", ["desk", "trio", "float"])
 def test_arm_rows_match_per_table_rows(desk_instance, monkeypatch, chunk, case):
-    # one stacked_actions call per chunk of whole arms gives each arm the
-    # row of its own table's utility_map, bit for bit; DESK on the learn
-    # regret grid (94 arms of 45 types, 2 actions) spans three chunks at the
-    # default bound, and smaller bounds cut every arm set into many
+    # one stacked_actions call per chunk of whole arms gives each entry the
+    # principal utility of its own table's response at its type, bit for
+    # bit; DESK on the learn regret grid (94 arms of 45 types, 2 actions)
+    # spans three chunks at the default bound, and smaller bounds cut every
+    # arm set into many
     inst, eps = {
         "desk": (desk_instance, 1 / math.sqrt(2000)),
         "trio": (_TRIO, F(1, 9)),
@@ -385,7 +386,10 @@ def test_arm_rows_match_per_table_rows(desk_instance, monkeypatch, chunk, case):
         contracts = [tuple(float(x) for x in p) for p in exact]
     env = ContractEnvironment(inst, uniform_distribution(), eps, contracts)
     grid = np.asarray(grid_points(eps), dtype=float)
-    want = [bandit._utilities_at(t, grid).tolist() for t in env.tables]
+    want = [
+        [float(t.respond(float(theta)).principal_utility) for theta in grid]
+        for t in env.tables
+    ]
     assert _bits(env.arms.arms) == _bits(want)
     if case == "desk" and chunk is None:
         assert (env.n_arms, env.arms.dim) == (94, 45)

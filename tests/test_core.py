@@ -23,12 +23,14 @@ from contractlab import (
     principal_utility,
     robustify,
 )
+from contractlab.bandit import ArmSet, g_optimal_design
 from contractlab.core import TIE_TOL, ResponseTable, stacked_actions
 from contractlab.dist import PiecewiseConstant, cdf
 from contractlab.hardness import cover_contract, reduce
 from helpers import (
     FractionResponseTable,
     brute_best_response,
+    float_segment_expectation,
     fraction_crossings,
     min_cover,
     per_action_best_response,
@@ -40,6 +42,7 @@ from helpers import (
     random_piecewise,
     random_setcover,
     segment_sum_expectation,
+    table_actions,
 )
 
 F = Fraction
@@ -171,6 +174,50 @@ def test_contract_validation(desk_instance):
         principal_utility(desk_instance, (F(0), F(-1, 2)), 0)
     with pytest.raises(UsageError):
         agent_utility(desk_instance, (F(0), F(0)), 5, F(0))
+
+
+# A comparison with NaN is false, so range checks alone let NaN through, and
+# an infinite cost or payment is nonnegative.  Every float input must be
+# finite, and the error names the field.  Exact entries are finite at any
+# size, even beyond the float range.
+
+_NAN, _INF = float("nan"), float("inf")
+_FLOAT_DESK = Instance(F=((1.0, 0.0), (0.0, 1.0)), r=(0.0, 1.0), c=(0.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Instance(F=((1.0, 0.0), (0.0, 1.0)), r=(0.0, _NAN), c=(0.0, 0.5)),
+         "rewards"),
+        (lambda: Instance(F=((1.0, 0.0), (_NAN, 1.0)), r=(0.0, 1.0), c=(0.0, 0.5)),
+         "F must be finite"),
+        (lambda: Instance(F=((1.0, 0.0), (0.0, 1.0)), r=(0.0, 1.0), c=(0.0, _INF)),
+         "costs"),
+        (lambda: Discrete((0.5,), (_NAN,)), "weights"),
+        (lambda: Discrete((_NAN,), (1.0,)), "points"),
+        (lambda: PiecewiseConstant((0.0, 1.0), (_NAN,)), "densities"),
+        (lambda: PiecewiseConstant((0.0, _NAN, 1.0), (1.0, 1.0)), "breakpoints"),
+        (lambda: best_response(_FLOAT_DESK, (0.0, _NAN), 0.5), "payments"),
+        (lambda: ResponseTable(_FLOAT_DESK, (0.0, _INF)), "payments"),
+        (lambda: robustify(_FLOAT_DESK, (0.0, 0.5), _NAN), "alpha"),
+        (lambda: g_optimal_design(ArmSet(arms=((1.0, 0.0), (0.0, 1.0))), tol=_NAN),
+         "design tolerance"),
+        (lambda: g_optimal_design(ArmSet(arms=((1.0, 0.0), (0.0, 1.0))), tol=_INF),
+         "design tolerance"),
+    ],
+)
+def test_non_finite_floats_rejected(build, field):
+    with pytest.raises(UsageError, match=field):
+        build()
+
+
+def test_exact_entries_beyond_float_range_accepted():
+    big = 10**400
+    inst = Instance(F=((F(1), F(0)), (F(0), F(1))), r=(F(0), F(1)), c=(F(0), F(big)))
+    assert best_response(inst, (F(0), F(big, 2)), F(1, 2)).action == 0
+    Instance(F=((1.0, 0.0), (0.0, 1.0)), r=(0.0, 1.0), c=(0, big))
+    Discrete((F(1, 2),), (F(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +524,38 @@ def test_exact_density_mean_matches_fraction_segment_sum(case):
     assert table.breakpoints() == fraction_crossings(inst, p)
 
 
+# A float density, or a float table under any density, takes the float
+# segment sum.  It must be the segment loop it replaced
+# (``helpers.float_segment_expectation``) bit for bit: the same segments,
+# masses and principal utilities, summed in the same order.
+
+
+@settings(max_examples=100)
+@given(case=mean_cases(), data=st.data())
+def test_float_density_mean_matches_segment_loop(case, data):
+    inst, gamma, p = case
+    finst = Instance(
+        F=tuple(tuple(float(f) for f in row) for row in inst.F),
+        r=tuple(float(x) for x in inst.r),
+        c=tuple(float(x) for x in inst.c),
+    )
+    fgamma = PiecewiseConstant(
+        tuple(float(b) for b in gamma.breakpoints)
+        if data.draw(st.booleans()) else gamma.breakpoints,
+        tuple(float(d) for d in gamma.densities),
+    )
+    fp = tuple(float(x) for x in p)
+    for model, density, q in (
+        (inst, fgamma, p),  # an exact table under a float density
+        (finst, fgamma, fp),
+        (finst, gamma, fp),  # a float table under an exact density
+    ):
+        got = ResponseTable(model, q).expected_utility(density)
+        want = float_segment_expectation(model, density, q)
+        assert type(got) is type(want) is float
+        assert got.hex() == want.hex()
+
+
 @st.composite
 def weighted_atoms(draw, denom: int = 12) -> Discrete:
     """Atoms whose weights may be zero, at least one of them positive."""
@@ -624,14 +703,15 @@ def test_response_table_actions_compare_principal_utilities_exactly():
     table = ResponseTable(inst, (F(0), F(1, 4)))
     assert float(table.pu[0]) == 0.5 - TIE_TOL
     assert table.respond(0.5).action == 1
-    assert table.actions(np.array([0.5])).tolist() == [1]
+    assert table_actions(table, np.array([0.5])).tolist() == [1]
 
 
-# The vectorised ``actions`` must equal ``respond(float(theta)).action`` at
-# every type, ties included, on the rational table, on its float copy, and
-# on a float copy with one reward nudged by 5e-10, where equal principal
-# utilities become near-ties that TIE_TOL must still treat as ties.  The
-# types are the same grid and crossings as above, as floats.
+# The vectorised actions (``stacked_actions`` on one table) must equal
+# ``respond(float(theta)).action`` at every type, ties included, on the
+# rational table, on its float copy, and on a float copy with one reward
+# nudged by 5e-10, where equal principal utilities become near-ties that
+# TIE_TOL must still treat as ties.  The types are the same grid and
+# crossings as above, as floats.
 
 
 @settings(max_examples=60)
@@ -652,7 +732,7 @@ def test_response_table_actions_match_respond(inst, data):
         table = ResponseTable(model, p)
         crossings = table.breakpoints()
         thetas = [k / 12 for k in range(13)] + [float(t) for t in crossings]
-        got = table.actions(np.asarray(thetas))
+        got = table_actions(table, np.asarray(thetas))
         assert got.tolist() == [table.respond(t).action for t in thetas]
 
 

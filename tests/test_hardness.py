@@ -7,6 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractlab import UsageError, agent_utility, eps_best_responses, solve_discrete_optimal
 from contractlab.hardness import (
@@ -156,6 +158,9 @@ def test_gap_value_frozen():
         params = ReductionParams.for_size(n, m)
         assert gap_value(n, m) == params.rho * params.eps_r / n
         assert gap_value(n, m) == F(1, n**15 * m)
+    for n, m in ((1, 1), (3, 0)):
+        with pytest.raises(UsageError):
+            gap_value(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +294,58 @@ def test_onlyif_matches_per_action_scan():
                 w * b.principal_utility for w, b in zip(ri.gamma.weights, slow)
             )
             assert rep.partition == classify_types(ri, q)
+
+
+# The aggregate bound is affine in p*: the zero type's term and each class
+# cap are a constant plus a slope times p*, so aggregate_bound equals
+# pstar_zero_bound + pstar_coefficient p* exactly.  The caps and the
+# aggregate are written out below as the only-if argument states them.
+
+_ONLYIF_SYSTEMS = (
+    reduce(SetCoverInput(n=3, sets=((1, 2), (2, 3), (1, 3), (3,)))),
+    reduce(SetCoverInput(n=4, sets=((1, 2), (2, 3), (3, 4), (1, 4)))),
+)
+
+
+@st.composite
+def onlyif_contracts(draw):
+    """A reduced system and a cover contract, or random payments on one of
+    the scales 1/n, mu and eps_r, with p* on those scales too."""
+    ri = draw(st.sampled_from(_ONLYIF_SYSTEMS))
+    m = ri.sc.m
+    scales = st.sampled_from((F(1, ri.sc.n), ri.params.mu, ri.params.eps_r))
+    if draw(st.booleans()):
+        p = list(cover_contract(ri, draw(st.sets(st.integers(1, m), min_size=1))))
+    else:
+        scale = draw(scales)
+        p = [scale * F(draw(st.integers(0, 8)), 4) for _ in range(m + 2)]
+    p[ri.star_outcome] = draw(scales) * F(draw(st.integers(0, 8)), 8)
+    return ri, tuple(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=onlyif_contracts())
+def test_onlyif_caps_and_aggregate_are_affine_in_pstar(case):
+    ri, q = case
+    rep = verify_onlyif_bounds(ri, q)
+    n, m = ri.sc.n, ri.sc.m
+    mu, eta, eps, rho = ri.params.mu, ri.params.eta, ri.params.eps_r, ri.params.rho
+    pstar = q[ri.star_outcome]
+    for t in rep.per_type:
+        i = t.element
+        cap = {
+            "E1": mu / (2 * i * n) + (mu / i) * pstar * (2 / eta - 1),
+            "E2": mu * (F(1, 2 * i * n) - F(1, 8 * n**4) + 2 * pstar / eta),
+            "E3": F(0),
+        }[t.klass]
+        assert type(t.bound) is Fraction and t.bound == cap
+    floor = F(1, n) - 4 * pstar / eta
+    zero_term = rho * (1 - m * eps) * (F(1, n) - pstar) - eps * rho * len(rep.sbar) * floor
+    weight = (1 - rho) / n
+    assert rep.aggregate_bound == zero_term + sum(weight * t.bound for t in rep.per_type)
+    assert rep.aggregate_bound == rep.pstar_zero_bound + rep.pstar_coefficient * pstar
+    for value in (rep.aggregate_bound, rep.pstar_zero_bound, rep.pstar_coefficient):
+        assert type(value) is Fraction
 
 
 def test_onlyif_chain_sign_flips_at_larger_universe():
