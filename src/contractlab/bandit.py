@@ -56,9 +56,7 @@ _DESIGN_MAX_ITERS = 20_000
 
 def utility_map(inst: Instance, p: Sequence[Num], eps: float) -> np.ndarray:
     """Principal utilities of one contract across the half-offset type grid."""
-    if not 0 < eps <= 1:
-        raise UsageError(f"grid width must lie in (0,1], got {eps}")
-    grid = np.asarray(dist.grid_points(float(eps)), dtype=float)
+    grid = np.asarray(dist.grid_points(eps), dtype=float)
     t = core.ResponseTable(inst, p)
     rows = _arm_rows(t.fp_arr[None], t.pu_arr[None], t.near_arr[None], inst.c_arr, grid)
     return np.asarray(rows[0])
@@ -670,9 +668,6 @@ class PacResult:
     arm: int
     blocks: int
     samples: int
-    eta: float
-    delta: float
-    alpha: float
     estimate: float
     state: EliminationState
 
@@ -728,9 +723,6 @@ def pac_best_arm(
         arm=int(winner),
         blocks=blocks_needed,
         samples=samples,
-        eta=float(eta),
-        delta=float(delta),
-        alpha=float(alpha),
         estimate=float(est.max()),
         state=state,
     )

@@ -88,7 +88,7 @@ def _cmd_ptas(args: argparse.Namespace) -> dict[str, Any]:
         "config": config,
         "contract": serialize.contract_payload(contract),
         "discrete_value": serialize.format_number(diag.discrete_value),
-        "bound": serialize.format_number(diag.error_bound),
+        "bound": serialize.format_number(cfg.error_bound),
         "k": diag.k,
     }
 
@@ -144,7 +144,6 @@ def _cmd_verify_reduction(args: argparse.Namespace) -> dict[str, Any]:
     rep = hardness.verify_if_direction(ri, cover)
     p = hardness.cover_contract(ri, cover)
     only = hardness.verify_onlyif_bounds(ri, p)
-    labels = ri.inst.labels or tuple(str(a) for a in range(ri.inst.n_actions))
     return {
         "config": _config(args, ["universe", "sets", "cover"]),
         "ok": rep.ok,
@@ -159,7 +158,7 @@ def _cmd_verify_reduction(args: argparse.Namespace) -> dict[str, Any]:
         "per_type": [
             {
                 "theta": str(t.theta),
-                "action": labels[t.action],
+                "action": ri.inst.labels[t.action],
                 "agent_utility": str(t.agent_utility),
                 "principal_utility": str(t.principal_utility),
                 "in_target_family": t.in_target_family,

@@ -20,7 +20,7 @@ from .dist import (
     segment_masses,
 )
 from .errors import UsageError
-from .numerics import Num, as_fraction, check_finite, integer_row, is_exact
+from .numerics import Num, as_fraction, check_finite, check_float_range, integer_row, is_exact
 
 Contract: TypeAlias = "tuple[Num, ...]"
 
@@ -164,8 +164,10 @@ class ResponseTable:
     def __init__(self, inst: Instance, p: Sequence[Num]) -> None:
         _check_contract(inst, p)
         self.inst = inst
-        self.rp = [rw - x for rw, x in zip(inst.r, p)]
         self.exact = inst.exact and is_exact(*p)
+        if not self.exact:
+            check_float_range(costs=inst.c, payments=p)
+        self.rp = [rw - x for rw, x in zip(inst.r, p)]
         if self.exact:
             s, (P, dp) = inst.scaled, integer_row(p)
             self._fp_num = fp = [sum(map(mul, row, P)) for row in s.F]
@@ -202,26 +204,32 @@ class ResponseTable:
             near[b, a] = self.pu[a] >= thr[b]
         return near
 
+    def agent_numerators(self, num: int, den: int) -> tuple[list[int], int]:
+        """An exact table's agent utilities at theta = num / den (den > 0):
+        integers utils[a] over D = dF dp dc den, with F_a.p = fp'[a] / (dF dp)
+        and c = c' / dc (``Instance.scaled``), and D."""
+        s = self.inst.scaled
+        fs, cs = s.dc * den, num * self._dfp
+        return [f * fs - c * cs for f, c in zip(self._fp_num, s.c)], self._dfp * s.dc * den
+
     def eps_set(self, theta: Num, eps: Num) -> tuple:
         """(utils, ic, den, keys, tol): the agent utilities utils[a] / den at
         theta, the actions ic within eps of the best, keys ordered as pu, and
-        the tie tolerance.  On an exact table, theta and eps: integers over
-        den = dF dp dc den(theta), the numerators of pu, and 0 (a positive
-        scale keeps order and equality, and an integer u is >= top - eps den
-        iff u >= top - floor(eps den)).  Otherwise fp[a] - theta c[a], None,
-        pu, and TIE_TOL, or 0 on an exact table and theta."""
-        if self.exact and is_exact(theta, eps):
-            s, tn, td = self.inst.scaled, theta.numerator, theta.denominator
-            fs, cs, den = s.dc * td, tn * self._dfp, self._dfp * s.dc * td
-            utils = [f * fs - c * cs for f, c in zip(self._fp_num, s.c)]
-            cutoff = max(utils) - eps.numerator * den // eps.denominator
+        the tie tolerance.  On an exact table and theta: ``agent_numerators``,
+        the numerators of pu, and 0, with eps at its exact binary value (a
+        positive scale keeps order and equality, and an integer u is >= top -
+        eps den iff u >= top - floor(eps den)).  Otherwise fp[a] - theta c[a],
+        None, pu, and TIE_TOL."""
+        if self.exact and is_exact(theta):
+            utils, den = self.agent_numerators(theta.numerator, theta.denominator)
+            en, ed = eps.as_integer_ratio()
+            cutoff = max(utils) - en * den // ed
             keys, tol = self._pu_num, 0
         else:
             c = self.inst.c
             utils = [f - theta * c[a] for a, f in enumerate(self.fp)]
-            tol = 0 if self.exact and is_exact(theta) else TIE_TOL
-            cutoff = max(utils) - eps - tol
-            den, keys = None, self.pu
+            cutoff = max(utils) - eps - TIE_TOL
+            den, keys, tol = None, self.pu, TIE_TOL
         return utils, [a for a, u in enumerate(utils) if u >= cutoff], den, keys, tol
 
     def respond(self, theta: Num) -> BestResponse:
@@ -300,11 +308,9 @@ class ResponseTable:
     def _exact_density_mean(self, gamma: PiecewiseConstant) -> Fraction:
         """``expected_utility``'s segment sum with every cut, the crossings
         and the breakpoints, an integer over one denominator q.  At the
-        midpoint (lo + hi) / 2q the agent utility times 2 q dF dp dc > 0 is
-        an integer (c = c' / dc), so the maximizers and respond's tie-breaks
-        are kept."""
-        s, fp, dfp = self.inst.scaled, self._fp_num, self._dfp
-        n = len(fp)
+        midpoint (lo + hi) / 2q the agent utilities are the integers
+        ``agent_numerators(lo + hi, 2q)`` over one positive denominator, so
+        the maximizers and respond's tie-breaks are kept."""
         crossings = self._crossings()
         bps = [as_fraction(b) for b in gamma.breakpoints]
         q = math.lcm(*(den for _, den in crossings), *(b.denominator for b in bps))
@@ -313,15 +319,14 @@ class ResponseTable:
             *(b.numerator * (q // b.denominator) for b in bps),
         })
         masses, mden = segment_masses(gamma, cuts, q)
-        fs, c, pu = 2 * q * s.dc, s.c, self._pu_num
+        pu = self._pu_num
         total = 0
         for lo, hi, mass in zip(cuts, cuts[1:], masses):
             if mass:
-                mid = (lo + hi) * dfp
-                utils = [f * fs - mid * ca for f, ca in zip(fp, c)]
-                best = max(range(n), key=lambda a: (utils[a], pu[a], -a))
+                utils = self.agent_numerators(lo + hi, 2 * q)[0]
+                best = max(range(len(pu)), key=lambda a: (utils[a], pu[a], -a))
                 total += mass * pu[best]
-        return Fraction(total, mden * dfp * s.dr)
+        return Fraction(total, mden * self._dfp * self.inst.scaled.dr)
 
 
 def stacked_actions(
@@ -360,7 +365,9 @@ def eps_best_responses(
     inst: Instance, p: Sequence[Num], theta: Num, eps: Num
 ) -> list[int]:
     """Actions within eps of the agent's best utility (ties resolved exactly
-    on rational data, within 1e-9 on float data)."""
+    on an exact table and type, with eps at its exact binary value; within
+    TIE_TOL = 1e-9 otherwise)."""
+    check_finite(eps=(eps,))
     if eps < 0:
         raise UsageError("eps must be nonnegative")
     return ResponseTable(inst, p).eps_set(theta, eps)[1]

@@ -318,11 +318,11 @@ def verify_if_direction(ri: ReducedInstance, cover: Iterable[int]) -> IfDirectio
                 value_matches=br.principal_utility == value,
             )
         )
-    interior_capped = all(
-        table.fp[a] - Fraction(i, n) * ri.inst.c[a] <= mu / (4 * i * n)
-        for i in range(1, n + 1)
-        for a in ri.interior_actions.values()
-    )
+    interior = ri.interior_actions.values()
+    interior_capped = True
+    for i in range(1, n + 1):  # the largest interior agent utility of type i/n
+        utils, den = table.agent_numerators(i, n)
+        interior_capped &= Fraction(max(utils[a] for a in interior), den) <= mu / (4 * i * n)
 
     star_payment = k * eps / Fraction(n)
     payment_ok = star_payment > mu / n and all(

@@ -30,6 +30,16 @@ def check_finite(**fields: Sequence[Num]) -> None:
             raise UsageError(f"{what} must be finite")
 
 
+def check_float_range(**fields: Sequence[Num]) -> None:
+    """UsageError naming the first field that holds an exact value with no
+    finite float, for the float kernel, which rounds every entry."""
+    for what, values in fields.items():
+        try:
+            list(map(float, values))
+        except OverflowError:
+            raise UsageError(f"{what} must lie within the float range") from None
+
+
 def is_exact(*values: object) -> bool:
     """True when every scalar (recursing into sequences) is an int or Fraction."""
     for v in values:
@@ -108,14 +118,14 @@ def _simplex_phase(
     """Maximize cost . x over the integer tableau rows / d (d > 0) in place;
     returns the status and the final denominator. Bland's rule throughout:
     entering = lowest improving column, leaving = lowest basic index on ratio
-    ties, which guarantees termination on degenerate tableaus."""
-    ncols = len(rows[0]) - 1
+    ties, which guarantees termination on degenerate tableaus. cost has one
+    entry per column, so with no rows a positive cost is unbounded."""
     while True:
         # d times the reduced cost c_j - c_B . column_j / d, same sign as d > 0
         priced = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
         in_basis = set(basis)
         entering = -1
-        for j in range(ncols):
+        for j in range(len(cost)):
             if j in in_basis:
                 continue
             if cost[j] * d - sum(c * row[j] for c, row in priced if row[j]) > 0:
@@ -216,11 +226,7 @@ def lp_solve(lp: RationalLP) -> LPResult:
         basis = [basis[i] for i in keep]
 
     objective, _ = integer_row(lp.objective)
-    cost2 = objective + [0] * m
-    if rows:
-        status, d = _simplex_phase(rows, basis, cost2, d)
-    else:
-        status = "unbounded" if any(c > 0 for c in objective) else "optimal"
+    status, d = _simplex_phase(rows, basis, objective + [0] * m, d)
     if status == "unbounded":
         return LPResult("unbounded", None, None)
 

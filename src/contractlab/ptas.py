@@ -11,7 +11,7 @@ from typing import Sequence
 
 from . import core, solver
 from .core import Contract, Instance
-from .dist import Discrete, TypeDistribution, discretize, grid_points, interval_mass
+from .dist import Discrete, TypeDistribution, discretize, interval_mass
 from .errors import UsageError
 from .numerics import Num, as_fraction, is_exact
 
@@ -65,11 +65,10 @@ class PtasConfig:
 
 @dataclass(frozen=True)
 class PtasDiagnostics:
-    delta: Num
-    alpha: Num
+    """The discrete stage; the knobs and the error bound are on PtasConfig."""
+
     k: int
     discrete_value: Num
-    error_bound: Num
     discrete_contract: Contract
 
 
@@ -83,11 +82,8 @@ def ptas_contract(
     report = solver.solve_discrete_optimal(inst, grid, bounded=False)
     contract = core.robustify(inst, report.best_contract, cfg.alpha)
     diag = PtasDiagnostics(
-        delta=cfg.delta,
-        alpha=cfg.alpha,
         k=len(grid.points),
         discrete_value=report.value,
-        error_bound=cfg.error_bound,
         discrete_contract=report.best_contract,
     )
     return contract, diag
@@ -114,9 +110,6 @@ def verify_discretization_identity(
     for (_, hi_a), (lo_b, _) in zip(cells, cells[1:]):
         if hi_a != lo_b:
             raise UsageError("cells must tile [0,1] without gaps or overlaps")
-    for a in cell_actions:
-        if not 0 <= a < inst.n_actions:
-            raise UsageError(f"action index {a} out of range")
 
     utilities = [core.principal_utility(inst, p, a) for a in cell_actions]
 
@@ -149,7 +142,6 @@ def verify_discretization_identity(
 __all__ = [
     "PtasConfig",
     "PtasDiagnostics",
-    "grid_points",
     "ptas_contract",
     "verify_discretization_identity",
 ]

@@ -258,7 +258,7 @@ def solve_discrete_optimal(
         value = core.expected_principal_utility(inst, gamma, best_point)
     return SolveReport(
         best_contract=best_point,
-        value=as_fraction(value) if is_exact(value) else value,
+        value=value,
         tuples_solved=count,
     )
 

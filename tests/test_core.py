@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -183,6 +184,7 @@ def test_contract_validation(desk_instance):
 
 _NAN, _INF = float("nan"), float("inf")
 _FLOAT_DESK = Instance(F=((1.0, 0.0), (0.0, 1.0)), r=(0.0, 1.0), c=(0.0, 0.5))
+_EXACT_DESK = Instance(F=((F(1), F(0)), (F(0), F(1))), r=(F(0), F(1)), c=(F(0), F(1, 2)))
 
 
 @pytest.mark.parametrize(
@@ -201,6 +203,8 @@ _FLOAT_DESK = Instance(F=((1.0, 0.0), (0.0, 1.0)), r=(0.0, 1.0), c=(0.0, 0.5))
         (lambda: best_response(_FLOAT_DESK, (0.0, _NAN), 0.5), "payments"),
         (lambda: ResponseTable(_FLOAT_DESK, (0.0, _INF)), "payments"),
         (lambda: robustify(_FLOAT_DESK, (0.0, 0.5), _NAN), "alpha"),
+        (lambda: eps_best_responses(_FLOAT_DESK, (0.0, 0.5), 0.5, _NAN), "eps"),
+        (lambda: eps_best_responses(_EXACT_DESK, (F(0), F(1, 2)), F(1, 2), _INF), "eps"),
         (lambda: g_optimal_design(ArmSet(arms=((1.0, 0.0), (0.0, 1.0))), tol=_NAN),
          "design tolerance"),
         (lambda: g_optimal_design(ArmSet(arms=((1.0, 0.0), (0.0, 1.0))), tol=_INF),
@@ -218,6 +222,22 @@ def test_exact_entries_beyond_float_range_accepted():
     assert best_response(inst, (F(0), F(big, 2)), F(1, 2)).action == 0
     Instance(F=((1.0, 0.0), (0.0, 1.0)), r=(0.0, 1.0), c=(0, big))
     Discrete((F(1, 2),), (F(1),))
+
+
+@pytest.mark.parametrize(
+    "c, p, field",
+    [
+        ((0, 10**400), (0.0, 0.5), "costs"),
+        ((0, F(10**400)), (0.0, 0.5), "costs"),
+        ((0.0, 0.5), (0.0, 10**400), "payments"),
+        ((0.0, 0.5), (F(0), F(10**400, 3)), "payments"),
+    ],
+)
+def test_float_kernel_rejects_exact_entries_beyond_float_range(c, p, field):
+    # the instance stays valid; a float table cannot round the entry
+    inst = Instance(F=((1.0, 0.0), (0.0, 1.0)), r=(0.0, 1.0), c=c)
+    with pytest.raises(UsageError, match=field):
+        best_response(inst, p, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +309,14 @@ def test_eps_monotone_and_extremes(desk_instance):
     assert large == [0, 1]  # eps above the utility spread admits everything
     zero_p = (F(0), F(0))
     assert eps_best_responses(desk_instance, zero_p, F(1, 2), 0) == [0]
+
+
+def test_float_eps_on_an_exact_type_is_taken_at_its_binary_value(desk_instance):
+    # at theta = 16/27 idle gives 1 and work 8/7 - 8/27, 29/189 below it;
+    # float(29/189) is smaller than 29/189, so work is not within eps
+    eps = float(F(29, 189))
+    assert F(eps) < F(29, 189)
+    assert eps_best_responses(desk_instance, (1, F(8, 7)), F(16, 27), eps) == [0]
 
 
 def test_eps_negative_rejected(desk_instance):
@@ -669,6 +697,20 @@ def test_integer_kernel_matches_fraction_reference(case, data):
         gap = max(utils) - utils[data.draw(st.integers(0, len(utils) - 1))]
         for eps in (0, F(1, 24), gap):
             assert table.eps_set(theta, eps)[1] == ref.eps_set(theta, eps)[1]
+
+
+@settings(max_examples=100)
+@given(case=exact_tables(), data=st.data())
+def test_float_eps_next_to_a_gap_matches_fraction_rule(case, data):
+    # an exact table and type take a float eps at its exact binary value,
+    # also when eps is one float step from an agent-utility gap
+    inst, p, types = case
+    ref = FractionResponseTable(inst, p)
+    theta = data.draw(st.sampled_from([0, 1, *types, *ResponseTable(inst, p).breakpoints()]))
+    utils = ref.eps_set(theta, 0)[0]
+    gap = float(max(utils) - data.draw(st.sampled_from(utils)))
+    eps = data.draw(st.sampled_from([gap, math.nextafter(gap, 0), math.nextafter(gap, 1)]))
+    assert eps_best_responses(inst, p, theta, eps) == ref.eps_set(theta, F(eps))[1]
 
 
 @settings(max_examples=60)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -230,6 +231,26 @@ def test_if_direction_matches_per_action_scan():
             for a in ri.interior_actions.values()
         )
         assert rep.interior_utility_capped == capped
+
+
+def test_interior_cap_fails_on_a_cheaper_paid_interior_action(three_element_reduced):
+    # Under a cover contract type i/n gets exactly mu/(4in) from a paid
+    # interior action (i, s), so the cap holds with equality.  Halving that
+    # action's cost lifts it above the cap; an unpaid one stays at most 0.
+    ri, cover = three_element_reduced, (2, 3)
+    p = cover_contract(ri, cover)
+    n, mu = ri.sc.n, ri.params.mu
+    for (_, s), a in ri.interior_actions.items():
+        c = list(ri.inst.c)
+        c[a] /= 2
+        low = dataclasses.replace(ri, inst=dataclasses.replace(ri.inst, c=tuple(c)))
+        scan = all(
+            agent_utility(low.inst, p, b, F(i, n)) <= mu / (4 * i * n)
+            for i in range(1, n + 1)
+            for b in low.interior_actions.values()
+        )
+        assert verify_if_direction(low, cover).interior_utility_capped == scan
+        assert scan == (s not in cover)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contractlab import LPResult, RationalLP, UsageError, lp_solve, numerics, rng_new
@@ -205,6 +205,9 @@ def random_lps(draw) -> RationalLP:
 
 @settings(max_examples=300)
 @given(lp=random_lps())
+@example(lp=RationalLP(objective=(F(0), F(1, 2)), constraints=(), constant=F(-3, 7)))
+@example(lp=RationalLP(objective=(F(0), F(-1, 2)), constraints=(), constant=F(-3, 7)))
+@example(lp=RationalLP(objective=(F(0),), constraints=(), constant=F(2)))
 def test_lp_matches_fraction_simplex(lp):
     # the integer tableau is the Fraction tableau up to positive scaling, so
     # Bland's rule makes the same pivots and returns the same result; every
@@ -224,6 +227,9 @@ def test_lp_matches_fraction_simplex(lp):
     assert pivots == reference
     if res.point is not None:
         assert all(type(x) is F for x in res.point)
+    if not lp.constraints:  # only the objective's sign can bound x >= 0
+        assert res.status == ("unbounded" if max(lp.objective) > 0 else "optimal")
+        assert res.value in (None, lp.constant)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_ptas_desk_uniform_frozen(desk_instance, uniform_gamma):
     assert diag.discrete_contract == (F(0), F(7, 16))
     assert diag.discrete_value == F(9, 16)
     assert contract == (F(0), F(23, 32))
-    assert diag.error_bound == 2
+    assert cfg.error_bound == 2
 
 
 def test_ptas_single_cell_degenerate(desk_instance, uniform_gamma):
@@ -99,7 +99,7 @@ def test_ptas_guarantee_on_random_instances():
         contract, diag = ptas_contract(inst, gamma, cfg)
         achieved = expected_principal_utility_continuous(inst, gamma, contract)
         opt_grid = grid_best_continuous(inst, gamma, step=0.02, cells=500)
-        assert achieved >= opt_grid - float(diag.error_bound) - 0.05
+        assert achieved >= opt_grid - float(cfg.error_bound) - 0.05
 
 
 # ---------------------------------------------------------------------------
