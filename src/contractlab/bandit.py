@@ -454,7 +454,6 @@ class BlockRecord:
 class EliminationState:
     """Terminal state of a phased-elimination run."""
 
-    ell: int
     active: tuple[int, ...]
     phi_hat: tuple[float, ...] | None
     history: tuple[tuple[int, int, float], ...]
@@ -591,7 +590,6 @@ def phased_elimination(
             break
         active = keep
     state = EliminationState(
-        ell=ell,
         active=tuple(active),
         phi_hat=phi_last,
         history=tuple(history),
@@ -602,14 +600,11 @@ def phased_elimination(
 
 @dataclass(frozen=True)
 class RegretRun:
-    """One seeded regret run: curve plus the configuration that produced it."""
+    """One seeded regret run: curve plus the grid width and confidence that
+    produced it."""
 
-    seed: int
-    horizon: int
     eps: float
     delta: float
-    dimension: int
-    n_arms: int
     opt_ref: float
     curve: np.ndarray
     state: EliminationState
@@ -649,12 +644,8 @@ def algorithm1_regret(
         [np.full(count, opt_ref - means[arm]) for arm, count, _ in state.history]
     )
     return RegretRun(
-        seed=seed,
-        horizon=horizon,
         eps=eps,
         delta=1.0 / horizon,
-        dimension=X.dim,
-        n_arms=X.k,
         opt_ref=opt_ref,
         curve=np.cumsum(per_round),
         state=state,
@@ -668,7 +659,6 @@ class PacResult:
     arm: int
     blocks: int
     samples: int
-    estimate: float
     state: EliminationState
 
 
@@ -723,7 +713,6 @@ def pac_best_arm(
         arm=int(winner),
         blocks=blocks_needed,
         samples=samples,
-        estimate=float(est.max()),
         state=state,
     )
 

@@ -164,6 +164,7 @@ class ResponseTable:
     def __init__(self, inst: Instance, p: Sequence[Num]) -> None:
         _check_contract(inst, p)
         self.inst = inst
+        self._p = p
         self.exact = inst.exact and is_exact(*p)
         if not self.exact:
             check_float_range(costs=inst.c, payments=p)
@@ -219,7 +220,8 @@ class ResponseTable:
         the numerators of pu, and 0, with eps at its exact binary value (a
         positive scale keeps order and equality, and an integer u is >= top -
         eps den iff u >= top - floor(eps den)).  Otherwise fp[a] - theta c[a],
-        None, pu, and TIE_TOL."""
+        None, pu, and TIE_TOL, which need costs and payments within the float
+        range (a float table checks them once, when it is built)."""
         if self.exact and is_exact(theta):
             utils, den = self.agent_numerators(theta.numerator, theta.denominator)
             en, ed = eps.as_integer_ratio()
@@ -227,6 +229,8 @@ class ResponseTable:
             keys, tol = self._pu_num, 0
         else:
             c = self.inst.c
+            if self.exact:
+                check_float_range(costs=c, payments=self._p)
             utils = [f - theta * c[a] for a, f in enumerate(self.fp)]
             cutoff = max(utils) - eps - TIE_TOL
             den, keys, tol = None, self.pu, TIE_TOL

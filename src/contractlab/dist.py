@@ -117,23 +117,6 @@ def interval_mass(
     return total
 
 
-def cdf(d: TypeDistribution, x: "float | np.ndarray") -> "float | np.ndarray":
-    """P[theta <= x], float arithmetic, vectorized over numpy inputs."""
-    xs = np.asarray(x, dtype=float)
-    if isinstance(d, Discrete):
-        pts = np.asarray(d.points, dtype=float)
-        idx = np.searchsorted(pts, xs, side="right")
-        cum = np.concatenate(([0.0], d._cum))
-        out = cum[idx]
-    else:
-        bp = np.asarray(d.breakpoints, dtype=float)
-        dens = np.asarray(d.densities, dtype=float)
-        seg = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(dens) - 1)
-        out = d._cum[seg] + dens[seg] * (xs - bp[seg])
-        out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
 def grid_size(delta: Num) -> int:
     """Number of half-offset grid points for width delta: ceil(1/delta),
     exact on exact widths, with a 1e-12 slack on float widths."""

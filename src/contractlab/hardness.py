@@ -9,7 +9,6 @@ bound the value of an arbitrary contract (``verify_onlyif_bounds``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +27,6 @@ __all__ = [
     "reduce",
     "cover_contract",
     "is_cover",
-    "min_cover_size",
     "ell_value",
     "gap_value",
     "TypeCheck",
@@ -221,15 +219,6 @@ def is_cover(sc: SetCoverInput, cover: Iterable[int]) -> bool:
             raise UsageError(f"set id {set_id} outside 1..{sc.m}")
         covered.update(sc.sets[set_id - 1])
     return len(covered) == sc.n
-
-
-def min_cover_size(sc: SetCoverInput) -> int | None:
-    """Smallest cover size by exhaustive search, or None if no cover exists."""
-    for k in range(1, sc.m + 1):
-        for combo in itertools.combinations(range(1, sc.m + 1), k):
-            if is_cover(sc, combo):
-                return k
-    return None
 
 
 def ell_value(n: int, m: int, k: int) -> Fraction:

@@ -211,19 +211,20 @@ def lp_solve(lp: RationalLP) -> LPResult:
             return LPResult("infeasible", None, None)
         # drive leftover zero-valued artificials out of the basis (a ">="
         # row with rhs 0 can leave one there); a negative pivot here flips
-        # the sign of T and D together to keep D > 0
+        # the sign of T and D together to keep D > 0. A column is always
+        # found and no row is dropped: an artificial's column and its row's
+        # surplus column start as exact negatives and every pivot is a row
+        # operation, so a basic artificial's row holds -d != 0 in a column
+        # below slack_cols.
         for i in range(m):
             if basis[i] >= slack_cols:
-                col = next((j for j in range(slack_cols) if rows[i][j]), None)
-                if col is not None:
-                    d = _pivot(rows, i, col, d)
-                    basis[i] = col
-                    if d < 0:
-                        rows = [[-v for v in row] for row in rows]
-                        d = -d
-        keep = [i for i in range(m) if basis[i] < slack_cols]
-        rows = [rows[i][:slack_cols] + [rows[i][-1]] for i in keep]
-        basis = [basis[i] for i in keep]
+                col = next(j for j in range(slack_cols) if rows[i][j])
+                d = _pivot(rows, i, col, d)
+                basis[i] = col
+                if d < 0:
+                    rows = [[-v for v in row] for row in rows]
+                    d = -d
+        rows = [row[:slack_cols] + [row[-1]] for row in rows]
 
     objective, _ = integer_row(lp.objective)
     status, d = _simplex_phase(rows, basis, objective + [0] * m, d)

@@ -7,12 +7,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import core, solver
 from .core import Contract, Instance
-from .dist import Discrete, TypeDistribution, discretize, interval_mass
-from .errors import UsageError
+from .dist import TypeDistribution, discretize, grid_size
+from .errors import ResourceGuardError, UsageError
 from .numerics import Num, as_fraction, is_exact
 
 
@@ -22,6 +21,13 @@ def _exact_sqrt(x: Fraction) -> Num:
     if num * num == x.numerator and den * den == x.denominator:
         return Fraction(num, den)
     return math.sqrt(x)
+
+
+def _check_knobs(**knobs: Num | None) -> None:
+    """UsageError naming the first given knob outside (0,1]."""
+    for name, x in knobs.items():
+        if x is not None and not 0 < x <= 1:
+            raise UsageError(f"{name} must lie in (0,1], got {x}")
 
 
 @dataclass(frozen=True)
@@ -35,19 +41,14 @@ class PtasConfig:
     alpha: Num
 
     def __post_init__(self) -> None:
-        if not 0 < self.delta <= 1:
-            raise UsageError(f"delta must lie in (0,1], got {self.delta}")
-        if not 0 < self.alpha <= 1:
-            raise UsageError(f"alpha must lie in (0,1], got {self.alpha}")
-        if self.eps <= 0:
-            raise UsageError(f"eps must be positive, got {self.eps}")
+        _check_knobs(eps=self.eps, delta=self.delta, alpha=self.alpha)
 
     @staticmethod
     def from_eps(
         eps: Num, delta: Num | None = None, alpha: Num | None = None
     ) -> "PtasConfig":
-        if eps <= 0 or eps > 1:
-            raise UsageError(f"eps must lie in (0,1], got {eps}")
+        # the defaults square eps and take the root of delta: check first
+        _check_knobs(eps=eps, delta=delta)
         if delta is None:
             delta = as_fraction(eps) ** 2 / 16 if is_exact(eps) else eps * eps / 16
         if alpha is None:
@@ -77,71 +78,32 @@ def ptas_contract(
 ) -> tuple[Contract, PtasDiagnostics]:
     """Grid-solve-robustify pipeline. The returned contract is within
     2(delta/alpha + alpha) of the optimum against the continuous
-    distribution; diagnostics carry the grid and the discrete-stage value."""
+    distribution; diagnostics carry the grid and the discrete-stage value.
+
+    The chain guard runs before the grid is built. With two or more actions
+    there are at least k + 1 cost-monotone chains over k types: all actions
+    free gives n^k >= k + 1 chains, and otherwise the switch from a costly
+    action to a free one may come at any of k + 1 positions."""
+    k = grid_size(cfg.delta)
+    if inst.n_actions > 1 and k + 1 > solver.TUPLE_GUARD:
+        raise ResourceGuardError(
+            f"action-chain enumeration would solve at least {k + 1} LPs "
+            f"({inst.n_actions} actions, {k} types), above the guard of "
+            f"{solver.TUPLE_GUARD}"
+        )
     grid = discretize(gamma, cfg.delta)
     report = solver.solve_discrete_optimal(inst, grid, bounded=False)
     contract = core.robustify(inst, report.best_contract, cfg.alpha)
     diag = PtasDiagnostics(
-        k=len(grid.points),
+        k=k,
         discrete_value=report.value,
         discrete_contract=report.best_contract,
     )
     return contract, diag
 
 
-def verify_discretization_identity(
-    inst: Instance,
-    gamma: TypeDistribution,
-    cells: Sequence[tuple[Num, Num]],
-    cell_actions: Sequence[int],
-    p: Sequence[Num],
-) -> tuple[Num, Num]:
-    """Both sides of the exchange between integrating a per-cell-constant
-    action map against the distribution and weighting per-cell representative
-    types by cell masses. The two sides are computed through independent
-    integration routines and agree exactly on exact inputs."""
-    if len(cells) != len(cell_actions):
-        raise UsageError("one action per cell required")
-    if not cells:
-        raise UsageError("cell list must be nonempty")
-    lo0, hi_last = cells[0][0], cells[-1][1]
-    if lo0 != 0 or hi_last != 1:
-        raise UsageError("cells must cover [0,1]")
-    for (_, hi_a), (lo_b, _) in zip(cells, cells[1:]):
-        if hi_a != lo_b:
-            raise UsageError("cells must tile [0,1] without gaps or overlaps")
-
-    utilities = [core.principal_utility(inst, p, a) for a in cell_actions]
-
-    # route 1: direct integration of the piecewise-constant composition
-    # (its own sum, not ResponseTable.expected_utility, so the routes stay independent)
-    lhs = 0
-    if isinstance(gamma, Discrete):
-        for point, w in zip(gamma.points, gamma.weights):
-            for j, (lo, hi) in enumerate(cells):
-                if (lo < point or (j == 0 and point == lo)) and point <= hi:
-                    lhs += w * utilities[j]
-                    break
-    else:
-        for dens, a, b in zip(
-            gamma.densities, gamma.breakpoints, gamma.breakpoints[1:]
-        ):
-            for j, (lo, hi) in enumerate(cells):
-                left = max(lo, a)
-                right = min(hi, b)
-                if right > left:
-                    lhs += dens * (right - left) * utilities[j]
-
-    # route 2: cell masses through the interval oracle
-    rhs = 0
-    for j, (lo, hi) in enumerate(cells):
-        rhs += interval_mass(gamma, lo, hi, closed_lo=(j == 0)) * utilities[j]
-    return lhs, rhs
-
-
 __all__ = [
     "PtasConfig",
     "PtasDiagnostics",
     "ptas_contract",
-    "verify_discretization_identity",
 ]

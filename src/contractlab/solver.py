@@ -242,8 +242,10 @@ def solve_discrete_optimal(
         if best_value is None or (res.value, best_chain) > (best_value, chain):
             best_value, best_point, best_chain = res.value, res.point, chain
             cut = math.ceil(best_value * scale)
-    if best_point is None:
-        raise UsageError("no feasible action tuple; instance is inconsistent")
+    # An incumbent always exists. With z a free action, p = 0 meets every IC
+    # row of the all-z chain (0 >= -theta c_b) and every box row, and the
+    # objective const - weight.p (weight >= 0) is bounded, so that chain's LP
+    # is optimal; nothing is pruned before the first incumbent, so it is solved.
     if inst.exact and is_exact(*gamma.points, *gamma.weights):
         # The evaluation of best_point equals best_value. At least: each type
         # i is IC for its chain action a_i at best_point, so a_i is among its

@@ -36,14 +36,14 @@ from contractlab.core import TIE_TOL, BestResponse, ResponseTable, stacked_actio
 from contractlab.dist import (
     Discrete,
     PiecewiseConstant,
-    cdf,
+    TypeDistribution,
     grid_points,
     interval_mass,
     sample_many,
 )
 from contractlab.errors import UsageError
-from contractlab.hardness import SetCoverInput
-from contractlab.numerics import LPResult, RationalLP, as_fraction, is_exact
+from contractlab.hardness import SetCoverInput, is_cover
+from contractlab.numerics import LPResult, Num, RationalLP, as_fraction, is_exact
 from contractlab.solver import SolveReport, contract_for_tuple
 
 
@@ -275,6 +275,15 @@ def min_cover(sc: SetCoverInput) -> tuple[int, ...]:
     raise AssertionError("system does not cover its universe")
 
 
+def min_cover_size(sc: SetCoverInput) -> int | None:
+    """Smallest cover size by exhaustive search, or None if no cover exists."""
+    for k in range(1, sc.m + 1):
+        for combo in itertools.combinations(range(1, sc.m + 1), k):
+            if is_cover(sc, combo):
+                return k
+    return None
+
+
 def three_element_setcover() -> SetCoverInput:
     return SetCoverInput(n=3, sets=((1, 2), (2,), (1, 3), (3,)))
 
@@ -282,6 +291,23 @@ def three_element_setcover() -> SetCoverInput:
 # ---------------------------------------------------------------------------
 # Brute-force value oracles
 # ---------------------------------------------------------------------------
+
+
+def cdf(d: TypeDistribution, x: "float | np.ndarray") -> "float | np.ndarray":
+    """P[theta <= x], float arithmetic, vectorized over numpy inputs."""
+    xs = np.asarray(x, dtype=float)
+    if isinstance(d, Discrete):
+        pts = np.asarray(d.points, dtype=float)
+        idx = np.searchsorted(pts, xs, side="right")
+        cum = np.concatenate(([0.0], d._cum))
+        out = cum[idx]
+    else:
+        bp = np.asarray(d.breakpoints, dtype=float)
+        dens = np.asarray(d.densities, dtype=float)
+        seg = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(dens) - 1)
+        out = d._cum[seg] + dens[seg] * (xs - bp[seg])
+        out = np.clip(out, 0.0, 1.0)
+    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def float_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -451,6 +477,56 @@ def cellwise_discretize(gamma, delta) -> Discrete:
     cells = [(i * delta, min((i + 1) * delta, 1)) for i in range(len(pts))]
     masses = [interval_mass(gamma, lo, hi, closed_lo=(i == 0)) for i, (lo, hi) in enumerate(cells)]
     return Discrete(pts, tuple(masses))
+
+
+def verify_discretization_identity(
+    inst: Instance,
+    gamma: TypeDistribution,
+    cells: Sequence[tuple[Num, Num]],
+    cell_actions: Sequence[int],
+    p: Sequence[Num],
+) -> tuple[Num, Num]:
+    """Both sides of the exchange between integrating a per-cell-constant
+    action map against the distribution and weighting per-cell representative
+    types by cell masses. The two sides are computed through independent
+    integration routines and agree exactly on exact inputs."""
+    if len(cells) != len(cell_actions):
+        raise UsageError("one action per cell required")
+    if not cells:
+        raise UsageError("cell list must be nonempty")
+    lo0, hi_last = cells[0][0], cells[-1][1]
+    if lo0 != 0 or hi_last != 1:
+        raise UsageError("cells must cover [0,1]")
+    for (_, hi_a), (lo_b, _) in zip(cells, cells[1:]):
+        if hi_a != lo_b:
+            raise UsageError("cells must tile [0,1] without gaps or overlaps")
+
+    utilities = [principal_utility(inst, p, a) for a in cell_actions]
+
+    # route 1: direct integration of the piecewise-constant composition
+    # (its own sum, not ResponseTable.expected_utility, so the routes stay independent)
+    lhs = 0
+    if isinstance(gamma, Discrete):
+        for point, w in zip(gamma.points, gamma.weights):
+            for j, (lo, hi) in enumerate(cells):
+                if (lo < point or (j == 0 and point == lo)) and point <= hi:
+                    lhs += w * utilities[j]
+                    break
+    else:
+        for dens, a, b in zip(
+            gamma.densities, gamma.breakpoints, gamma.breakpoints[1:]
+        ):
+            for j, (lo, hi) in enumerate(cells):
+                left = max(lo, a)
+                right = min(hi, b)
+                if right > left:
+                    lhs += dens * (right - left) * utilities[j]
+
+    # route 2: cell masses through the interval oracle
+    rhs = 0
+    for j, (lo, hi) in enumerate(cells):
+        rhs += interval_mass(gamma, lo, hi, closed_lo=(j == 0)) * utilities[j]
+    return lhs, rhs
 
 
 def quadrature_expectation(inst: Instance, gamma, p, resolution: float = 1e-5) -> float:

@@ -46,7 +46,6 @@ from contractlab import (
 )
 from contractlab.bandit import ArmSet, block_constant
 from contractlab.hardness import ell_value
-from contractlab.ptas import verify_discretization_identity
 from contractlab.cli import main
 
 from helpers import (
@@ -61,6 +60,7 @@ from helpers import (
     random_instance,
     random_piecewise,
     random_setcover,
+    verify_discretization_identity,
 )
 
 pytestmark = pytest.mark.acceptance

@@ -39,7 +39,7 @@ from contractlab.bandit import (
 )
 from contractlab import bandit, core
 from contractlab.core import Instance
-from contractlab.dist import PiecewiseConstant, grid_points
+from contractlab.dist import Discrete, PiecewiseConstant, grid_points
 from contractlab.solver import candidate_contract_set
 from helpers import (
     LinearGaussianEnvironment,
@@ -685,3 +685,59 @@ def test_regret_seeds_draw_different_rewards(desk_instance, uniform_gamma):
     sums_a = [r for _, _, r in a.state.history]
     sums_b = [r for _, _, r in b.state.history]
     assert sums_a != sums_b
+
+
+# ---------------------------------------------------------------------------
+# Argument checks
+# ---------------------------------------------------------------------------
+
+_DESK = Instance(F=((F(1), F(0)), (F(0), F(1))), r=(F(0), F(1)), c=(F(0), F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: ArmSet(arms=()), "need at least one arm", id="arms-empty"),
+        pytest.param(lambda: ArmSet(arms=((),)), "arms must have at least one coordinate",
+                     id="arms-no-coordinate"),
+        pytest.param(lambda: ArmSet(arms=((1.0,),), contracts=((F(0),), (F(1),))),
+                     "contract tags must match arm count", id="arms-tags"),
+        pytest.param(lambda: DesignWeights(weights=()), "design needs at least one weight",
+                     id="design-empty"),
+        pytest.param(lambda: DesignWeights(weights=(-0.5, 1.5)),
+                     "design weights must be nonnegative", id="design-negative"),
+        pytest.param(lambda: ContractEnvironment(_DESK, Discrete((F(1, 2),), (F(1),)), F(1, 2)),
+                     "type distribution must have a bounded density; atoms are not supported",
+                     id="environment-atoms"),
+        pytest.param(lambda: block_constant(0), "dimension must be positive, got 0",
+                     id="block-constant"),
+        pytest.param(lambda: block_length(2, 0), "block index must be positive, got 0",
+                     id="block-length"),
+        pytest.param(lambda: phased_elimination(*synthetic_env(), 0, 0.1, rng_new(0)),
+                     "horizon must be positive, got 0", id="elimination-horizon"),
+        pytest.param(lambda: phased_elimination(*synthetic_env(), 10, 0.0, rng_new(0)),
+                     "confidence must lie in (0,1], got 0.0", id="elimination-delta-0"),
+        pytest.param(lambda: phased_elimination(*synthetic_env(), 10, 1.5, rng_new(0)),
+                     "confidence must lie in (0,1], got 1.5", id="elimination-delta-1.5"),
+        pytest.param(lambda: algorithm1_regret(_DESK, uniform_distribution(), 0, 0),
+                     "horizon must be positive, got 0", id="regret-horizon"),
+        pytest.param(lambda: algorithm1_regret(
+                         _DESK, uniform_distribution(), 100, 0,
+                         env=contract_environment(_DESK, uniform_distribution(), 0.5)),
+                     "environment grid width 0.5 does not match horizon (needs 0.1)",
+                     id="regret-grid-width"),
+        pytest.param(lambda: pac_blocks(2, 3, 0.0, 0.1, 0.0),
+                     "suboptimality target must be positive, got 0.0", id="pac-blocks-eta"),
+        pytest.param(lambda: pac_blocks(2, 3, 1.0, 0.0, 0.0),
+                     "confidence must lie in (0,1), got 0.0", id="pac-blocks-delta-0"),
+        pytest.param(lambda: pac_blocks(2, 3, 1.0, 1.0, 0.0),
+                     "confidence must lie in (0,1), got 1.0", id="pac-blocks-delta-1"),
+        pytest.param(lambda: pac_best_contract(_DESK, uniform_distribution(), F(-1), 0.1, 0),
+                     "suboptimality target must be positive, got -1", id="pac-contract-eta"),
+    ],
+)
+def test_argument_checks(build, message):
+    with pytest.raises(UsageError) as err:
+        build()
+    assert type(err.value) is UsageError
+    assert str(err.value) == message

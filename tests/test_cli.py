@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from contractlab import cli, dist, serialize
+from contractlab import cli, dist, ptas, serialize
 from contractlab.cli import main
 from contractlab.dist import grid_points
 from contractlab.solver import candidate_contract_set
@@ -504,6 +504,56 @@ def test_bad_cover_exit_2(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+_SETS = ["--universe", "3", "--sets", "1,2;2,3"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["reduce-setcover", "--universe", "3", "--sets", "1,2;x"],
+                     "--sets: cannot parse group 'x'", id="sets-unparsable"),
+        pytest.param(["reduce-setcover", "--universe", "3", "--sets", " ; ;"],
+                     "--sets: need at least one set", id="sets-empty"),
+        pytest.param(["verify-reduction", *_SETS, "--cover", "1,b"],
+                     "--cover: cannot parse '1,b'", id="cover-unparsable"),
+        pytest.param(["verify-reduction", *_SETS, "--cover", ","],
+                     "--cover: need at least one set id", id="cover-empty"),
+        pytest.param(["bandit-regret", "--instance", "{instance}", "--dist", "{uniform}",
+                      "-T", "0"], "horizon must be positive, got 0", id="regret-horizon"),
+        pytest.param(["bandit-regret", "--instance", "{instance}", "--dist", "{uniform}",
+                      "-T", "16", "--seeds", "0"], "seed count must be positive, got 0",
+                     id="regret-seeds"),
+        pytest.param(["ptas", "--instance", "{instance}", "--dist", "{uniform}",
+                      "--eps", "0.4", "--delta=-1"], "delta must lie in (0,1], got -1",
+                     id="ptas-negative-delta"),
+        pytest.param(["ptas", "--instance", "{instance}", "--dist", "{uniform}",
+                      "--eps", "0.4", "--delta=-1", "--mode", "float"],
+                     "delta must lie in (0,1], got -1.0", id="ptas-negative-delta-float"),
+    ],
+)
+def test_usage_errors_exit_2(files, capsys, argv, message):
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_ptas_chain_guard_builds_no_grid(files, capsys, monkeypatch):
+    # eps = 1/10^6 gives delta = 1/(16 10^12): 16 10^12 types, so at least
+    # 16 10^12 + 1 chains on the two DESK actions
+    def no_grid(gamma, delta):
+        raise AssertionError("the chain guard must not build the grid")
+
+    monkeypatch.setattr(ptas, "discretize", no_grid)
+    code, out, err = run(
+        capsys, "ptas", "--instance", files["instance"], "--dist", files["uniform"],
+        "--eps", "1/1000000",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: action-chain enumeration would solve at least 16000000000001 LPs "
+        "(2 actions, 16000000000000 types), above the guard of 10000000\n"
+    )
 
 
 NAN, INF = float("nan"), float("inf")

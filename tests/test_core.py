@@ -26,11 +26,12 @@ from contractlab import (
 )
 from contractlab.bandit import ArmSet, g_optimal_design
 from contractlab.core import TIE_TOL, ResponseTable, stacked_actions
-from contractlab.dist import PiecewiseConstant, cdf
+from contractlab.dist import PiecewiseConstant
 from contractlab.hardness import cover_contract, reduce
 from helpers import (
     FractionResponseTable,
     brute_best_response,
+    cdf,
     float_segment_expectation,
     fraction_crossings,
     min_cover,
@@ -238,6 +239,38 @@ def test_float_kernel_rejects_exact_entries_beyond_float_range(c, p, field):
     inst = Instance(F=((1.0, 0.0), (0.0, 1.0)), r=(0.0, 1.0), c=c)
     with pytest.raises(UsageError, match=field):
         best_response(inst, p, 0.5)
+
+
+def test_float_type_on_exact_entries_beyond_float_range():
+    # an exact table answers an exact type on integers at any size; a float
+    # type takes the float branch, which cannot round the cost
+    inst = Instance(F=((F(1), F(0)), (F(0), F(1))), r=(F(0), F(1)), c=(F(0), 10**400))
+    assert best_response(inst, (F(0), F(1, 2)), F(1, 2)).action == 0
+    with pytest.raises(UsageError) as err:
+        best_response(inst, (F(0), F(1, 2)), 0.5)
+    assert str(err.value) == "costs must lie within the float range"
+    with pytest.raises(UsageError) as err:
+        best_response(_EXACT_DESK, (F(0), F(10**400)), 0.5)
+    assert str(err.value) == "payments must lie within the float range"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: Instance(F=(), r=(F(1),), c=()),
+                     "instance needs at least one action and outcome", id="no-action"),
+        pytest.param(lambda: Instance(F=((),), r=(), c=(F(0),)),
+                     "instance needs at least one action and outcome", id="no-outcome"),
+        pytest.param(lambda: Instance(F=_EXACT_DESK.F, r=_EXACT_DESK.r, c=_EXACT_DESK.c,
+                                      labels=("idle",)),
+                     "labels length must match action count", id="labels"),
+    ],
+)
+def test_instance_shape_checks(build, message):
+    with pytest.raises(UsageError) as err:
+        build()
+    assert type(err.value) is UsageError
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from contractlab import (
     rng_new,
     uniform_distribution,
 )
-from contractlab.dist import cdf, grid_points, grid_size, sample_many
-from helpers import cellwise_discretize, ks_statistic, random_piecewise
+from contractlab.dist import grid_points, grid_size, sample_many
+from helpers import cdf, cellwise_discretize, ks_statistic, random_piecewise
 
 F = Fraction
 
@@ -129,6 +129,33 @@ def test_distribution_validation():
         )
     with pytest.raises(UsageError):
         Discrete(points=(F(1, 2), F(1, 2)), weights=(F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: Discrete((F(1, 4), F(3, 4)), (F(-1, 2), F(3, 2))),
+                     "weights must be nonnegative", id="negative-weight"),
+        pytest.param(lambda: Discrete((0.25, 0.75), (0.5, 0.25)),
+                     "weights must sum to 1, got 0.75", id="float-weights-off-1"),
+        pytest.param(lambda: Discrete((F(1, 4), F(3, 4)), (F(1),)),
+                     "points and weights must be equal nonzero length", id="length-mismatch"),
+        pytest.param(lambda: Discrete((F(3, 2),), (F(1),)),
+                     "points must lie in [0,1]", id="point-outside"),
+        pytest.param(lambda: PiecewiseConstant((F(0), F(1, 2), F(1)), (F(1),)),
+                     "need K+1 breakpoints for K densities", id="breakpoint-count"),
+        pytest.param(lambda: PiecewiseConstant((F(0), F(1, 2), F(1, 2), F(1)),
+                                               (F(1), F(1), F(1))),
+                     "breakpoints must be strictly increasing", id="breakpoints-repeat"),
+        pytest.param(lambda: PiecewiseConstant((0.0, 1.0), (0.5,)),
+                     "density must integrate to 1, got 0.5", id="float-density-off-1"),
+    ],
+)
+def test_distribution_messages(build, message):
+    with pytest.raises(UsageError) as err:
+        build()
+    assert type(err.value) is UsageError
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

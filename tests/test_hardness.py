@@ -20,13 +20,13 @@ from contractlab.hardness import (
     ell_value,
     gap_value,
     is_cover,
-    min_cover_size,
     reduce,
     verify_if_direction,
     verify_onlyif_bounds,
 )
 from helpers import (
     min_cover,
+    min_cover_size,
     per_action_best_response,
     random_contract,
     random_setcover,
@@ -51,6 +51,26 @@ def test_setcover_input_normalization():
         SetCoverInput(n=3, sets=((),))
     with pytest.raises(UsageError):
         SetCoverInput(n=3, sets=((4,),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda ri: SetCoverInput(n=3, sets=()), "need at least one subset",
+                     id="no-subsets"),
+        pytest.param(lambda ri: ReductionParams.for_size(3, 0),
+                     "need at least one subset, got 0", id="params-no-subsets"),
+        pytest.param(lambda ri: ri.set_outcome(0), "set id 0 outside 1..4",
+                     id="set-outcome-0"),
+        pytest.param(lambda ri: ri.set_outcome(5), "set id 5 outside 1..4",
+                     id="set-outcome-above-m"),
+    ],
+)
+def test_input_checks(three_element_reduced, build, message):
+    with pytest.raises(UsageError) as err:
+        build(three_element_reduced)
+    assert type(err.value) is UsageError
+    assert str(err.value) == message
 
 
 def test_reduction_params_frozen():

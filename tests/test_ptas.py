@@ -10,17 +10,19 @@ import pytest
 from contractlab import (
     Discrete,
     PtasConfig,
+    ResourceGuardError,
     UsageError,
     expected_principal_utility_continuous,
     ptas_contract,
     uniform_distribution,
 )
-from contractlab.ptas import verify_discretization_identity
+from contractlab import ptas, solver
 from helpers import (
     grid_best_continuous,
     random_contract,
     random_instance,
     random_piecewise,
+    verify_discretization_identity,
 )
 
 F = Fraction
@@ -64,6 +66,22 @@ def test_config_overrides_and_validation():
         PtasConfig.from_eps(F(1, 2), alpha=F(0))
 
 
+@pytest.mark.parametrize(
+    "eps, delta, alpha, message",
+    [
+        # the defaults take a square root of delta: a negative one is refused first
+        (F(1, 2), F(-1), None, "delta must lie in (0,1], got -1"),
+        (0.5, -1.0, None, "delta must lie in (0,1], got -1.0"),
+        (F(0), F(-1), None, "eps must lie in (0,1], got 0"),
+        (F(1, 2), F(1, 4), F(3, 2), "alpha must lie in (0,1], got 3/2"),
+    ],
+)
+def test_config_checks_come_before_defaults(eps, delta, alpha, message):
+    with pytest.raises(UsageError) as err:
+        PtasConfig.from_eps(eps, delta, alpha)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -100,6 +118,25 @@ def test_ptas_guarantee_on_random_instances():
         achieved = expected_principal_utility_continuous(inst, gamma, contract)
         opt_grid = grid_best_continuous(inst, gamma, step=0.02, cells=500)
         assert achieved >= opt_grid - float(cfg.error_bound) - 0.05
+
+
+def test_chain_guard_runs_before_the_grid(desk_instance, uniform_gamma, monkeypatch):
+    # DESK has exactly k + 1 cost-monotone chains over k types, so the guard
+    # before the grid refuses exactly what the solver's guard would refuse
+    monkeypatch.setattr(solver, "TUPLE_GUARD", 100)
+    _, diag = ptas_contract(desk_instance, uniform_gamma, PtasConfig.from_eps(F(1), F(1, 99)))
+    assert diag.k == 99
+
+    def no_grid(gamma, delta):
+        raise AssertionError("the chain guard must not build the grid")
+
+    monkeypatch.setattr(ptas, "discretize", no_grid)
+    with pytest.raises(ResourceGuardError) as err:
+        ptas_contract(desk_instance, uniform_gamma, PtasConfig.from_eps(F(1), F(1, 100)))
+    assert str(err.value) == (
+        "action-chain enumeration would solve at least 101 LPs "
+        "(2 actions, 100 types), above the guard of 100"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -184,3 +184,31 @@ def test_payload_formatting():
         "breakpoints": ["0", "1"],
         "densities": ["1"],
     }
+
+
+_DESK = {"F": [["1", "0"], ["0", "1"]], "r": ["0", "1"], "c": ["0", "1/2"]}
+
+
+@pytest.mark.parametrize(
+    "load, payload, detail",
+    [
+        pytest.param(load_instance, ["1"], "top level must be a JSON object", id="top-level"),
+        pytest.param(load_instance, {**_DESK, "r": "1"}, "r: expected a list of numbers",
+                     id="number-field"),
+        pytest.param(load_instance, {**_DESK, "F": []},
+                     "field 'F' must be a nonempty list of rows", id="empty-F"),
+        pytest.param(load_instance, {**_DESK, "labels": ["idle", 1]},
+                     "field 'labels' must be a list of strings", id="labels"),
+        pytest.param(load_distribution,
+                     {"kind": "piecewise", "breakpoints": ["0", "1"], "densities": ["2"]},
+                     "density must integrate to 1 exactly, got 2", id="piecewise"),
+        pytest.param(load_distribution,
+                     {"kind": "discrete", "points": ["1/2"], "weights": ["1/2"]},
+                     "weights must sum to 1 exactly, got 1/2", id="discrete"),
+    ],
+)
+def test_malformed_files_name_the_path(tmp_path, load, payload, detail):
+    path = write(tmp_path / "bad.json", payload)
+    with pytest.raises(InputError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {detail}"
