@@ -119,14 +119,6 @@ class DesignWeights:
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise UsageError("design weights must sum to 1")
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
-
-    @property
-    def support_size(self) -> int:
-        return len(self.support)
-
 
 def _greedy_basis(Z: np.ndarray, rank: int) -> list[int]:
     """Indices of `rank` arms picked greedily by residual norm."""
@@ -147,13 +139,6 @@ def _inverse_leverages(Z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nda
     """Inverse weighted Gram matrix M and the leverages z_i' M z_i of all rows."""
     M = np.linalg.inv(Z.T @ (Z * w[:, None]))
     return M, np.einsum("ij,ij->i", Z @ M, Z)
-
-
-def _max_leverage(Z: np.ndarray, w: np.ndarray) -> float:
-    try:
-        return float(_inverse_leverages(Z, w)[1].max())
-    except np.linalg.LinAlgError:
-        return math.inf
 
 
 def _removal_leverages(
@@ -235,8 +220,11 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
         trial = np.zeros_like(w)
         trial[order[:cap]] = w[order[:cap]]
         trial /= trial.sum()
-        if _max_leverage(Z, trial) <= target:
-            w = trial
+        try:
+            if float(_inverse_leverages(Z, trial)[1].max()) <= target:
+                w = trial
+        except np.linalg.LinAlgError:
+            pass
     return DesignWeights(weights=tuple(float(v) for v in w))
 
 
@@ -264,10 +252,6 @@ class Environment:
 
     def true_mean(self, arm: int) -> float:
         raise NotImplementedError
-
-    @property
-    def n_arms(self) -> int:
-        return self.arms.k
 
 
 # Pulls drawn at once by ContractEnvironment.pull_sums: a batch is cut into
@@ -508,9 +492,10 @@ def phased_elimination(
     index order and cut at the budget, then draws all of it with one
     ``env.pull_sums`` call.  That call takes from rng what one ``pull_sum``
     call per pair, in plan order, would take, in the same order, and
-    returns the same sums (see ``Environment.pull_sums``).  History, G and
-    b are then accumulated pair by pair in plan order, so every estimate is
-    the float that pulling the pairs one at a time gives.
+    returns the same sums (see ``Environment.pull_sums``).  A complete block
+    is then fitted from one product each: with P the rows of the pulled arms
+    and n_i their counts, G = P' diag(n) P and b = P' s for the sums s.  An
+    incomplete block ends the run, so it computes no fit.
     """
     if horizon < 1:
         raise UsageError(f"horizon must be positive, got {horizon}")
@@ -554,20 +539,15 @@ def phased_elimination(
             arms.append(arm)
             counts.append(count)
             pulled += count
-        G = np.zeros((d, d))
-        b = np.zeros(d)
         sums = env.pull_sums(arms, counts, rng)
-        for arm, count, reward_sum in zip(arms, counts, sums):
-            history.append((arm, count, reward_sum))
-            x = A[arm]
-            G += count * np.outer(x, x)
-            b += reward_sum * x
+        history.extend(zip(arms, counts, sums))
         remaining -= pulled
         planned = sum(c for _, c in plan)
         complete = pulled == (t_ell if block_budget else planned)
         phi_hat, threshold, keep = None, math.nan, active
         if complete:
-            phi = _solve_estimate(G, b)
+            P = A[arms]
+            phi = _solve_estimate(P.T @ (P * np.asarray(counts)[:, None]), P.T @ sums)
             phi_hat = phi_last = tuple(float(v) for v in phi)
             delta_ell = 6.0 * delta / (math.pi**2 * ell * ell)
             threshold = 2.0 * math.sqrt((4.0 * d / t_ell) * math.log(k0 / delta_ell))
@@ -640,9 +620,8 @@ def algorithm1_regret(
     _, state = phased_elimination(env, X, horizon, 1.0 / horizon, rng)
     means = np.asarray([env.true_mean(a) for a in range(X.k)], dtype=float)
     opt_ref = float(means.max())
-    per_round = np.concatenate(
-        [np.full(count, opt_ref - means[arm]) for arm, count, _ in state.history]
-    )
+    arms, counts, _ = zip(*state.history)
+    per_round = np.repeat(opt_ref - means[list(arms)], counts)
     return RegretRun(
         eps=eps,
         delta=1.0 / horizon,

@@ -122,11 +122,6 @@ class ReducedInstance:
     def bar_outcome(self) -> int:
         return self.sc.m + 1
 
-    def set_outcome(self, set_id: int) -> int:
-        if not 1 <= set_id <= self.sc.m:
-            raise UsageError(f"set id {set_id} outside 1..{self.sc.m}")
-        return set_id - 1
-
     @cached_property
     def interior_owner(self) -> dict[int, tuple[int, int]]:
         """Map an interior action index back to its (element, set id)."""

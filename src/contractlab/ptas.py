@@ -80,12 +80,19 @@ def ptas_contract(
     2(delta/alpha + alpha) of the optimum against the continuous
     distribution; diagnostics carry the grid and the discrete-stage value.
 
-    The chain guard runs before the grid is built. With two or more actions
+    The guard runs before the grid is built, and refuses k + 1 above
+    ``solver.TUPLE_GUARD`` for every action count. With two or more actions
     there are at least k + 1 cost-monotone chains over k types: all actions
     free gives n^k >= k + 1 chains, and otherwise the switch from a costly
-    action to a free one may come at any of k + 1 positions."""
+    action to a free one may come at any of k + 1 positions. With one action
+    there is one chain, but the grid and its LP still grow with k."""
     k = grid_size(cfg.delta)
-    if inst.n_actions > 1 and k + 1 > solver.TUPLE_GUARD:
+    if k + 1 > solver.TUPLE_GUARD:
+        if inst.n_actions == 1:
+            raise ResourceGuardError(
+                f"the grid would hold {k} types (1 action), and {k + 1} is "
+                f"above the guard of {solver.TUPLE_GUARD}"
+            )
         raise ResourceGuardError(
             f"action-chain enumeration would solve at least {k + 1} LPs "
             f"({inst.n_actions} actions, {k} types), above the guard of "

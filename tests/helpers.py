@@ -30,6 +30,7 @@ from contractlab.bandit import (
     DesignWeights,
     Environment,
     _greedy_basis,
+    _solve_estimate,
     block_constant,
 )
 from contractlab.core import TIE_TOL, BestResponse, ResponseTable, stacked_actions
@@ -996,6 +997,22 @@ def gaussian_pull_sum(env, arm: int, count: int, rng: np.random.Generator) -> fl
     loc = count * env.true_mean(arm)
     scale = env.sigma * math.sqrt(count)
     return float(loc + scale * rng.standard_normal())
+
+
+def pairwise_block_fit(
+    A: np.ndarray, arms: Sequence[int], counts: Sequence[int], sums: Sequence[float]
+) -> np.ndarray:
+    """A block's least-squares estimate with G and b accumulated one outer
+    product per (arm, count, sum) in pull order: the slow path of
+    ``phased_elimination``'s one-product fit."""
+    d = A.shape[1]
+    G = np.zeros((d, d))
+    b = np.zeros(d)
+    for arm, count, reward_sum in zip(arms, counts, sums):
+        x = A[arm]
+        G += count * np.outer(x, x)
+        b += reward_sum * x
+    return _solve_estimate(G, b)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from helpers import (
     float_instance,
     full_inverse_design,
     gaussian_pull_sum,
+    pairwise_block_fit,
     random_instance,
     random_piecewise,
 )
@@ -108,8 +109,7 @@ def test_design_weights_validation():
     with pytest.raises(UsageError):
         DesignWeights(weights=(0.7, 0.7))
     w = DesignWeights(weights=(0.0, 1.0))
-    assert w.support == (1,)
-    assert w.support_size == 1
+    assert sum(np.asarray(w.weights) > 0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_design_quality_and_support_random():
         w = g_optimal_design(X, tol=0.05)
         wv = np.asarray(w.weights)
         assert abs(wv.sum() - 1.0) < 1e-9
-        assert w.support_size <= block_constant(d)
+        assert sum(wv > 0) <= block_constant(d)
         assert _leverages(X, wv).max() <= 1.05 * d + 1e-6
 
 
@@ -233,6 +233,33 @@ def test_design_pruning_keeps_span_on_desk_subset(desk_instance):
     assert _leverages(X, np.asarray(full_inverse_design(X).weights)).max() == math.inf
 
 
+def test_design_cap_trial_kept_and_rejected(monkeypatch):
+    # block_constant(d) = 1 makes the cap the rank, 2, below both supports
+    def at_cap(X: ArmSet) -> np.ndarray:
+        with monkeypatch.context() as m:
+            m.setattr(bandit, "block_constant", lambda d: 1)
+            return np.asarray(g_optimal_design(X).weights)
+
+    # kept: the two heaviest of four support arms hold leverage 2.07 <= 2.1
+    X = ArmSet(arms=((-0.97, 0.15), (-0.9, -0.7), (0.54, 0.95),
+                     (0.19, 0.61), (-0.52, 0.65), (-0.31, -0.45)))
+    free = np.asarray(g_optimal_design(X).weights)
+    assert int((free > 0).sum()) == 4
+    w = at_cap(X)
+    heaviest = np.argsort(free)[::-1][:2]
+    assert sorted(np.flatnonzero(w)) == sorted(heaviest)
+    assert np.allclose(w[heaviest], free[heaviest] / free[heaviest].sum())
+    assert _leverages(X, w).max() <= 1.05 * 2
+    # rejected: three arms 120 degrees apart; any two leave the third at
+    # leverage 4 > 2.1, so the uniform design stays
+    X = ArmSet(arms=tuple(
+        (math.cos(2 * math.pi * j / 3), math.sin(2 * math.pi * j / 3)) for j in range(3)
+    ))
+    free = np.asarray(g_optimal_design(X).weights)
+    assert int((free > 0).sum()) == 3
+    assert np.array_equal(at_cap(X), free)
+
+
 @st.composite
 def design_arm_sets(draw) -> ArmSet:
     """Arm sets with d = 1..6 and k = d..4d: rows are integer combinations
@@ -263,7 +290,7 @@ def _check_design(
 ) -> np.ndarray:
     w = np.asarray(design.weights)
     assert (w >= 0).all() and abs(w.sum() - 1.0) <= 1e-9
-    assert design.support_size <= max(block_constant(X.dim), rank)
+    assert sum(w > 0) <= max(block_constant(X.dim), rank)
     assert _leverages(X, w, rcond=1e-10).max() <= (1 + tol) * rank * (1 + 1e-9)
     return w
 
@@ -303,7 +330,7 @@ def test_design_bound_property(X, tol):
 
 def test_linear_gaussian_env_statistics():
     env, _ = synthetic_env()
-    assert env.n_arms == 10
+    assert env.arms.k == 10
     assert env.true_mean(0) == pytest.approx(1.0)
     assert env.true_mean(1) == pytest.approx(0.6)
     rng = rng_new(0)
@@ -352,7 +379,7 @@ def test_true_mean_reads_the_arm_table(desk_instance, monkeypatch):
     for inst, gamma in ((desk_instance, uniform_distribution()), (_TRIO, half_heavy)):
         env = contract_environment(inst, gamma, F(1, 8))
         monkeypatch.setattr(core.ResponseTable, "__init__", counted_init)
-        means = [env.true_mean(a) for a in range(env.n_arms)]
+        means = [env.true_mean(a) for a in range(env.arms.k)]
         monkeypatch.undo()
         assert built == []
         assert means == [
@@ -392,15 +419,15 @@ def test_arm_rows_match_per_table_rows(desk_instance, monkeypatch, chunk, case):
     ]
     assert _bits(env.arms.arms) == _bits(want)
     if case == "desk" and chunk is None:
-        assert (env.n_arms, env.arms.dim) == (94, 45)
-        assert env.n_arms * env.arms.dim * 2 > 2 * bandit._CHUNK_PULLS
+        assert (env.arms.k, env.arms.dim) == (94, 45)
+        assert env.arms.k * env.arms.dim * 2 > 2 * bandit._CHUNK_PULLS
 
 
 def test_contract_environment_builder(desk_instance):
     env = contract_environment(desk_instance, uniform_distribution(), 0.25)
     assert env.arms.dim == 4
-    assert env.n_arms >= 4
-    means = [env.true_mean(i) for i in range(env.n_arms)]
+    assert env.arms.k >= 4
+    means = [env.true_mean(i) for i in range(env.arms.k)]
     # the best candidate contract must beat the null contract's value 0
     assert max(means) > 0.4
     # one table per arm, for the arm's own contract
@@ -427,7 +454,7 @@ def _plain_state(rng: np.random.Generator):
 
 
 def _assert_batch_matches_one_pair_draws(env, reference, plan, seed):
-    arms = [arm % env.n_arms for arm, _ in plan]
+    arms = [arm % env.arms.k for arm, _ in plan]
     counts = [count for _, count in plan]
     batch, alone = rng_new(seed), rng_new(seed)
     got = env.pull_sums(arms, counts, batch)
@@ -597,6 +624,40 @@ def test_elimination_plan_counts_cover_design():
         assert counts.get(arm, 0) <= need + 1
 
 
+@settings(max_examples=40)
+@given(
+    d=st.integers(1, 5),
+    extra=st.integers(0, 8),
+    horizon=st.integers(1, 3000),
+    budget=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_fit_matches_pairwise_accumulation(d, extra, horizon, budget, seed):
+    # every complete block's estimate, refitted from its slice of the
+    # history one outer product per pair
+    gen = np.random.default_rng(seed)
+    X = ArmSet(arms=tuple(map(tuple, gen.uniform(-1, 1, size=(d + extra, d)))))
+    env = LinearGaussianEnvironment(X, phi=gen.uniform(-1, 1, size=d), sigma=0.5)
+    history, state = phased_elimination(
+        env, X, horizon, 0.1, rng_new(seed), block_budget=budget
+    )
+    start = 0
+    for block in state.blocks:
+        end, pulled = start, 0
+        while pulled < block.pulls:
+            pulled += history[end][1]
+            end += 1
+        if block.complete:
+            arms, counts, sums = zip(*history[start:end])
+            want = pairwise_block_fit(X.matrix, arms, counts, sums)
+            got = np.asarray(block.phi_hat)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        else:
+            assert block.phi_hat is None
+        start = end
+    assert start == len(history)
+
+
 # ---------------------------------------------------------------------------
 # PAC search
 # ---------------------------------------------------------------------------
@@ -673,7 +734,16 @@ def test_regret_run_shape_and_determinism(desk_instance, uniform_gamma):
     # pseudo-regret accumulates a nonnegative gap each round
     diffs = np.diff(np.concatenate(([0.0], a.curve)))
     assert (diffs >= -1e-12).all()
-    assert a.opt_ref == pytest.approx(max(env.true_mean(i) for i in range(env.n_arms)))
+    assert a.opt_ref == pytest.approx(max(env.true_mean(i) for i in range(env.arms.k)))
+
+
+def test_regret_builds_its_own_environment(desk_instance, uniform_gamma):
+    env = contract_environment(desk_instance, uniform_gamma, 1.0 / math.sqrt(400))
+    given = algorithm1_regret(desk_instance, uniform_gamma, 400, seed=2, env=env)
+    built = algorithm1_regret(desk_instance, uniform_gamma, 400, seed=2)
+    assert np.array_equal(built.curve, given.curve)
+    assert built.opt_ref == given.opt_ref
+    assert built.state == given.state
 
 
 def test_regret_seeds_draw_different_rewards(desk_instance, uniform_gamma):

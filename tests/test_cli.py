@@ -556,6 +556,25 @@ def test_ptas_chain_guard_builds_no_grid(files, capsys, monkeypatch):
     )
 
 
+def test_ptas_grid_guard_on_one_action(files, capsys, tmp_path, monkeypatch):
+    # one action has one chain, but 16 10^12 grid types are refused all the same
+    def no_grid(gamma, delta):
+        raise AssertionError("the grid guard must not build the grid")
+
+    monkeypatch.setattr(ptas, "discretize", no_grid)
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"F": [["1", "0"]], "r": ["0", "1"], "c": ["0"]}))
+    code, out, err = run(
+        capsys, "ptas", "--instance", str(one), "--dist", files["uniform"],
+        "--eps", "1/1000000",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the grid would hold 16000000000000 types (1 action), and "
+        "16000000000001 is above the guard of 10000000\n"
+    )
+
+
 NAN, INF = float("nan"), float("inf")
 
 

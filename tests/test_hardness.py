@@ -60,10 +60,6 @@ def test_setcover_input_normalization():
                      id="no-subsets"),
         pytest.param(lambda ri: ReductionParams.for_size(3, 0),
                      "need at least one subset, got 0", id="params-no-subsets"),
-        pytest.param(lambda ri: ri.set_outcome(0), "set id 0 outside 1..4",
-                     id="set-outcome-0"),
-        pytest.param(lambda ri: ri.set_outcome(5), "set id 5 outside 1..4",
-                     id="set-outcome-above-m"),
     ],
 )
 def test_input_checks(three_element_reduced, build, message):
@@ -122,18 +118,18 @@ def test_reduce_rows_and_costs(three_element_reduced):
     # interior action for element i = 2, set S2 = {2}
     a = ri.interior_actions[(2, 2)]
     row = inst.F[a]
-    assert row[ri.set_outcome(2)] == mu / 4  # mu / (2 i)
+    assert row[2 - 1] == mu / 4  # set j has outcome j - 1; mu / (2 i)
     assert row[ri.star_outcome] == mu / 2
     assert inst.c[a] == mu / 16  # mu / (4 i^2)
     # its shadow carries slightly less mass and cost, and no star mass
     s = ri.shadow_actions[(2, 2)]
     srow = inst.F[s]
-    assert srow[ri.set_outcome(2)] == (mu / 4) * (1 - eta / 2)
+    assert srow[2 - 1] == (mu / 4) * (1 - eta / 2)
     assert srow[ri.star_outcome] == 0
     assert inst.c[s] == (mu / 16) * (1 - eta)
     # the always-succeeding action and the free sink
     star = inst.F[ri.star_action]
-    assert all(star[ri.set_outcome(j)] == eps for j in range(1, m + 1))
+    assert all(star[j - 1] == eps for j in range(1, m + 1))
     assert star[ri.star_outcome] == 1 - m * eps
     assert inst.c[ri.star_action] == 1
     assert inst.F[ri.null_action][ri.bar_outcome] == 1

@@ -9,6 +9,7 @@ import pytest
 
 from contractlab import (
     Discrete,
+    Instance,
     PtasConfig,
     ResourceGuardError,
     UsageError,
@@ -136,6 +137,24 @@ def test_chain_guard_runs_before_the_grid(desk_instance, uniform_gamma, monkeypa
     assert str(err.value) == (
         "action-chain enumeration would solve at least 101 LPs "
         "(2 actions, 100 types), above the guard of 100"
+    )
+
+
+def test_grid_guard_on_one_action(uniform_gamma, monkeypatch):
+    # one action has one chain at any k, so the guard bounds the grid itself
+    inst = Instance(F=((F(1), F(0)),), r=(F(0), F(1)), c=(F(0),))
+    monkeypatch.setattr(solver, "TUPLE_GUARD", 100)
+    _, diag = ptas_contract(inst, uniform_gamma, PtasConfig.from_eps(F(1), F(1, 99)))
+    assert diag.k == 99
+
+    def no_grid(gamma, delta):
+        raise AssertionError("the grid guard must not build the grid")
+
+    monkeypatch.setattr(ptas, "discretize", no_grid)
+    with pytest.raises(ResourceGuardError) as err:
+        ptas_contract(inst, uniform_gamma, PtasConfig.from_eps(F(1), F(1, 100)))
+    assert str(err.value) == (
+        "the grid would hold 100 types (1 action), and 101 is above the guard of 100"
     )
 
 
