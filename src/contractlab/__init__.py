@@ -44,7 +44,6 @@ from .hardness import (
 from .bandit import (
     ArmSet,
     ContractEnvironment,
-    DesignWeights,
     algorithm1_regret,
     contract_environment,
     g_optimal_design,
@@ -59,7 +58,6 @@ __all__ = [
     "ArmSet",
     "BestResponse",
     "ContractEnvironment",
-    "DesignWeights",
     "Discrete",
     "InputError",
     "Instance",

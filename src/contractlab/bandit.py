@@ -27,7 +27,6 @@ from .numerics import Num, llog2, rng_new
 __all__ = [
     "PAC_MAX_DIMENSION",
     "ArmSet",
-    "DesignWeights",
     "g_optimal_design",
     "Environment",
     "ContractEnvironment",
@@ -105,21 +104,6 @@ class ArmSet:
         return {}
 
 
-@dataclass(frozen=True)
-class DesignWeights:
-    """Simplex weights over arms approximating the G-optimal design."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.weights:
-            raise UsageError("design needs at least one weight")
-        if any(w < -_ARM_TOL for w in self.weights):
-            raise UsageError("design weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise UsageError("design weights must sum to 1")
-
-
 def _greedy_basis(Z: np.ndarray, rank: int) -> list[int]:
     """Indices of `rank` arms picked greedily by residual norm."""
     residual = Z.copy()
@@ -159,8 +143,9 @@ def _removal_leverages(
     return (1.0 - w[i]) * (lev + (w[i] / s) * (Z @ (M @ Z[i])) ** 2)
 
 
-def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
-    """Frank-Wolfe G-optimal design followed by greedy support pruning.
+def g_optimal_design(X: ArmSet, tol: float = 0.05) -> np.ndarray:
+    """Frank-Wolfe G-optimal design followed by greedy support pruning: one
+    nonnegative weight per arm, summing to 1.
 
     Iterates until the maximum leverage is within (1 + tol) of the span
     dimension, then drops low-weight support arms whenever the bound
@@ -225,7 +210,7 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
                 w = trial
         except np.linalg.LinAlgError:
             pass
-    return DesignWeights(weights=tuple(float(v) for v in w))
+    return w
 
 
 class Environment:
@@ -518,7 +503,7 @@ def phased_elimination(
             weights = np.zeros(k0)
             if A[active].any():
                 sub = ArmSet(arms=tuple(X.arms[i] for i in active))
-                weights[active] = g_optimal_design(sub).weights
+                weights[active] = g_optimal_design(sub)
             else:
                 # zero arms span nothing, so every allocation is G-optimal
                 weights[active] = 1.0 / len(active)
@@ -704,8 +689,6 @@ class PacContractResult:
     arm: int
     samples: int
     blocks: int
-    eta: float
-    delta: float
     eps: float
     alpha: float
     dimension: int
@@ -765,8 +748,6 @@ def pac_best_contract(
         arm=res.arm,
         samples=res.samples,
         blocks=res.blocks,
-        eta=float(eta),
-        delta=float(delta),
         eps=float(eps),
         alpha=float(alpha),
         dimension=d,

@@ -216,8 +216,8 @@ def _cmd_bandit_pac(args: argparse.Namespace) -> dict[str, Any]:
         "config": _config(args, ["instance", "dist", "mode", "eta", "delta", "seed"]),
         "contract": serialize.contract_payload(res.contract),
         "samples": res.samples,
-        "eta": res.eta,
-        "delta": res.delta,
+        "eta": float(eta),
+        "delta": delta,
         "blocks": res.blocks,
         "eps": res.eps,
         "alpha": res.alpha,
@@ -275,7 +275,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     checks.append(
         (
             "basis-design",
-            all(abs(w - 0.5) < 1e-9 for w in basis.weights)
+            all(abs(w - 0.5) < 1e-9 for w in basis)
             and bandit.block_length(2, 1) == 16,
         )
     )

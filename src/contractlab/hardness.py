@@ -388,7 +388,7 @@ def classify_types(
 
 @dataclass(frozen=True)
 class OnlyIfTypeCheck:
-    """Utility cap and payment-floor facts for one positive type."""
+    """Utility cap for one positive type."""
 
     element: int
     klass: str
@@ -396,18 +396,19 @@ class OnlyIfTypeCheck:
     principal_utility: Fraction
     bound: Fraction
     within_bound: bool
-    payment_floor_ok: bool | None
-    sharp_bound_ok: bool | None
-    strong_bound_ok: bool | None
 
 
 @dataclass(frozen=True)
 class OnlyIfReport:
     """Per-type caps plus the aggregate bound they imply for one contract.
 
-    Fields up to ``total_le_aggregate`` are unconditional (folded into
-    ``ok``); the remaining fields report inequalities that are only
-    guaranteed for large universes and are therefore logged per instance.
+    ``ok`` folds in the unconditional facts: every per-type cap, the
+    witness-payment floor of each type playing a productive action (checked
+    here, not reported per type), ``bar_terms_tighten``, the zero type
+    within its formula (and on it when it plays the star action),
+    ``e1_covered_by_sbar`` and ``total_le_aggregate``.  The p* coefficient,
+    the coefficient chain and the small-gap step are only guaranteed for
+    large universes, so they are reported, not asserted.
     """
 
     ok: bool
@@ -415,7 +416,6 @@ class OnlyIfReport:
     per_type: tuple[OnlyIfTypeCheck, ...]
     theta0_action: int
     theta0_utility: Fraction
-    theta0_formula: Fraction
     theta0_plays_star: bool
     theta0_matches_formula: bool
     theta0_within_formula: bool
@@ -428,7 +428,6 @@ class OnlyIfReport:
     pstar_coefficient: Fraction
     pstar_coefficient_nonpositive: bool
     pstar_zero_bound: Fraction
-    total_le_pstar_zero_bound: bool
     coefficient_chain_value: Fraction
     coefficient_chain_negative: bool
     small_gap_step_holds: bool
@@ -475,24 +474,17 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
         br = responses[i]
         util = br.principal_utility
         owner = ri.interior_owner.get(br.action)
-        floor_ok: bool | None = None
-        sharp_ok: bool | None = None
-        strong_ok: bool | None = None
         if owner is not None:
             j, set_id = owner
             stated_floor = Fraction(i, j * n) - 4 * pstar / eta
             full_floor = stated_floor + (4 / eta + 1) * pbar
-            floor_ok = q[set_id - 1] >= full_floor
-            floors_ok = floors_ok and floor_ok
+            floors_ok = floors_ok and q[set_id - 1] >= full_floor
             bars_ok = bars_ok and full_floor >= stated_floor
         if i in part.e1:
             klass, const, slope = "E1", mu / (2 * i * n), (mu / i) * (2 / eta - 1)
         elif i in part.e2:
-            klass, slope, j = "E2", mu * 2 / eta, owner[0]
+            klass, slope = "E2", mu * 2 / eta
             const = mu * (Fraction(1, 2 * i * n) - Fraction(1, 8 * n**4))
-            pay = slope * pstar  # the p* term of this cap and the two below
-            sharp_ok = util <= mu * (Fraction(1, j * n) - Fraction(i, 2 * j * j * n)) + pay
-            strong_ok = util <= mu * (Fraction(1, 2 * i * n) - Fraction(1, 2 * n**4)) + pay
         else:
             klass, const, slope = "E3", _ZERO, _ZERO
         bound = const + slope * pstar
@@ -506,9 +498,6 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
                 principal_utility=util,
                 bound=bound,
                 within_bound=util <= bound,
-                payment_floor_ok=floor_ok,
-                sharp_bound_ok=sharp_ok,
-                strong_bound_ok=strong_ok,
             )
         )
 
@@ -538,7 +527,6 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
         per_type=tuple(checks),
         theta0_action=br0.action,
         theta0_utility=theta0_utility,
-        theta0_formula=theta0_formula,
         theta0_plays_star=theta0_star,
         theta0_matches_formula=theta0_utility == theta0_formula,
         theta0_within_formula=theta0_utility <= theta0_formula,
@@ -551,7 +539,6 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
         pstar_coefficient=coef,
         pstar_coefficient_nonpositive=coef <= 0,
         pstar_zero_bound=zero_bound,
-        total_le_pstar_zero_bound=total <= zero_bound,
         coefficient_chain_value=chain,
         coefficient_chain_negative=chain < 0,
         small_gap_step_holds=n >= 16,

@@ -27,7 +27,6 @@ from contractlab.bandit import (
     _DESIGN_REFRESH,
     _RANK_TOL,
     ArmSet,
-    DesignWeights,
     Environment,
     _greedy_basis,
     _solve_estimate,
@@ -835,7 +834,7 @@ def _full_inverse_max_leverage(Z: np.ndarray, w: np.ndarray) -> float:
     return float(np.einsum("ij,jl,il->i", Z, M, Z).max())
 
 
-def full_inverse_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
+def full_inverse_design(X: ArmSet, tol: float = 0.05) -> np.ndarray:
     """Slow reference for ``g_optimal_design``: the same Frank-Wolfe steps,
     stopping rule and pruning order, but leverages by a 3-operand einsum at
     every step and a full inverse for every pruning trial."""
@@ -897,7 +896,7 @@ def full_inverse_design(X: ArmSet, tol: float = 0.05) -> DesignWeights:
         trial /= trial.sum()
         if _full_inverse_max_leverage(Z, trial) <= target:
             w = trial
-    return DesignWeights(weights=tuple(float(v) for v in w))
+    return w
 
 
 # ---------------------------------------------------------------------------

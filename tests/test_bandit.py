@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from contractlab import (
     ArmSet,
-    DesignWeights,
     ResourceGuardError,
     UsageError,
     algorithm1_regret,
@@ -104,14 +103,6 @@ def test_armset_validation():
         ArmSet(arms=((1.0, 0.0), (1.0,)))
 
 
-def test_design_weights_validation():
-    DesignWeights(weights=(0.5, 0.5))
-    with pytest.raises(UsageError):
-        DesignWeights(weights=(0.7, 0.7))
-    w = DesignWeights(weights=(0.0, 1.0))
-    assert sum(np.asarray(w.weights) > 0) == 1
-
-
 # ---------------------------------------------------------------------------
 # Block schedule
 # ---------------------------------------------------------------------------
@@ -146,13 +137,13 @@ def _leverages(X: ArmSet, w: np.ndarray, rcond: float = 1e-15) -> np.ndarray:
 def test_design_basis_uniform():
     X = ArmSet(arms=((1.0, 0.0), (0.0, 1.0)))
     w = g_optimal_design(X)
-    assert np.allclose(w.weights, [0.5, 0.5])
-    assert _leverages(X, np.asarray(w.weights)).max() == pytest.approx(2.0)
+    assert np.allclose(w, [0.5, 0.5])
+    assert _leverages(X, w).max() == pytest.approx(2.0)
 
 
 def test_design_three_arms_matches_grid_search():
     X = ArmSet(arms=((1.0, 0.0), (0.0, 1.0), (0.9, 0.9)))
-    w = np.asarray(g_optimal_design(X, tol=0.01).weights)
+    w = g_optimal_design(X, tol=0.01)
     got = _leverages(X, w).max()
     best = math.inf
     steps = np.arange(0.0, 1.0 + 1e-12, 0.01)
@@ -170,23 +161,22 @@ def test_design_quality_and_support_random():
         arms = tuple(tuple(row) for row in gen.uniform(-1, 1, size=(k, d)))
         X = ArmSet(arms=arms)
         w = g_optimal_design(X, tol=0.05)
-        wv = np.asarray(w.weights)
-        assert abs(wv.sum() - 1.0) < 1e-9
-        assert sum(wv > 0) <= block_constant(d)
-        assert _leverages(X, wv).max() <= 1.05 * d + 1e-6
+        assert abs(w.sum() - 1.0) < 1e-9
+        assert sum(w > 0) <= block_constant(d)
+        assert _leverages(X, w).max() <= 1.05 * d + 1e-6
 
 
 def test_design_rank_deficient_arms():
     # collinear arms span a 1-dimensional subspace: leverage approaches 1
     X = ArmSet(arms=((1.0, 1.0), (0.5, 0.5), (-0.25, -0.25)))
     w = g_optimal_design(X, tol=0.01)
-    assert _leverages(X, np.asarray(w.weights)).max() <= 1.01 + 1e-6
+    assert _leverages(X, w).max() <= 1.01 + 1e-6
 
 
 def test_design_zero_arm_handling():
     X = ArmSet(arms=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
     w = g_optimal_design(X)
-    assert w.weights[0] == 0.0
+    assert w[0] == 0.0
     with pytest.raises(UsageError):
         g_optimal_design(ArmSet(arms=((0.0, 0.0), (0.0, 0.0))))
 
@@ -214,7 +204,7 @@ def test_removal_of_sole_cover_rejected():
     w = np.array([0.25, 0.25, 0.5])
     M, lev = _inverse_leverages(X.matrix, w)
     assert _removal_leverages(X.matrix, M, lev, w, 2) is None
-    design = np.asarray(g_optimal_design(X, tol=0.01).weights)
+    design = g_optimal_design(X, tol=0.01)
     assert design[2] > 0
     assert _leverages(X, design).max() <= 1.01 * 2 + 1e-9
 
@@ -228,9 +218,9 @@ def test_design_pruning_keeps_span_on_desk_subset(desk_instance):
     pays = [(0, j / 32) for j in (0, 1, 5, 7, 11, 13)]
     pays += [(0, 1), (29 / 32, 1), (31 / 32, 1), (1, 0)]
     X = ArmSet(arms=tuple(tuple(utility_map(desk_instance, p, 0.125)) for p in pays))
-    w = np.asarray(g_optimal_design(X).weights)
+    w = g_optimal_design(X)
     assert _leverages(X, w, rcond=1e-10).max() <= 1.05 * 7 * (1 + 1e-9)
-    assert _leverages(X, np.asarray(full_inverse_design(X).weights)).max() == math.inf
+    assert _leverages(X, full_inverse_design(X)).max() == math.inf
 
 
 def test_design_cap_trial_kept_and_rejected(monkeypatch):
@@ -238,12 +228,12 @@ def test_design_cap_trial_kept_and_rejected(monkeypatch):
     def at_cap(X: ArmSet) -> np.ndarray:
         with monkeypatch.context() as m:
             m.setattr(bandit, "block_constant", lambda d: 1)
-            return np.asarray(g_optimal_design(X).weights)
+            return g_optimal_design(X)
 
     # kept: the two heaviest of four support arms hold leverage 2.07 <= 2.1
     X = ArmSet(arms=((-0.97, 0.15), (-0.9, -0.7), (0.54, 0.95),
                      (0.19, 0.61), (-0.52, 0.65), (-0.31, -0.45)))
-    free = np.asarray(g_optimal_design(X).weights)
+    free = g_optimal_design(X)
     assert int((free > 0).sum()) == 4
     w = at_cap(X)
     heaviest = np.argsort(free)[::-1][:2]
@@ -255,7 +245,7 @@ def test_design_cap_trial_kept_and_rejected(monkeypatch):
     X = ArmSet(arms=tuple(
         (math.cos(2 * math.pi * j / 3), math.sin(2 * math.pi * j / 3)) for j in range(3)
     ))
-    free = np.asarray(g_optimal_design(X).weights)
+    free = g_optimal_design(X)
     assert int((free > 0).sum()) == 3
     assert np.array_equal(at_cap(X), free)
 
@@ -285,26 +275,24 @@ def design_arm_sets(draw) -> ArmSet:
     return ArmSet(arms=tuple(tuple(row) for row in A))
 
 
-def _check_design(
-    X: ArmSet, design: DesignWeights, tol: float, rank: int
-) -> np.ndarray:
-    w = np.asarray(design.weights)
+def _check_design(X: ArmSet, w: np.ndarray, tol: float, rank: int) -> None:
+    assert w.shape == (X.k,)
     assert (w >= 0).all() and abs(w.sum() - 1.0) <= 1e-9
     assert sum(w > 0) <= max(block_constant(X.dim), rank)
     assert _leverages(X, w, rcond=1e-10).max() <= (1 + tol) * rank * (1 + 1e-9)
-    return w
 
 
 @settings(max_examples=40)
 @given(X=design_arm_sets(), tol=st.sampled_from((0.01, 0.05)))
 def test_design_bound_property(X, tol):
     rank = int(np.linalg.matrix_rank(X.matrix))
-    w = _check_design(X, g_optimal_design(X, tol=tol), tol, rank)
+    w = g_optimal_design(X, tol=tol)
+    _check_design(X, w, tol, rank)
     # the full-inverse oracle can accept a removal whose Gram matrix is
     # singular but whose float inverse does not fail (see the DESK subset
     # test above); it is held to the same bound whenever its design spans
     oracle = full_inverse_design(X, tol=tol)
-    if np.isfinite(_leverages(X, np.asarray(oracle.weights), rcond=1e-10)).all():
+    if np.isfinite(_leverages(X, oracle, rcond=1e-10)).all():
         _check_design(X, oracle, tol, rank)
     # every pruning trial on the returned support: rejected exactly when
     # the remaining Gram matrix is singular, else the fresh-inverse leverages
@@ -619,7 +607,7 @@ def test_elimination_plan_counts_cover_design():
     assert sum(counts.values()) == block.pulls
     w = g_optimal_design(X)
     for arm in block.active_before:
-        need = block.t_ell * w.weights[arm]
+        need = block.t_ell * w[arm]
         assert counts.get(arm, 0) >= need - 1e-9
         assert counts.get(arm, 0) <= need + 1
 
@@ -772,10 +760,6 @@ _DESK = Instance(F=((F(1), F(0)), (F(0), F(1))), r=(F(0), F(1)), c=(F(0), F(1, 2
                      id="arms-no-coordinate"),
         pytest.param(lambda: ArmSet(arms=((1.0,),), contracts=((F(0),), (F(1),))),
                      "contract tags must match arm count", id="arms-tags"),
-        pytest.param(lambda: DesignWeights(weights=()), "design needs at least one weight",
-                     id="design-empty"),
-        pytest.param(lambda: DesignWeights(weights=(-0.5, 1.5)),
-                     "design weights must be nonnegative", id="design-negative"),
         pytest.param(lambda: ContractEnvironment(_DESK, Discrete((F(1, 2),), (F(1),)), F(1, 2)),
                      "type distribution must have a bounded density; atoms are not supported",
                      id="environment-atoms"),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contractlab import LPResult, RationalLP, UsageError, lp_solve, numerics, rng_new
+from contractlab import Instance, LPResult, RationalLP, UsageError, lp_solve, numerics, rng_new
 from contractlab.numerics import (
     as_fraction,
     integer_solve,
@@ -20,7 +20,13 @@ from contractlab.numerics import (
     llog2,
     rational_solve,
 )
-from helpers import fraction_lp_solve, fraction_solve
+from helpers import (
+    fraction_lp_solve,
+    fraction_solve,
+    per_type_tuple_lp,
+    random_atoms,
+    random_instance,
+)
 
 F = Fraction
 
@@ -203,15 +209,11 @@ def random_lps(draw) -> RationalLP:
     )
 
 
-@settings(max_examples=300)
-@given(lp=random_lps())
-@example(lp=RationalLP(objective=(F(0), F(1, 2)), constraints=(), constant=F(-3, 7)))
-@example(lp=RationalLP(objective=(F(0), F(-1, 2)), constraints=(), constant=F(-3, 7)))
-@example(lp=RationalLP(objective=(F(0),), constraints=(), constant=F(2)))
-def test_lp_matches_fraction_simplex(lp):
-    # the integer tableau is the Fraction tableau up to positive scaling, so
-    # Bland's rule makes the same pivots and returns the same result; every
-    # pivot works on Python ints, and only the returned point is rational
+def _matches_fraction_simplex(lp: RationalLP) -> LPResult:
+    """lp_solve's result, asserted equal to the Fraction simplex's with the
+    same pivot sequence.  The integer tableau is the Fraction tableau up to
+    positive scaling, so Bland's rule makes the same pivots and returns the
+    same result; every pivot works on Python ints."""
     pivots: list[tuple[int, int]] = []
     step = numerics._pivot
 
@@ -225,11 +227,48 @@ def test_lp_matches_fraction_simplex(lp):
     reference: list[tuple[int, int]] = []
     assert res == fraction_lp_solve(lp, reference)
     assert pivots == reference
+    return res
+
+
+@settings(max_examples=300)
+@given(lp=random_lps())
+@example(lp=RationalLP(objective=(F(0), F(1, 2)), constraints=(), constant=F(-3, 7)))
+@example(lp=RationalLP(objective=(F(0), F(-1, 2)), constraints=(), constant=F(-3, 7)))
+@example(lp=RationalLP(objective=(F(0),), constraints=(), constant=F(2)))
+def test_lp_matches_fraction_simplex(lp):
+    # the pivots work on ints, and the returned point is rational
+    res = _matches_fraction_simplex(lp)
     if res.point is not None:
         assert all(type(x) is F for x in res.point)
     if not lp.constraints:  # only the objective's sign can bound x >= 0
         assert res.status == ("unbounded" if max(lp.objective) > 0 else "optimal")
         assert res.value in (None, lp.constant)
+
+
+@st.composite
+def chain_lps(draw) -> RationalLP:
+    """The LP of one cost-monotone chain, built as contract_for_tuple builds
+    it: k <= 10 types of a random instance with n <= 5 actions and m <= 3
+    outcomes, so up to 40 incentive rows, plus m box rows when bounded.
+    Types playing the same action give parallel rows, and costs drawn from
+    {0, 1/4, 1/2} tie often, which gives rows with right-hand side 0."""
+    gen = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n, m, k = draw(st.integers(2, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 10))
+    base = random_instance(gen, n, m)
+    costs = draw(st.lists(st.sampled_from((F(0), F(1, 4), F(1, 2))), min_size=n, max_size=n))
+    costs[draw(st.integers(0, n - 1))] = F(0)
+    inst = Instance(F=base.F, r=base.r, c=tuple(costs))
+    actions = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    # a stable sort by falling cost leaves a cost-monotone chain as it is, so
+    # every chain can be drawn
+    chain = sorted(actions, key=lambda a: -costs[a])
+    return per_type_tuple_lp(inst, random_atoms(gen, k), chain, draw(st.booleans()))
+
+
+@settings(max_examples=60)
+@given(lp=chain_lps())
+def test_chain_lp_matches_fraction_simplex(lp):
+    _matches_fraction_simplex(lp)
 
 
 # ---------------------------------------------------------------------------
