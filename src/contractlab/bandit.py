@@ -565,11 +565,9 @@ def phased_elimination(
 
 @dataclass(frozen=True)
 class RegretRun:
-    """One seeded regret run: curve plus the grid width and confidence that
-    produced it."""
+    """One seeded regret run: the cumulative pseudo-regret curve against the
+    best exact candidate mean, and the elimination state."""
 
-    eps: float
-    delta: float
     opt_ref: float
     curve: np.ndarray
     state: EliminationState
@@ -607,13 +605,7 @@ def algorithm1_regret(
     opt_ref = float(means.max())
     arms, counts, _ = zip(*state.history)
     per_round = np.repeat(opt_ref - means[list(arms)], counts)
-    return RegretRun(
-        eps=eps,
-        delta=1.0 / horizon,
-        opt_ref=opt_ref,
-        curve=np.cumsum(per_round),
-        state=state,
-    )
+    return RegretRun(opt_ref=opt_ref, curve=np.cumsum(per_round), state=state)
 
 
 @dataclass(frozen=True)
@@ -686,7 +678,6 @@ class PacContractResult:
     """Contract-level identification outcome with its resolved configuration."""
 
     contract: Contract
-    arm: int
     samples: int
     blocks: int
     eps: float
@@ -745,7 +736,6 @@ def pac_best_contract(
     res = pac_best_arm(env, env.arms, float(eta), delta, rng, alpha=alpha)
     return PacContractResult(
         contract=env.arms.contracts[res.arm],
-        arm=res.arm,
         samples=res.samples,
         blocks=res.blocks,
         eps=float(eps),

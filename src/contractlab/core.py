@@ -7,14 +7,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
-from typing import NamedTuple, Sequence, TypeAlias
+from operator import mul, truediv
+from typing import Iterator, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
 from .dist import (
     Discrete,
-    PiecewiseConstant,
     TypeDistribution,
     interval_mass,
     segment_masses,
@@ -251,54 +250,74 @@ class ResponseTable:
 
     def breakpoints(self) -> list[Num]:
         """Types in (0,1) where two affine agent utilities cross,
-        t = (fp[a] - fp[b]) / (c[a] - c[b]), sorted.  Exact Fractions on
-        rational inputs (from ``_crossings``), floats otherwise."""
-        if self.exact:
-            return sorted({Fraction(num, den) for num, den in self._crossings()})
-        fp = [float(x) for x in self.fp]
-        c = [float(x) for x in self.inst.c]
-        pts = set()
-        n = len(fp)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if c[a] != c[b]:
-                    t = (fp[a] - fp[b]) / (c[a] - c[b])
-                    if 0 < t < 1:
-                        pts.add(t)
-        return sorted(pts)
+        t = (fp[a] - fp[b]) / (c[a] - c[b]), sorted: the ``_crossings`` as
+        exact Fractions on an exact table, as float quotients otherwise."""
+        div = Fraction if self.exact else truediv
+        return sorted({div(num, den) for num, den in self._crossings()})
 
-    def _crossings(self) -> list[tuple[int, int]]:
-        """An exact table's crossings in (0,1) as integer pairs (num, den),
-        den > 0: with c = c' / dc (``Instance.scaled``), a and b cross at
-        (F[a].P - F[b].P) dc / ((c'[a] - c'[b]) dF dp)."""
-        s, fp = self.inst.scaled, self._fp_num
-        out = []
+    def _crossings(self) -> Iterator[tuple[Num, Num]]:
+        """Each crossing in (0,1) as a pair (num, den), den > 0.  On an exact
+        table these are integers: with c = c' / dc (``Instance.scaled``), a
+        and b cross at (F[a].P - F[b].P) dc / ((c'[a] - c'[b]) dF dp), in
+        (0,1) iff 0 < num < den.  Otherwise they are float(fp[a]) -
+        float(fp[b]) and float(c[a]) - float(c[b]), tested as 0 < num / den
+        < 1; flipping both signs is exact, so each quotient keeps its bits."""
+        if self.exact:
+            s = self.inst.scaled
+            fp, c = [x * s.dc for x in self._fp_num], [x * self._dfp for x in s.c]
+        else:
+            fp, c = [float(x) for x in self.fp], [float(x) for x in self.inst.c]
         for a in range(len(fp)):
             for b in range(a + 1, len(fp)):
-                num, den = (fp[a] - fp[b]) * s.dc, (s.c[a] - s.c[b]) * self._dfp
+                num, den = fp[a] - fp[b], c[a] - c[b]
                 if den < 0:
                     num, den = -num, -den
-                if 0 < num < den:
-                    out.append((num, den))
-        return out
+                if den and (0 < num < den if self.exact else 0 < num / den < 1):
+                    yield num, den
 
     def expected_utility(self, gamma: TypeDistribution) -> Num:
         """E_{theta ~ Gamma}[U^P(p, theta)], the principal's expected utility.
 
         One sum of weight times the principal utility of the type's best
-        response, zero weights skipped, over the atoms, or over the (float
-        midpoint, mass) of each segment of a density, cut at 0, 1, the
-        density breakpoints and every best-response crossing.  Agent
-        utilities are affine in theta, so the agent maximizers, and with
-        them the principal-favorable tie-break, are constant between
-        crossings; the density is constant between its breakpoints; and the
-        cut points carry no mass.  Exact tables and densities sum on
-        integers (``_exact_density_mean``); floats keep respond's TIE_TOL rule.
+        response, zero weights skipped, over the atoms, or over the midpoint
+        and mass of each segment of a density cut at 0, 1, the density
+        breakpoints and every crossing: agent utilities are affine in theta,
+        so the best response, ties included, is constant between crossings,
+        the density is constant between its breakpoints, and the cut points
+        carry no mass.  An exact table and distribution sum integer triples
+        (num, den, mass): an atom, its weight over one denominator, or a
+        segment's midpoint (lo + hi) / 2q and ``segment_masses`` mass.  The
+        action is respond's exact rule on ``agent_numerators(num, den)`` (one
+        positive denominator), the numerators of pu and the index, so each
+        type gets respond's action and, a Fraction being normalised, the sum
+        is respond's Fraction.  Otherwise respond answers at float midpoints.
         """
-        if isinstance(gamma, Discrete):
+        atoms = isinstance(gamma, Discrete)
+        params = (gamma.points, gamma.weights) if atoms else (gamma.breakpoints, gamma.densities)
+        if self.exact and is_exact(*params[0], *params[1]):
+            if atoms:
+                weights, mden = integer_row(gamma.weights)
+                points = map(as_fraction, gamma.points)
+                types = ((t.numerator, t.denominator, w) for t, w in zip(points, weights))
+            else:
+                crossings = list(self._crossings())
+                bps = [as_fraction(b) for b in gamma.breakpoints]
+                q = math.lcm(*(den for _, den in crossings), *(b.denominator for b in bps))
+                cuts = sorted({
+                    *(num * (q // den) for num, den in crossings),
+                    *(b.numerator * (q // b.denominator) for b in bps),
+                })
+                masses, mden = segment_masses(gamma, cuts, q)
+                types = ((lo + hi, 2 * q, w) for lo, hi, w in zip(cuts, cuts[1:], masses))
+            pu = self._pu_num
+            total = 0
+            for num, den, w in types:
+                if w:
+                    utils = self.agent_numerators(num, den)[0]
+                    total += w * pu[max(range(len(pu)), key=lambda a: (utils[a], pu[a], -a))]
+            return Fraction(total, mden * self._dfp * self.inst.scaled.dr)
+        if atoms:
             pairs = zip(gamma.points, gamma.weights)
-        elif self.exact and is_exact(*gamma.breakpoints, *gamma.densities):
-            return self._exact_density_mean(gamma)
         else:
             cuts = sorted(float(x) for x in {0, 1, *gamma.breakpoints, *self.breakpoints()})
             segments = zip(cuts, cuts[1:])
@@ -308,29 +327,6 @@ class ResponseTable:
             if w != 0:
                 total += w * self.respond(theta).principal_utility
         return total
-
-    def _exact_density_mean(self, gamma: PiecewiseConstant) -> Fraction:
-        """``expected_utility``'s segment sum with every cut, the crossings
-        and the breakpoints, an integer over one denominator q.  At the
-        midpoint (lo + hi) / 2q the agent utilities are the integers
-        ``agent_numerators(lo + hi, 2q)`` over one positive denominator, so
-        the maximizers and respond's tie-breaks are kept."""
-        crossings = self._crossings()
-        bps = [as_fraction(b) for b in gamma.breakpoints]
-        q = math.lcm(*(den for _, den in crossings), *(b.denominator for b in bps))
-        cuts = sorted({
-            *(num * (q // den) for num, den in crossings),
-            *(b.numerator * (q // b.denominator) for b in bps),
-        })
-        masses, mden = segment_masses(gamma, cuts, q)
-        pu = self._pu_num
-        total = 0
-        for lo, hi, mass in zip(cuts, cuts[1:], masses):
-            if mass:
-                utils = self.agent_numerators(lo + hi, 2 * q)[0]
-                best = max(range(len(pu)), key=lambda a: (utils[a], pu[a], -a))
-                total += mass * pu[best]
-        return Fraction(total, mden * self._dfp * self.inst.scaled.dr)
 
 
 def stacked_actions(

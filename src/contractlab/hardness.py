@@ -101,8 +101,9 @@ class ReducedInstance:
     Outcome ``s - 1`` is the witness outcome of set ``s`` (1-based set ids),
     outcome ``m`` is the rewarded outcome, and outcome ``m + 1`` the sink.
     ``interior_actions[(i, s)]`` is the productive action of element ``i``
-    in set ``s``; ``shadow_actions`` its cheaper near-copy.  Type ``i / n``
-    carries weight ``(1 - rho) / n``; the zero type carries weight ``rho``.
+    in set ``s``; the row labelled ``abar[i,Ss]`` is its cheaper near-copy,
+    and ``anull`` labels the free null action.  Type ``i / n`` carries
+    weight ``(1 - rho) / n``; the zero type carries weight ``rho``.
     """
 
     sc: SetCoverInput
@@ -110,9 +111,7 @@ class ReducedInstance:
     inst: Instance
     gamma: Discrete
     interior_actions: dict[tuple[int, int], int]
-    shadow_actions: dict[tuple[int, int], int]
     star_action: int
-    null_action: int
 
     @property
     def star_outcome(self) -> int:
@@ -140,7 +139,6 @@ def reduce(sc: SetCoverInput) -> ReducedInstance:
     costs: list[Fraction] = []
     labels: list[str] = []
     interior: dict[tuple[int, int], int] = {}
-    shadow: dict[tuple[int, int], int] = {}
 
     for set_id, elems in enumerate(sc.sets, start=1):
         for i in elems:
@@ -157,7 +155,6 @@ def reduce(sc: SetCoverInput) -> ReducedInstance:
             row = [_ZERO] * width
             row[set_id - 1] = (mu / (2 * i)) * (1 - eta / 2)
             row[bar_out] = 1 - row[set_id - 1]
-            shadow[(i, set_id)] = len(rows)
             rows.append(tuple(row))
             costs.append((mu / (4 * i * i)) * (1 - eta))
             labels.append(f"abar[{i},S{set_id}]")
@@ -167,7 +164,6 @@ def reduce(sc: SetCoverInput) -> ReducedInstance:
     costs.append(Fraction(1))
     labels.append("astar")
 
-    null_action = len(rows)
     rows.append(tuple([_ZERO] * (m + 1) + [Fraction(1)]))
     costs.append(_ZERO)
     labels.append("anull")
@@ -188,9 +184,7 @@ def reduce(sc: SetCoverInput) -> ReducedInstance:
         inst=inst,
         gamma=gamma,
         interior_actions=interior,
-        shadow_actions=shadow,
         star_action=star_action,
-        null_action=null_action,
     )
 
 
@@ -335,11 +329,11 @@ def verify_if_direction(ri: ReducedInstance, cover: Iterable[int]) -> IfDirectio
 
 @dataclass(frozen=True)
 class TypePartition:
-    """Elements split by which productive action (if any) they play."""
+    """Elements split by which productive action they play: their own
+    (e1) or another element's (e2).  The rest play neither."""
 
     e1: frozenset[int]
     e2: frozenset[int]
-    e3: frozenset[int]
 
 
 def _responses(
@@ -374,16 +368,11 @@ def classify_types(
         responses = _responses(ri, tuple(map(as_fraction, p)))[1]
     e1: set[int] = set()
     e2: set[int] = set()
-    e3: set[int] = set()
     for i in range(1, ri.sc.n + 1):
         owner = ri.interior_owner.get(responses[i].action)
-        if owner is None:
-            e3.add(i)
-        elif owner[0] == i:
-            e1.add(i)
-        else:
-            e2.add(i)
-    return TypePartition(frozenset(e1), frozenset(e2), frozenset(e3))
+        if owner is not None:
+            (e1 if owner[0] == i else e2).add(i)
+    return TypePartition(frozenset(e1), frozenset(e2))
 
 
 @dataclass(frozen=True)
@@ -404,11 +393,11 @@ class OnlyIfReport:
 
     ``ok`` folds in the unconditional facts: every per-type cap, the
     witness-payment floor of each type playing a productive action (checked
-    here, not reported per type), ``bar_terms_tighten``, the zero type
-    within its formula (and on it when it plays the star action),
-    ``e1_covered_by_sbar`` and ``total_le_aggregate``.  The p* coefficient,
-    the coefficient chain and the small-gap step are only guaranteed for
-    large universes, so they are reported, not asserted.
+    here, not reported per type), the zero type within its formula (and on
+    it when it plays the star action), ``e1_covered_by_sbar`` and
+    ``total_le_aggregate``.  The p* coefficient, the coefficient chain and
+    the small-gap step are only guaranteed for large universes, so they are
+    reported, not asserted.
     """
 
     ok: bool
@@ -421,7 +410,6 @@ class OnlyIfReport:
     theta0_within_formula: bool
     sbar: frozenset[int]
     e1_covered_by_sbar: bool
-    bar_terms_tighten: bool
     total: Fraction
     aggregate_bound: Fraction
     total_le_aggregate: bool
@@ -439,10 +427,10 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
     All arithmetic is exact.  Per positive type, the cap depends on its
     class: own productive action, another element's productive action, or
     anything else.  Types playing a productive action must also satisfy the
-    witness-payment floor implied by the productive-vs-shadow comparison;
-    the sink-outcome payment only tightens that floor, which is confirmed
-    rather than assumed.  The caps aggregate into an upper bound on the
-    expected principal utility that features the family of well-paid sets.
+    witness-payment floor implied by the productive-vs-shadow comparison,
+    sink-outcome payment included.  The caps aggregate into an upper bound
+    on the expected principal utility that features the family of well-paid
+    sets.
     Scale inequalities that need a large universe (the payment coefficient
     sign chain and the 1/(16 n^14 m) step) are reported, not asserted.
     """
@@ -469,17 +457,17 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
     coef = -rho * (1 - m * eps) + 4 * eps * rho * len(sbar) / eta
     checks: list[OnlyIfTypeCheck] = []
     floors_ok = True
-    bars_ok = True
     for i in range(1, n + 1):
         br = responses[i]
         util = br.principal_utility
         owner = ri.interior_owner.get(br.action)
         if owner is not None:
             j, set_id = owner
-            stated_floor = Fraction(i, j * n) - 4 * pstar / eta
-            full_floor = stated_floor + (4 / eta + 1) * pbar
-            floors_ok = floors_ok and q[set_id - 1] >= full_floor
-            bars_ok = bars_ok and full_floor >= stated_floor
+            # The sink term (4/eta + 1) pbar only raises the stated floor
+            # i/(j n) - 4 p*/eta: eta = 1/n^2 > 0 and the table refuses
+            # negative payments.
+            floor_ij = Fraction(i, j * n) - 4 * pstar / eta + (4 / eta + 1) * pbar
+            floors_ok = floors_ok and q[set_id - 1] >= floor_ij
         if i in part.e1:
             klass, const, slope = "E1", mu / (2 * i * n), (mu / i) * (2 / eta - 1)
         elif i in part.e2:
@@ -515,7 +503,6 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
     ok = (
         all(t.within_bound for t in checks)
         and floors_ok
-        and bars_ok
         and theta0_utility <= theta0_formula
         and (not theta0_star or theta0_utility == theta0_formula)
         and e1_covered
@@ -532,7 +519,6 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
         theta0_within_formula=theta0_utility <= theta0_formula,
         sbar=sbar,
         e1_covered_by_sbar=e1_covered,
-        bar_terms_tighten=bars_ok,
         total=total,
         aggregate_bound=agg,
         total_le_aggregate=total <= agg,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Literal, Sequence
 
-from .core import Contract, Instance
+from .core import Instance
 from .dist import Discrete, PiecewiseConstant, TypeDistribution
 from .errors import InputError, UsageError
 from .numerics import Num

@@ -29,7 +29,6 @@ from .numerics import (
 
 TUPLE_GUARD = 10**7
 BASIS_GUARD = 10**7
-CANDIDATE_MAX_OUTCOMES = 4
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -285,11 +284,6 @@ def candidate_contract_set(
     own D > 0, so a basic solution is x / (D L) and 0 <= x <= D L is the box
     test; only the points that pass become Fractions."""
     m = inst.n_outcomes
-    if m > CANDIDATE_MAX_OUTCOMES:
-        raise ResourceGuardError(
-            f"candidate enumeration supports at most "
-            f"{CANDIDATE_MAX_OUTCOMES} outcomes, got {m}"
-        )
     nums, dt = integer_row(types)
 
     # each type nums[i] / dt gives the rhs theta q, q = (c_a - c_b) / lead;

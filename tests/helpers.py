@@ -433,6 +433,24 @@ def fraction_crossings(inst: Instance, p) -> list[Fraction]:
     return sorted(cuts)
 
 
+def float_crossings(inst: Instance, p) -> list[float]:
+    """Slow reference for the float ``ResponseTable.breakpoints``: the pair
+    loop the table ran before ``_crossings``.  Every t = (fp[a] - fp[b]) /
+    (c[a] - c[b]) in (0, 1) from the floats of the table's fp and of the
+    costs, sorted."""
+    fp = [float(x) for x in ResponseTable(inst, p).fp]
+    c = [float(x) for x in inst.c]
+    pts = set()
+    n = len(fp)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if c[a] != c[b]:
+                t = (fp[a] - fp[b]) / (c[a] - c[b])
+                if 0 < t < 1:
+                    pts.add(t)
+    return sorted(pts)
+
+
 def segment_sum_expectation(inst: Instance, gamma: PiecewiseConstant, p) -> Fraction:
     """Slow reference for the exact density path of
     ``ResponseTable.expected_utility``: the Fraction segment sum the library

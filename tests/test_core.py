@@ -32,6 +32,8 @@ from helpers import (
     FractionResponseTable,
     brute_best_response,
     cdf,
+    float_crossings,
+    float_instance,
     float_segment_expectation,
     fraction_crossings,
     min_cover,
@@ -583,6 +585,27 @@ def test_exact_density_mean_matches_fraction_segment_sum(case):
     assert type(got) is Fraction
     assert got == segment_sum_expectation(inst, gamma, p)
     assert table.breakpoints() == fraction_crossings(inst, p)
+
+
+# One pair loop finds the crossings of both kinds of table.  A float table's
+# (num, den) pairs, signs flipped to make den > 0, must give the quotients of
+# the loop it replaced (``helpers.float_crossings``) bit for bit, and an exact
+# table's the Fraction crossings.  Tied costs and duplicate rows come from
+# ``mean_cases``; the float tables take the case's contract as floats, or
+# arbitrary floats, under the float instance or the exact one.
+
+
+@settings(max_examples=150)
+@given(case=mean_cases(), data=st.data())
+def test_breakpoints_match_independent_crossing_scans(case, data):
+    inst, _, p = case
+    assert ResponseTable(inst, p).breakpoints() == fraction_crossings(inst, p)
+    m = inst.n_outcomes
+    drawn = tuple(data.draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)))
+    for model in (float_instance(inst), inst):
+        for q in (tuple(float(x) for x in p), drawn):
+            got = ResponseTable(model, q).breakpoints()
+            assert [t.hex() for t in got] == [t.hex() for t in float_crossings(model, q)]
 
 
 # A float density, or a float table under any density, takes the float

@@ -104,8 +104,9 @@ def test_reduce_shape_and_labels(three_element_reduced):
     labels = inst.labels
     assert labels is not None
     assert labels[ri.star_action] == "astar"
-    assert labels[ri.null_action] == "anull"
     assert labels[ri.interior_actions[(1, 3)]] == "a[1,S3]"
+    # the shadow and null rows are named by their labels alone
+    assert labels.count("abar[1,S3]") == labels.count("anull") == 1
 
 
 def test_reduce_rows_and_costs(three_element_reduced):
@@ -122,7 +123,7 @@ def test_reduce_rows_and_costs(three_element_reduced):
     assert row[ri.star_outcome] == mu / 2
     assert inst.c[a] == mu / 16  # mu / (4 i^2)
     # its shadow carries slightly less mass and cost, and no star mass
-    s = ri.shadow_actions[(2, 2)]
+    s = inst.labels.index("abar[2,S2]")
     srow = inst.F[s]
     assert srow[2 - 1] == (mu / 4) * (1 - eta / 2)
     assert srow[ri.star_outcome] == 0
@@ -132,8 +133,9 @@ def test_reduce_rows_and_costs(three_element_reduced):
     assert all(star[j - 1] == eps for j in range(1, m + 1))
     assert star[ri.star_outcome] == 1 - m * eps
     assert inst.c[ri.star_action] == 1
-    assert inst.F[ri.null_action][ri.bar_outcome] == 1
-    assert inst.c[ri.null_action] == 0
+    null = inst.labels.index("anull")
+    assert inst.F[null][ri.bar_outcome] == 1
+    assert inst.c[null] == 0
     # rewards: only the star outcome pays, 1/n
     assert inst.r[ri.star_outcome] == F(1, 3)
     assert sum(inst.r) == F(1, 3)
@@ -206,7 +208,7 @@ def test_if_direction_tie_structure(three_element_reduced):
     ri = three_element_reduced
     p = cover_contract(ri, (2, 3))
     ic = eps_best_responses(ri.inst, p, F(1, 3), 0)
-    covered = {ri.interior_actions[(1, 3)], ri.shadow_actions[(1, 3)]}
+    covered = {ri.interior_actions[(1, 3)], ri.inst.labels.index("abar[1,S3]")}
     assert covered <= set(ic)
     assert ri.interior_actions[(1, 1)] not in ic  # S1 gets no payment
 
@@ -278,7 +280,6 @@ def test_classify_types_on_cover_contract(three_element_reduced):
     part = classify_types(three_element_reduced, cover_contract(three_element_reduced, (2, 3)))
     assert part.e1 == frozenset({1, 2, 3})
     assert part.e2 == frozenset()
-    assert part.e3 == frozenset()
 
 
 def test_onlyif_cover_contract(three_element_reduced):
@@ -289,7 +290,6 @@ def test_onlyif_cover_contract(three_element_reduced):
     assert rep.theta0_matches_formula
     assert rep.sbar == frozenset({2, 3})
     assert rep.e1_covered_by_sbar
-    assert rep.bar_terms_tighten
     assert rep.total == ell_value(3, 4, 2)
     assert rep.total_le_aggregate
     assert rep.total == rep.aggregate_bound  # tight at the cover contract

@@ -503,10 +503,13 @@ def test_candidates_cover_optimal_contracts():
 
 
 def test_candidates_guards():
+    # no guard refuses an instance by its outcome count: BASIS_GUARD alone
+    # bounds the work, and 5- and 6-outcome sets match the reference
     gen = random.Random(59)
-    wide = random_instance(gen, 2, 5)
-    with pytest.raises(ResourceGuardError):
-        candidate_contract_set(wide, (F(1, 2),))
+    for n, m, k in ((2, 5, 1), (2, 5, 2), (3, 5, 1), (2, 6, 1)):
+        inst = random_instance(gen, n, m)
+        types = [F(gen.randrange(0, 13), 12) for _ in range(k)]
+        assert candidate_contract_set(inst, types) == candidate_contracts_by_rows(inst, types)
 
 
 @st.composite
