@@ -16,16 +16,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from . import core, dist, solver
 from .core import Contract, Instance
 from .dist import TypeDistribution
 from .errors import ResourceGuardError, UsageError
-from .numerics import Num, llog2, rng_new
+from .numerics import Num, llog2, np, rng_new
 
 __all__ = [
     "PAC_MAX_DIMENSION",
+    "ENVIRONMENT_GUARD",
     "ArmSet",
     "g_optimal_design",
     "Environment",
@@ -47,6 +46,13 @@ __all__ = [
 ]
 
 PAC_MAX_DIMENSION = 512
+# ContractEnvironment keeps, per arm, one response table and one arm row of d
+# floats.  A table takes 2.0-2.8 kB, as much as about _TABLE_ENTRIES floats of
+# a row (40 B each), so the guard bounds arms * (d + _TABLE_ENTRIES).  Peak
+# RSS grew by 55-75 B per entry, so the limit is about 75 MB; it admits DESK
+# on the finest PAC grid (1,028 arms at d = 512: 592,000 entries).
+ENVIRONMENT_GUARD = 10**6
+_TABLE_ENTRIES = 64
 _ARM_TOL = 1e-9
 _RANK_TOL = 1e-12
 _DESIGN_REFRESH = 256
@@ -286,6 +292,12 @@ class ContractEnvironment(Environment):
         points = dist.grid_points(eps)
         if contracts is None:
             contracts = solver.candidate_contract_set(inst, points)
+        size = len(contracts) * (len(points) + _TABLE_ENTRIES)
+        if size > ENVIRONMENT_GUARD:
+            raise ResourceGuardError(
+                f"learning environment would store {size} entries ({len(contracts)} "
+                f"arms, dimension {len(points)}), above the guard of {ENVIRONMENT_GUARD}"
+            )
         grid = np.asarray(points, dtype=float)
         self.inst = inst
         self.gamma = gamma

@@ -10,8 +10,6 @@ from functools import cached_property
 from operator import mul, truediv
 from typing import Iterator, NamedTuple, Sequence, TypeAlias
 
-import numpy as np
-
 from .dist import (
     Discrete,
     TypeDistribution,
@@ -19,7 +17,15 @@ from .dist import (
     segment_masses,
 )
 from .errors import UsageError
-from .numerics import Num, as_fraction, check_finite, check_float_range, integer_row, is_exact
+from .numerics import (
+    Num,
+    as_fraction,
+    check_finite,
+    check_float_range,
+    integer_row,
+    is_exact,
+    np,
+)
 
 Contract: TypeAlias = "tuple[Num, ...]"
 

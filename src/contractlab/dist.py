@@ -9,10 +9,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, TypeAlias, Union
 
-import numpy as np
-
 from .errors import UsageError
-from .numerics import Num, as_fraction, check_finite, integer_row, is_exact
+from .numerics import Num, as_fraction, check_finite, integer_row, is_exact, np
 
 _SUM_TOL = 1e-12
 

@@ -3,14 +3,45 @@ RNG used by every stochastic component."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import ModuleType
 from typing import Literal, Sequence, TypeAlias
 
-import numpy as np
-
 from .errors import UsageError
+
+
+def _lazy_numpy() -> ModuleType:
+    """numpy, executed on its first attribute access (the LazyLoader recipe
+    of the importlib docs), so the exact paths, which never touch an array,
+    start without it.  A numpy already imported is used as it is; a missing
+    numpy still fails here, at import time.
+
+    Once this module sits in sys.modules, any ``import numpy`` statement
+    loads it in full, because the import system reads its ``__spec__``: this
+    function is the one numpy import in the package, and no module may touch
+    an ``np`` attribute at import time (annotations are strings under
+    ``from __future__ import annotations``).  On older Pythons LazyLoader's
+    first load takes no lock; contractlab starts no threads.  After that
+    load the module's class is plain ModuleType again, so attribute access
+    costs what it always did."""
+    module = sys.modules.get("numpy")
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 Num: TypeAlias = "int | float | Fraction"
 Relation: TypeAlias = Literal["<=", ">="]

@@ -706,6 +706,27 @@ def test_pac_best_contract_guard_and_success(desk_instance):
     assert res.dimension == 16
 
 
+def test_pac_best_contract_environment_guard(monkeypatch):
+    # eta = 16 gives the grid width (16 / 72)^2 = 4/81, d = 21 and 14,050
+    # candidate arms: 14,050 * (21 + 64) entries, refused before any table
+    inst = Instance(
+        F=((1, 0, 0, 0, 0), (0, F(1, 2), F(1, 2), 0, 0), (0, 0, 0, F(1, 2), F(1, 2))),
+        r=(0, F(1, 4), F(1, 2), F(3, 4), 1),
+        c=(0, F(1, 8), F(1, 4)),
+    )
+
+    def no_table(*args):
+        raise AssertionError("a response table was built")
+
+    monkeypatch.setattr(core, "ResponseTable", no_table)
+    with pytest.raises(ResourceGuardError) as err:
+        pac_best_contract(inst, uniform_distribution(), 16, 0.1, seed=0)
+    assert str(err.value) == (
+        "learning environment would store 1194250 entries (14050 arms, "
+        "dimension 21), above the guard of 1000000"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Regret harness
 # ---------------------------------------------------------------------------
