@@ -65,26 +65,31 @@ class Instance:
             raise UsageError("cost vector length must match action count")
         if self.labels is not None and len(self.labels) != n:
             raise UsageError("labels length must match action count")
-        check_finite(F=[x for row in self.F for x in row], rewards=self.r, costs=self.c)
-        # An exact instance's rows are checked on the integers F[a] * dF:
-        # scaling by dF > 0 keeps each comparison and equality.
-        for a, row in enumerate(self.F):
+        # An exact instance is checked on its integers (``scaled``): each
+        # entry is an integer over a positive denominator, which keeps each
+        # comparison and equality.  Exact entries are finite.
+        if self.exact:
+            s = self.scaled
+            rows, one, r, top, c = s.F, s.dF, s.r, s.dr, s.c
+        else:
+            check_finite(F=[x for row in self.F for x in row], rewards=self.r, costs=self.c)
+            rows, one, r, top, c = self.F, 1, self.r, 1, self.c
+        for a, (row, nums) in enumerate(zip(self.F, rows)):
             if len(row) != m:
                 raise UsageError(f"F row {a} has length {len(row)}, expected {m}")
-            nums, one = (self.scaled.F[a], self.scaled.dF) if self.exact else (row, 1)
-            if any(x < 0 or x > one for x in nums):
+            if min(nums) < 0 or max(nums) > one:
                 raise UsageError(f"F row {a} has entries outside [0,1]")
             total = sum(nums)
-            if is_exact(*row):
+            if self.exact or is_exact(*row):
                 if total != one:
                     raise UsageError(f"F row {a} sums to {Fraction(total, one)}, expected 1")
             elif abs(total - 1.0) > _ROW_SUM_TOL:
                 raise UsageError(f"F row {a} sums to {total!r}, expected 1")
-        if any(x < 0 or x > 1 for x in self.r):
+        if min(r) < 0 or max(r) > top:
             raise UsageError("rewards must lie in [0,1]")
-        if any(x < 0 for x in self.c):
+        if min(c) < 0:
             raise UsageError("costs must be nonnegative")
-        if all(x != 0 for x in self.c):
+        if 0 not in c:
             raise UsageError("at least one action must have zero cost")
 
     @property
@@ -97,7 +102,10 @@ class Instance:
 
     @cached_property
     def exact(self) -> bool:
-        return is_exact(*self.F, *self.r, *self.c)
+        # is_exact, decided on the entries' distinct types
+        types = {type(x) for row in self.F for x in row}
+        types.update(map(type, self.r), map(type, self.c))
+        return all(issubclass(t, (int, Fraction)) and not issubclass(t, bool) for t in types)
 
     @cached_property
     def c_arr(self) -> np.ndarray:
@@ -107,8 +115,10 @@ class Instance:
     def scaled(self) -> ScaledInstance:
         """The instance as integers (``ScaledInstance``), exact for any
         instance: floats enter at their binary value."""
-        dF = math.lcm(*(as_fraction(x).denominator for row in self.F for x in row))
-        F = [integer_row(row, dF)[0] for row in self.F]
+        rows = self.F if self.exact else [map(as_fraction, row) for row in self.F]
+        ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+        dF = math.lcm(*(d for row in ratios for _, d in row))
+        F = [[x * (dF // d) for x, d in row] for row in ratios]
         (r, dr), (c, dc) = integer_row(self.r), integer_row(self.c)
         return ScaledInstance(F, dF, r, dr, c, dc, [sum(map(mul, row, r)) for row in F])
 
@@ -155,15 +165,21 @@ def principal_utility(inst: Instance, p: Sequence[Num], a: int) -> Num:
 class ResponseTable:
     """Best responses to one contract p, for any type.
 
-    Validates p once and stores rp[w] = r[w] - p[w], fp[a] = F_a.p and
-    pu[a] = F_a.(r - p), the values of ``agent_utility`` and
-    ``principal_utility``: on exact inputs fp[a] = F[a].P / (dF dp) and pu[a]
-    = (Fr[a] dp - F[a].P dr) / (dF dp dr) with p = P / dp and the ``scaled``
-    instance, each a normalised Fraction.  One table serves every type: with
-    p fixed, the agent utility fp[a] - theta c[a] is affine in theta and the
-    principal utility pu[a] does not depend on theta, so fp, pu and c decide
-    the best response of any type, ties included.  The ``*_arr`` float
-    arrays are these lists converted, not recomputed.
+    Validates p once.  The table's values are rp[w] = r[w] - p[w], fp[a] =
+    F_a.p and pu[a] = F_a.(r - p), the values of ``agent_utility`` and
+    ``principal_utility``.  One table serves every type: with p fixed, the
+    agent utility fp[a] - theta c[a] is affine in theta and the principal
+    utility pu[a] does not depend on theta, so fp, pu and c decide the best
+    response of any type, ties included.
+
+    On exact inputs the table keeps integers only, over the ``scaled``
+    instance with p = P / dp: fp[a] = fp_num[a] / fp_den with fp_num[a] =
+    F[a].P and fp_den = dF dp, and pu[a] = pu_num[a] / pu_den with
+    pu_num[a] = Fr[a] dp - F[a].P dr and pu_den = dF dp dr.  fp, pu and rp
+    are built on first read, as normalised Fractions, and each entry of
+    fp_arr, pu_arr and rp_arr is one int / int, which Python rounds
+    correctly, so it is float() of that Fraction bit for bit.  On a float
+    table the arrays are the lists converted.
     """
 
     def __init__(self, inst: Instance, p: Sequence[Num]) -> None:
@@ -171,30 +187,50 @@ class ResponseTable:
         self.inst = inst
         self._p = p
         self.exact = inst.exact and is_exact(*p)
-        if not self.exact:
-            check_float_range(costs=inst.c, payments=p)
-        self.rp = [rw - x for rw, x in zip(inst.r, p)]
         if self.exact:
-            s, (P, dp) = inst.scaled, integer_row(p)
-            self._fp_num = fp = [sum(map(mul, row, P)) for row in s.F]
-            self._pu_num = [fr * dp - x * s.dr for fr, x in zip(s.Fr, fp)]
-            self._dfp = dfp = s.dF * dp
-            self.fp = [Fraction(x, dfp) for x in fp]
-            self.pu = [Fraction(x, dfp * s.dr) for x in self._pu_num]
+            s = inst.scaled
+            self._P, self._dp = P, dp = integer_row(p)
+            self.fp_num = fp = [sum(map(mul, row, P)) for row in s.F]
+            self.pu_num = [fr * dp - x * s.dr for fr, x in zip(s.Fr, fp)]
+            self.fp_den = s.dF * dp
+            self.pu_den = self.fp_den * s.dr
         else:
-            self.fp = [sum(f * x for f, x in zip(row, p)) for row in inst.F]
-            self.pu = [sum(f * d for f, d in zip(row, self.rp)) for row in inst.F]
+            check_float_range(costs=inst.c, payments=p)
+
+    @cached_property
+    def rp(self) -> list[Num]:
+        return [rw - x for rw, x in zip(self.inst.r, self._p)]
+
+    @cached_property
+    def fp(self) -> list[Num]:
+        if self.exact:
+            return [Fraction(x, self.fp_den) for x in self.fp_num]
+        return [sum(f * x for f, x in zip(row, self._p)) for row in self.inst.F]
+
+    @cached_property
+    def pu(self) -> list[Num]:
+        if self.exact:
+            return [Fraction(x, self.pu_den) for x in self.pu_num]
+        return [sum(f * d for f, d in zip(row, self.rp)) for row in self.inst.F]
 
     @cached_property
     def fp_arr(self) -> np.ndarray:
+        if self.exact:
+            return np.array([x / self.fp_den for x in self.fp_num])
         return np.asarray(self.fp, dtype=float)
 
     @cached_property
     def pu_arr(self) -> np.ndarray:
+        if self.exact:
+            return np.array([x / self.pu_den for x in self.pu_num])
         return np.asarray(self.pu, dtype=float)
 
     @cached_property
     def rp_arr(self) -> np.ndarray:
+        if self.exact:
+            s, dp = self.inst.scaled, self._dp
+            den = s.dr * dp
+            return np.array([(rw * dp - x * s.dr) / den for rw, x in zip(s.r, self._P)])
         return np.asarray(self.rp, dtype=float)
 
     @cached_property
@@ -212,11 +248,11 @@ class ResponseTable:
 
     def agent_numerators(self, num: int, den: int) -> tuple[list[int], int]:
         """An exact table's agent utilities at theta = num / den (den > 0):
-        integers utils[a] over D = dF dp dc den, with F_a.p = fp'[a] / (dF dp)
-        and c = c' / dc (``Instance.scaled``), and D."""
+        integers utils[a] over D = fp_den dc den, with F_a.p = fp_num[a] /
+        fp_den and c = c' / dc (``Instance.scaled``), and D."""
         s = self.inst.scaled
-        fs, cs = s.dc * den, num * self._dfp
-        return [f * fs - c * cs for f, c in zip(self._fp_num, s.c)], self._dfp * s.dc * den
+        fs, cs = s.dc * den, num * self.fp_den
+        return [f * fs - c * cs for f, c in zip(self.fp_num, s.c)], self.fp_den * s.dc * den
 
     def eps_set(self, theta: Num, eps: Num) -> tuple:
         """(utils, ic, den, keys, tol): the agent utilities utils[a] / den at
@@ -231,7 +267,7 @@ class ResponseTable:
             utils, den = self.agent_numerators(theta.numerator, theta.denominator)
             en, ed = eps.as_integer_ratio()
             cutoff = max(utils) - en * den // ed
-            keys, tol = self._pu_num, 0
+            keys, tol = self.pu_num, 0
         else:
             c = self.inst.c
             if self.exact:
@@ -247,11 +283,12 @@ class ResponseTable:
         utils, ic, den, keys, tol = self.eps_set(theta, 0)
         best = max(keys[a] for a in ic)
         action = min(a for a in ic if keys[a] >= best - tol)
+        if den is None:
+            agent, principal = utils[action], self.pu[action]
+        else:
+            agent, principal = Fraction(utils[action], den), Fraction(keys[action], self.pu_den)
         return BestResponse(
-            action=action,
-            agent_utility=utils[action] if den is None else Fraction(utils[action], den),
-            principal_utility=self.pu[action],
-            ic_set=frozenset(ic),
+            action=action, agent_utility=agent, principal_utility=principal, ic_set=frozenset(ic)
         )
 
     def breakpoints(self) -> list[Num]:
@@ -270,7 +307,7 @@ class ResponseTable:
         < 1; flipping both signs is exact, so each quotient keeps its bits."""
         if self.exact:
             s = self.inst.scaled
-            fp, c = [x * s.dc for x in self._fp_num], [x * self._dfp for x in s.c]
+            fp, c = [x * s.dc for x in self.fp_num], [x * self.fp_den for x in s.c]
         else:
             fp, c = [float(x) for x in self.fp], [float(x) for x in self.inst.c]
         for a in range(len(fp)):
@@ -315,13 +352,13 @@ class ResponseTable:
                 })
                 masses, mden = segment_masses(gamma, cuts, q)
                 types = ((lo + hi, 2 * q, w) for lo, hi, w in zip(cuts, cuts[1:], masses))
-            pu = self._pu_num
+            pu = self.pu_num
             total = 0
             for num, den, w in types:
                 if w:
                     utils = self.agent_numerators(num, den)[0]
                     total += w * pu[max(range(len(pu)), key=lambda a: (utils[a], pu[a], -a))]
-            return Fraction(total, mden * self._dfp * self.inst.scaled.dr)
+            return Fraction(total, mden * self.pu_den)
         if atoms:
             pairs = zip(gamma.points, gamma.weights)
         else:

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import core
 from .core import Contract, Instance
 from .dist import Discrete
 from .errors import UsageError
-from .numerics import Num, as_fraction
+from .numerics import Num, as_fraction, integer_row
 
 __all__ = [
     "SetCoverInput",
@@ -126,6 +126,57 @@ class ReducedInstance:
         """Map an interior action index back to its (element, set id)."""
         return {a: key for key, a in self.interior_actions.items()}
 
+    @cached_property
+    def _terms(self) -> _Terms:
+        n, m = self.sc.n, self.sc.m
+        mu, eta, eps, rho = self.params.mu, self.params.eta, self.params.eps_r, self.params.rho
+        e1_slope, e2_slope, e2_drop = mu * (2 / eta - 1), mu * 2 / eta, mu / (8 * n**4)
+        caps = []
+        for i in range(1, n + 1):
+            const = mu / (2 * i * n)
+            caps += [const, e1_slope / i, const - e2_drop, e2_slope]
+        nums, cap_den = integer_row(caps)
+        star_share = 1 - m * eps
+        return _Terms(
+            caps={
+                i: {"E1": tuple(nums[k : k + 2]), "E2": tuple(nums[k + 2 : k + 4]), "E3": (0, 0)}
+                for i, k in zip(range(1, n + 1), range(0, 4 * n, 4))
+            },
+            cap_den=cap_den,
+            four_over_eta=(4 / eta).as_integer_ratio(),
+            star_share=star_share,
+            weight=(1 - rho) / n,
+            zero_base=rho * star_share / n,
+            zero_per_set=eps * rho / n,
+            coef_base=-rho * star_share,
+            coef_per_set=4 * eps * rho / eta,
+            chain=2 * Fraction(1, n**7) - Fraction(1, 2 * n**6) + 4 * Fraction(1, n**12),
+            weights=integer_row(self.gamma.weights),
+        )
+
+
+class _Terms(NamedTuple):
+    """The verifiers' terms that do not depend on the contract, built once
+    per reduced instance.  ``caps`` holds element i's only-if class caps
+    const + slope p* as integers (const, slope) over ``cap_den``: E1 mu/(2in)
+    + (mu/i)(2/eta - 1) p*, E2 mu(1/(2in) - 1/(8n^4)) + 2 mu p*/eta, E3 0.
+    ``four_over_eta`` is 4/eta as integers g / h, ``weights`` the type
+    weights as integers over one denominator, ``chain`` the coefficient
+    chain 2/n^7 - 1/(2n^6) + 4/n^12, and the rest the scalars of the
+    aggregate bound."""
+
+    caps: dict[int, dict[str, tuple[int, int]]]
+    cap_den: int
+    four_over_eta: tuple[int, int]
+    star_share: Fraction  # 1 - m eps
+    weight: Fraction  # (1 - rho) / n, each positive type's
+    zero_base: Fraction  # rho (1 - m eps) / n
+    zero_per_set: Fraction  # eps rho / n
+    coef_base: Fraction  # -rho (1 - m eps)
+    coef_per_set: Fraction  # 4 eps rho / eta
+    chain: Fraction
+    weights: tuple[list[int], int]
+
 
 def reduce(sc: SetCoverInput) -> ReducedInstance:
     """Build the exact rational reduced instance for a set-cover system."""
@@ -140,23 +191,32 @@ def reduce(sc: SetCoverInput) -> ReducedInstance:
     labels: list[str] = []
     interior: dict[tuple[int, int], int] = {}
 
+    # Element i's entries and costs do not depend on the set: its productive
+    # action has witness mass mu/(2i), star mass mu/i, the rest on the sink
+    # and cost mu/(4i^2); its shadow has witness mass mu/(2i) (1 - eta/2),
+    # the rest on the sink and cost mu/(4i^2) (1 - eta).
+    productive, shadow = {}, {}
+    for i in range(1, n + 1):
+        witness, star, cost = mu / (2 * i), mu / i, mu / (4 * i * i)
+        productive[i] = (witness, star, 1 - witness - star, cost)
+        witness *= 1 - eta / 2
+        shadow[i] = (witness, 1 - witness, cost * (1 - eta))
     for set_id, elems in enumerate(sc.sets, start=1):
         for i in elems:
+            witness, star, sink, cost = productive[i]
             row = [_ZERO] * width
-            row[set_id - 1] = mu / (2 * i)
-            row[star_out] = mu / i
-            row[bar_out] = 1 - row[set_id - 1] - row[star_out]
+            row[set_id - 1], row[star_out], row[bar_out] = witness, star, sink
             interior[(i, set_id)] = len(rows)
             rows.append(tuple(row))
-            costs.append(mu / (4 * i * i))
+            costs.append(cost)
             labels.append(f"a[{i},S{set_id}]")
     for set_id, elems in enumerate(sc.sets, start=1):
         for i in elems:
+            witness, sink, cost = shadow[i]
             row = [_ZERO] * width
-            row[set_id - 1] = (mu / (2 * i)) * (1 - eta / 2)
-            row[bar_out] = 1 - row[set_id - 1]
+            row[set_id - 1], row[bar_out] = witness, sink
             rows.append(tuple(row))
-            costs.append((mu / (4 * i * i)) * (1 - eta))
+            costs.append(cost)
             labels.append(f"abar[{i},S{set_id}]")
 
     star_action = len(rows)
@@ -255,8 +315,15 @@ class IfDirectionReport:
 def _theta0_value(ri: ReducedInstance, p: Sequence[Fraction]) -> Fraction:
     """Principal utility of the zero type playing the high-cost action:
     -eps_r * sum(p[:m]) + (1 - m eps_r)(1/n - p[m])."""
-    n, m, eps = ri.sc.n, ri.sc.m, ri.params.eps_r
-    return -eps * sum(p[:m], _ZERO) + (1 - m * eps) * (Fraction(1, n) - p[m])
+    n, m = ri.sc.n, ri.sc.m
+    paid, den = integer_row(p[:m])
+    share = ri._terms.star_share
+    return -ri.params.eps_r * Fraction(sum(paid), den) + share * (Fraction(1, n) - p[m])
+
+
+def _within(value: Fraction, num: int, den: int) -> bool:
+    """num / den <= value, on integers (den > 0)."""
+    return num * value.denominator <= value.numerator * den
 
 
 def verify_if_direction(ri: ReducedInstance, cover: Iterable[int]) -> IfDirectionReport:
@@ -296,18 +363,19 @@ def verify_if_direction(ri: ReducedInstance, cover: Iterable[int]) -> IfDirectio
                 value_matches=br.principal_utility == value,
             )
         )
+    # The caps below are only compared, so each side stays on integers.
     interior = ri.interior_actions.values()
     interior_capped = True
     for i in range(1, n + 1):  # the largest interior agent utility of type i/n
         utils, den = table.agent_numerators(i, n)
-        interior_capped &= Fraction(max(utils[a] for a in interior), den) <= mu / (4 * i * n)
+        interior_capped &= _within(mu / (4 * i * n), max(utils[a] for a in interior), den)
 
-    star_payment = k * eps / Fraction(n)
-    payment_ok = star_payment > mu / n and all(
-        table.fp[a] <= mu / n for a in ri.interior_actions.values()
+    star_payment, cap = k * eps / Fraction(n), mu / n
+    payment_ok = star_payment > cap and all(
+        _within(cap, table.fp_num[a], table.fp_den) for a in interior
     )
 
-    total = _expected_value(ri, responses)
+    total = _expected_value(ri, table, responses)
     ell = ell_value(n, m, k)
     ok = (
         all(t.in_target_family and t.value_matches for t in checks)
@@ -340,32 +408,31 @@ def _responses(
     ri: ReducedInstance, q: Sequence[Fraction]
 ) -> tuple[core.ResponseTable, list[core.BestResponse]]:
     """One response table for q (it validates q), and the best responses of
-    the types 0, 1/n, ..., 1 read from it."""
-    table = core.ResponseTable(ri.inst, q)
-    return table, [table.respond(theta) for theta in ri.gamma.points]
+    the types 0, 1/n, ..., 1 read from it.  The last contract's table and
+    responses stay on ri, so the two verifiers of one cover contract share
+    them."""
+    last = ri.__dict__.get("_answered")
+    if last is None or last[0] != q:
+        table = core.ResponseTable(ri.inst, q)
+        last = ri.__dict__["_answered"] = (q, table, [table.respond(t) for t in ri.gamma.points])
+    return last[1], last[2]
 
 
 def _expected_value(
-    ri: ReducedInstance, responses: Sequence[core.BestResponse]
+    ri: ReducedInstance, table: core.ResponseTable, responses: Sequence[core.BestResponse]
 ) -> Fraction:
-    """``core.expected_principal_utility`` from the types' responses (every
-    type weight is positive)."""
+    """``core.expected_principal_utility`` from the types' responses: with
+    the weights W / dw and pu = pu_num / pu_den, one Fraction."""
     # Summed from the responses the verifiers already hold: answering the n+1
-    # types again through ResponseTable.expected_utility slows verify_onlyif_bounds 12-13%.
-    return sum(w * br.principal_utility for w, br in zip(ri.gamma.weights, responses))
+    # types again through ResponseTable.expected_utility slows verify_onlyif_bounds ~30%.
+    weights, den = ri._terms.weights
+    top = sum(w * table.pu_num[br.action] for w, br in zip(weights, responses))
+    return Fraction(top, den * table.pu_den)
 
 
-def classify_types(
-    ri: ReducedInstance,
-    p: Sequence[Num],
-    responses: Sequence[core.BestResponse] | None = None,
-) -> TypePartition:
-    """Partition elements: own productive action, another element's, neither.
-
-    ``responses`` are the best responses of the types 0, 1/n, ..., 1 to p,
-    when the caller already has them."""
-    if responses is None:
-        responses = _responses(ri, tuple(map(as_fraction, p)))[1]
+def classify_types(ri: ReducedInstance, p: Sequence[Num]) -> TypePartition:
+    """Partition elements: own productive action, another element's, neither."""
+    responses = _responses(ri, tuple(map(as_fraction, p)))[1]
     e1: set[int] = set()
     e2: set[int] = set()
     for i in range(1, ri.sc.n + 1):
@@ -435,49 +502,44 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
     sign chain and the 1/(16 n^14 m) step) are reported, not asserted.
     """
     q = tuple(map(as_fraction, p))
-    responses = _responses(ri, q)[1]  # the table validates q
-    n, m = ri.sc.n, ri.sc.m
-    mu, eta, eps, rho = (
-        ri.params.mu,
-        ri.params.eta,
-        ri.params.eps_r,
-        ri.params.rho,
-    )
+    table, responses = _responses(ri, q)  # the table validates q
+    n, m, terms = ri.sc.n, ri.sc.m, ri._terms
     pstar = q[ri.star_outcome]
-    pbar = q[ri.bar_outcome]
-    part = classify_types(ri, q, responses)
+    part = classify_types(ri, q)  # reads the responses above
 
-    floor = Fraction(1, n) - 4 * pstar / eta
-    sbar = frozenset(s + 1 for s in range(m) if q[s] >= floor)
-    # Each class cap is const + slope p*, and so is the zero type's term
-    # rho (1 - m eps)(1/n - p*) - eps rho |sbar| floor; the aggregate bound
-    # sums them with the type weights as zero_bound + coef p*.
-    weight = (1 - rho) / n
-    zero_bound = rho * (1 - m * eps) / n - eps * rho * len(sbar) / n
-    coef = -rho * (1 - m * eps) + 4 * eps * rho * len(sbar) / eta
+    # The payment floors are compared on the integers Q = q dq.  With 4/eta
+    # = g / h, set s's witness payment plus 4 p*/eta is lifted[s] / (h dq),
+    # so s is well paid, q[s] >= 1/n - 4 p*/eta, iff n lifted[s] >= h dq.
+    Q, dq = integer_row(q)
+    g, h = terms.four_over_eta
+    lifted = [h * x + g * Q[m] for x in Q[:m]]
+    sbar = frozenset(s + 1 for s in range(m) if n * lifted[s] >= h * dq)
+    # Type i playing element j's action in set s needs q[s] >= i/(j n) -
+    # 4 p*/eta + (4/eta + 1) pbar, that is j n (lifted[s] - sink) >= i h dq
+    # with sink = (g + h) Q[m + 1].  The sink term (4/eta + 1) pbar only
+    # raises the stated floor i/(j n) - 4 p*/eta: eta = 1/n^2 > 0 and the
+    # table refuses negative payments.
+    sink = (g + h) * Q[m + 1]
+    # Each class cap is const + slope p* = (const dq + slope Q[m]) / (cap_den
+    # dq), and so is the zero type's term rho (1 - m eps)(1/n - p*) - eps rho
+    # |sbar| (1/n - 4 p*/eta); the aggregate bound sums them with the type
+    # weights as zero_bound + coef p*.
+    bound_den = terms.cap_den * dq
     checks: list[OnlyIfTypeCheck] = []
     floors_ok = True
+    consts = slopes = 0
     for i in range(1, n + 1):
         br = responses[i]
         util = br.principal_utility
         owner = ri.interior_owner.get(br.action)
         if owner is not None:
             j, set_id = owner
-            # The sink term (4/eta + 1) pbar only raises the stated floor
-            # i/(j n) - 4 p*/eta: eta = 1/n^2 > 0 and the table refuses
-            # negative payments.
-            floor_ij = Fraction(i, j * n) - 4 * pstar / eta + (4 / eta + 1) * pbar
-            floors_ok = floors_ok and q[set_id - 1] >= floor_ij
-        if i in part.e1:
-            klass, const, slope = "E1", mu / (2 * i * n), (mu / i) * (2 / eta - 1)
-        elif i in part.e2:
-            klass, slope = "E2", mu * 2 / eta
-            const = mu * (Fraction(1, 2 * i * n) - Fraction(1, 8 * n**4))
-        else:
-            klass, const, slope = "E3", _ZERO, _ZERO
-        bound = const + slope * pstar
-        zero_bound += weight * const
-        coef += weight * slope
+            floors_ok = floors_ok and j * n * (lifted[set_id - 1] - sink) >= i * h * dq
+        klass = "E1" if i in part.e1 else "E2" if i in part.e2 else "E3"
+        const, slope = terms.caps[i][klass]
+        consts += const
+        slopes += slope
+        bound = Fraction(const * dq + slope * Q[m], bound_den)
         checks.append(
             OnlyIfTypeCheck(
                 element=i,
@@ -488,6 +550,10 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
                 within_bound=util <= bound,
             )
         )
+    zero_bound = terms.zero_base - terms.zero_per_set * len(sbar)
+    zero_bound += terms.weight * Fraction(consts, terms.cap_den)
+    coef = terms.coef_base + terms.coef_per_set * len(sbar)
+    coef += terms.weight * Fraction(slopes, terms.cap_den)
 
     br0 = responses[0]
     theta0_utility = br0.principal_utility
@@ -498,8 +564,7 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
     e1_covered = part.e1 <= covered
 
     agg = zero_bound + coef * pstar
-    total = _expected_value(ri, responses)
-    chain = 2 * Fraction(1, n**7) - Fraction(1, 2 * n**6) + 4 * Fraction(1, n**12)
+    total = _expected_value(ri, table, responses)
     ok = (
         all(t.within_bound for t in checks)
         and floors_ok
@@ -525,7 +590,7 @@ def verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
         pstar_coefficient=coef,
         pstar_coefficient_nonpositive=coef <= 0,
         pstar_zero_bound=zero_bound,
-        coefficient_chain_value=chain,
-        coefficient_chain_negative=chain < 0,
+        coefficient_chain_value=terms.chain,
+        coefficient_chain_negative=terms.chain < 0,
         small_gap_step_holds=n >= 16,
     )

@@ -115,9 +115,9 @@ _ZERO = Fraction(0)
 def integer_row(values: Sequence[Num], scale: int = 0) -> tuple[list[int], int]:
     """The row times scale, by default the lcm of its denominators, and that
     scale (a common multiple of the denominators when given)."""
-    exact = [as_fraction(v) for v in values]
-    scale = scale or math.lcm(*(v.denominator for v in exact))
-    return [v.numerator * (scale // v.denominator) for v in exact], scale
+    ratios = [as_fraction(v).as_integer_ratio() for v in values]
+    scale = scale or math.lcm(*(d for _, d in ratios))
+    return [x * (scale // d) for x, d in ratios], scale
 
 
 def _pivot(rows: list[list[int]], r: int, s: int, d: int) -> int:

@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from contractlab import (
     Instance,
     agent_utility,
     best_response,
+    core,
     expected_principal_utility,
     principal_utility,
 )
@@ -42,7 +43,19 @@ from contractlab.dist import (
     sample_many,
 )
 from contractlab.errors import UsageError
-from contractlab.hardness import SetCoverInput, is_cover
+from contractlab.hardness import (
+    IfDirectionReport,
+    OnlyIfReport,
+    OnlyIfTypeCheck,
+    ReducedInstance,
+    ReductionParams,
+    SetCoverInput,
+    TypeCheck,
+    TypePartition,
+    cover_contract,
+    ell_value,
+    is_cover,
+)
 from contractlab.numerics import LPResult, Num, RationalLP, as_fraction, is_exact
 from contractlab.solver import SolveReport, contract_for_tuple
 
@@ -915,6 +928,298 @@ def full_inverse_design(X: ArmSet, tol: float = 0.05) -> np.ndarray:
         if _full_inverse_max_leverage(Z, trial) <= target:
             w = trial
     return w
+
+
+# ---------------------------------------------------------------------------
+# The hardness pipeline on Fractions: the slow path of ``hardness``.  The
+# reduction and both verifiers as the library computed them before its
+# per-element rows, hoisted terms and integer comparisons, kept verbatim.
+# ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+
+
+def fraction_reduce(sc: SetCoverInput) -> ReducedInstance:
+    """Build the exact rational reduced instance for a set-cover system."""
+    n, m = sc.n, sc.m
+    params = ReductionParams.for_size(n, m)
+    mu, eta, eps = params.mu, params.eta, params.eps_r
+    width = m + 2
+    star_out, bar_out = m, m + 1
+
+    rows: list[tuple[Fraction, ...]] = []
+    costs: list[Fraction] = []
+    labels: list[str] = []
+    interior: dict[tuple[int, int], int] = {}
+
+    for set_id, elems in enumerate(sc.sets, start=1):
+        for i in elems:
+            row = [_ZERO] * width
+            row[set_id - 1] = mu / (2 * i)
+            row[star_out] = mu / i
+            row[bar_out] = 1 - row[set_id - 1] - row[star_out]
+            interior[(i, set_id)] = len(rows)
+            rows.append(tuple(row))
+            costs.append(mu / (4 * i * i))
+            labels.append(f"a[{i},S{set_id}]")
+    for set_id, elems in enumerate(sc.sets, start=1):
+        for i in elems:
+            row = [_ZERO] * width
+            row[set_id - 1] = (mu / (2 * i)) * (1 - eta / 2)
+            row[bar_out] = 1 - row[set_id - 1]
+            rows.append(tuple(row))
+            costs.append((mu / (4 * i * i)) * (1 - eta))
+            labels.append(f"abar[{i},S{set_id}]")
+
+    star_action = len(rows)
+    rows.append(tuple([eps] * m + [1 - m * eps, _ZERO]))
+    costs.append(Fraction(1))
+    labels.append("astar")
+
+    rows.append(tuple([_ZERO] * (m + 1) + [Fraction(1)]))
+    costs.append(_ZERO)
+    labels.append("anull")
+
+    inst = Instance(
+        F=tuple(rows),
+        r=tuple(Fraction(1, n) if w == star_out else _ZERO for w in range(width)),
+        c=tuple(costs),
+        labels=tuple(labels),
+    )
+    gamma = Discrete(
+        points=tuple(Fraction(i, n) for i in range(n + 1)),
+        weights=(params.rho,) + ((1 - params.rho) / n,) * n,
+    )
+    return ReducedInstance(
+        sc=sc,
+        params=params,
+        inst=inst,
+        gamma=gamma,
+        interior_actions=interior,
+        star_action=star_action,
+    )
+
+
+def _fraction_theta0_value(ri: ReducedInstance, p: Sequence[Fraction]) -> Fraction:
+    """Principal utility of the zero type playing the high-cost action:
+    -eps_r * sum(p[:m]) + (1 - m eps_r)(1/n - p[m])."""
+    n, m, eps = ri.sc.n, ri.sc.m, ri.params.eps_r
+    return -eps * sum(p[:m], _ZERO) + (1 - m * eps) * (Fraction(1, n) - p[m])
+
+
+def _fraction_responses(
+    ri: ReducedInstance, q: Sequence[Fraction]
+) -> tuple[core.ResponseTable, list[core.BestResponse]]:
+    """One response table for q (it validates q), and the best responses of
+    the types 0, 1/n, ..., 1 read from it."""
+    table = core.ResponseTable(ri.inst, q)
+    return table, [table.respond(theta) for theta in ri.gamma.points]
+
+
+def _fraction_expected_value(
+    ri: ReducedInstance, responses: Sequence[core.BestResponse]
+) -> Fraction:
+    """``core.expected_principal_utility`` from the types' responses (every
+    type weight is positive)."""
+    return sum(w * br.principal_utility for w, br in zip(ri.gamma.weights, responses))
+
+
+def _fraction_classify_types(
+    ri: ReducedInstance,
+    p: Sequence[Num],
+    responses: Sequence[core.BestResponse] | None = None,
+) -> TypePartition:
+    """Partition elements: own productive action, another element's, neither.
+
+    ``responses`` are the best responses of the types 0, 1/n, ..., 1 to p,
+    when the caller already has them."""
+    if responses is None:
+        responses = _fraction_responses(ri, tuple(map(as_fraction, p)))[1]
+    e1: set[int] = set()
+    e2: set[int] = set()
+    for i in range(1, ri.sc.n + 1):
+        owner = ri.interior_owner.get(responses[i].action)
+        if owner is not None:
+            (e1 if owner[0] == i else e2).add(i)
+    return TypePartition(frozenset(e1), frozenset(e2))
+
+
+def fraction_verify_if_direction(ri: ReducedInstance, cover: Iterable[int]) -> IfDirectionReport:
+    """Certify the best-response structure and exact value of a cover contract.
+
+    Checks, in exact rationals: every positive type ties on its productive
+    action inside the cover and the tie-broken response realizes the value
+    mu/(2in); the zero type plays the high-cost action; no productive action
+    exceeds agent utility mu/(4in); the expected payment of the high-cost
+    action strictly dominates every productive payment; and the total
+    expected principal utility equals ``ell_value`` exactly.
+    """
+    ids = sorted(set(cover))
+    if not is_cover(ri.sc, ids):
+        raise UsageError("index set is not a cover of the universe")
+    n, m = ri.sc.n, ri.sc.m
+    mu, eps = ri.params.mu, ri.params.eps_r
+    p = cover_contract(ri, ids)
+    k = len(ids)
+
+    table, responses = _fraction_responses(ri, p)
+    checks: list[TypeCheck] = []
+    for i, (theta, br) in enumerate(zip(ri.gamma.points, responses)):
+        if i == 0:
+            in_family = br.action == ri.star_action
+            value = _fraction_theta0_value(ri, p)
+        else:
+            in_family = any(ri.interior_actions.get((i, s)) in br.ic_set for s in ids)
+            value = mu / (2 * i * n)
+        checks.append(
+            TypeCheck(
+                theta=theta,
+                action=br.action,
+                agent_utility=br.agent_utility,
+                principal_utility=br.principal_utility,
+                in_target_family=in_family,
+                value_matches=br.principal_utility == value,
+            )
+        )
+    interior = ri.interior_actions.values()
+    interior_capped = True
+    for i in range(1, n + 1):  # the largest interior agent utility of type i/n
+        utils, den = table.agent_numerators(i, n)
+        interior_capped &= Fraction(max(utils[a] for a in interior), den) <= mu / (4 * i * n)
+
+    star_payment = k * eps / Fraction(n)
+    payment_ok = star_payment > mu / n and all(
+        table.fp[a] <= mu / n for a in ri.interior_actions.values()
+    )
+
+    total = _fraction_expected_value(ri, responses)
+    ell = ell_value(n, m, k)
+    ok = (
+        all(t.in_target_family and t.value_matches for t in checks)
+        and interior_capped
+        and payment_ok
+        and total == ell
+    )
+    return IfDirectionReport(
+        ok=ok,
+        total=total,
+        ell=ell,
+        total_matches_ell=total == ell,
+        per_type=tuple(checks),
+        interior_utility_capped=interior_capped,
+        star_payment=star_payment,
+        star_payment_dominates=payment_ok,
+    )
+
+
+def fraction_verify_onlyif_bounds(ri: ReducedInstance, p: Sequence[Num]) -> OnlyIfReport:
+    """Check the per-type utility caps and the aggregate bound on a contract.
+
+    All arithmetic is exact.  Per positive type, the cap depends on its
+    class: own productive action, another element's productive action, or
+    anything else.  Types playing a productive action must also satisfy the
+    witness-payment floor implied by the productive-vs-shadow comparison,
+    sink-outcome payment included.  The caps aggregate into an upper bound
+    on the expected principal utility that features the family of well-paid
+    sets.
+    Scale inequalities that need a large universe (the payment coefficient
+    sign chain and the 1/(16 n^14 m) step) are reported, not asserted.
+    """
+    q = tuple(map(as_fraction, p))
+    responses = _fraction_responses(ri, q)[1]  # the table validates q
+    n, m = ri.sc.n, ri.sc.m
+    mu, eta, eps, rho = (
+        ri.params.mu,
+        ri.params.eta,
+        ri.params.eps_r,
+        ri.params.rho,
+    )
+    pstar = q[ri.star_outcome]
+    pbar = q[ri.bar_outcome]
+    part = _fraction_classify_types(ri, q, responses)
+
+    floor = Fraction(1, n) - 4 * pstar / eta
+    sbar = frozenset(s + 1 for s in range(m) if q[s] >= floor)
+    # Each class cap is const + slope p*, and so is the zero type's term
+    # rho (1 - m eps)(1/n - p*) - eps rho |sbar| floor; the aggregate bound
+    # sums them with the type weights as zero_bound + coef p*.
+    weight = (1 - rho) / n
+    zero_bound = rho * (1 - m * eps) / n - eps * rho * len(sbar) / n
+    coef = -rho * (1 - m * eps) + 4 * eps * rho * len(sbar) / eta
+    checks: list[OnlyIfTypeCheck] = []
+    floors_ok = True
+    for i in range(1, n + 1):
+        br = responses[i]
+        util = br.principal_utility
+        owner = ri.interior_owner.get(br.action)
+        if owner is not None:
+            j, set_id = owner
+            # The sink term (4/eta + 1) pbar only raises the stated floor
+            # i/(j n) - 4 p*/eta: eta = 1/n^2 > 0 and the table refuses
+            # negative payments.
+            floor_ij = Fraction(i, j * n) - 4 * pstar / eta + (4 / eta + 1) * pbar
+            floors_ok = floors_ok and q[set_id - 1] >= floor_ij
+        if i in part.e1:
+            klass, const, slope = "E1", mu / (2 * i * n), (mu / i) * (2 / eta - 1)
+        elif i in part.e2:
+            klass, slope = "E2", mu * 2 / eta
+            const = mu * (Fraction(1, 2 * i * n) - Fraction(1, 8 * n**4))
+        else:
+            klass, const, slope = "E3", _ZERO, _ZERO
+        bound = const + slope * pstar
+        zero_bound += weight * const
+        coef += weight * slope
+        checks.append(
+            OnlyIfTypeCheck(
+                element=i,
+                klass=klass,
+                action=br.action,
+                principal_utility=util,
+                bound=bound,
+                within_bound=util <= bound,
+            )
+        )
+
+    br0 = responses[0]
+    theta0_utility = br0.principal_utility
+    theta0_formula = _fraction_theta0_value(ri, q)
+    theta0_star = br0.action == ri.star_action
+
+    covered = set().union(*(ri.sc.sets[s - 1] for s in sbar)) if sbar else set()
+    e1_covered = part.e1 <= covered
+
+    agg = zero_bound + coef * pstar
+    total = _fraction_expected_value(ri, responses)
+    chain = 2 * Fraction(1, n**7) - Fraction(1, 2 * n**6) + 4 * Fraction(1, n**12)
+    ok = (
+        all(t.within_bound for t in checks)
+        and floors_ok
+        and theta0_utility <= theta0_formula
+        and (not theta0_star or theta0_utility == theta0_formula)
+        and e1_covered
+        and total <= agg
+    )
+    return OnlyIfReport(
+        ok=ok,
+        partition=part,
+        per_type=tuple(checks),
+        theta0_action=br0.action,
+        theta0_utility=theta0_utility,
+        theta0_plays_star=theta0_star,
+        theta0_matches_formula=theta0_utility == theta0_formula,
+        theta0_within_formula=theta0_utility <= theta0_formula,
+        sbar=sbar,
+        e1_covered_by_sbar=e1_covered,
+        total=total,
+        aggregate_bound=agg,
+        total_le_aggregate=total <= agg,
+        pstar_coefficient=coef,
+        pstar_coefficient_nonpositive=coef <= 0,
+        pstar_zero_bound=zero_bound,
+        coefficient_chain_value=chain,
+        coefficient_chain_negative=chain < 0,
+        small_gap_step_holds=n >= 16,
+    )
 
 
 # ---------------------------------------------------------------------------

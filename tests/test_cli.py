@@ -361,12 +361,33 @@ def test_bandit_regret_curves_pinned(files, capsys):
              "--cover", "1,3"],
             "5e87f77d2f84b932f6cdc46c019dbe795583c5d8ddbcbefc8e1648a52d56c510",
         ),
+        (
+            ["reduce-setcover", "--universe", "4", "--sets", "2,4;1,2;2,3;3,4"],
+            "f7450c52b6adb667b2ba63ad53af7b53ea7753beb4b09185ef9ac06a4ab35733",
+        ),
+        (
+            ["verify-reduction", "--universe", "4", "--sets", "2,4;1,2;2,3;3,4",
+             "--cover", "2,4"],
+            "49ac39f3f541d72af450f66e409a404b9e1a5bb562b1201b727a8c420378bbbc",
+        ),
+        (
+            ["reduce-setcover", "--universe", "6", "--sets",
+             "3,5,6;1,2,3;2,5,6;1,2,3;1,5,6;1,4,5"],
+            "aa32ce1c554ca5fae725824cab7c11f659aab057f71a6136fef14daab7eb17ea",
+        ),
+        (
+            ["verify-reduction", "--universe", "6", "--sets",
+             "3,5,6;1,2,3;2,5,6;1,2,3;1,5,6;1,4,5", "--cover", "1,2,6"],
+            "61f78813ffe75b740f409455a404dd18592da178f6fb1d346b7fd85e4e405410",
+        ),
     ],
-    ids=["reduce-n3", "verify-n3", "reduce-n5", "verify-n5"],
+    ids=["reduce-n3", "verify-n3", "reduce-n5", "verify-n5", "reduce-n4", "verify-n4",
+         "reduce-n6", "verify-n6"],
 )
 def test_hardness_commands_pinned(capsys, argv, digest):
     # every byte of the reduction and verifier output, as the Fraction
-    # best-response kernel printed it
+    # best-response kernel printed it; the n = 4 and n = 6 systems are those
+    # of the benchmark's hardness_verify plan at seed 1
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

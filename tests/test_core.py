@@ -769,6 +769,62 @@ def test_float_eps_next_to_a_gap_matches_fraction_rule(case, data):
     assert eps_best_responses(inst, p, theta, eps) == ref.eps_set(theta, F(eps))[1]
 
 
+# An exact table keeps integer numerators only.  respond builds the one
+# principal utility it returns, fp, pu and rp are built on first read, and
+# each entry of fp_arr, pu_arr and rp_arr is one int / int.  Python rounds
+# that quotient correctly, so the arrays equal numpy's conversion of the
+# Fraction lists bit for bit: also for huge, tiny and subnormal values,
+# negative ones, and denominators far from powers of two.
+
+_DENOMINATORS = (1, 3, 7, 2**61 - 1, 10**30 + 7, 3 * 10**40)
+_SCALES = (F(1), F(10**300, 7), F(2**1000, 3), F(1, 10**300), F(1, 3 * 10**315))
+
+
+@st.composite
+def wide_exact_tables(draw) -> tuple[Instance, tuple[Fraction, ...]]:
+    n, m = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    dens = st.sampled_from(_DENOMINATORS)
+    rows = []
+    for _ in range(n):
+        d = draw(dens)
+        cuts = sorted(draw(st.integers(0, d)) for _ in range(m - 1))
+        rows.append(tuple(F(b - a, d) for a, b in zip([0, *cuts], [*cuts, d])))
+    r = []
+    for _ in range(m):
+        d = draw(dens)
+        r.append(F(draw(st.integers(0, d)), d))
+    c = (F(0),) + tuple(F(draw(st.integers(0, 5)), draw(dens)) for _ in range(n - 1))
+    p = tuple(
+        draw(st.sampled_from(_SCALES)) * F(draw(st.integers(0, 10**6)), draw(dens))
+        for _ in range(m)
+    )
+    return Instance(F=tuple(rows), r=tuple(r), c=c), p
+
+
+@settings(max_examples=100)
+@given(case=wide_exact_tables())
+def test_exact_table_arrays_match_fraction_conversion(case):
+    inst, p = case
+    table, ref = ResponseTable(inst, p), FractionResponseTable(inst, p)
+    assert table.exact
+    assert table.respond(F(1, 2)) == ref.respond(F(1, 2))
+    for got, want in ((table.fp_arr, ref.fp), (table.pu_arr, ref.pu), (table.rp_arr, ref.rp)):
+        want = np.asarray(want, dtype=float)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert not {"fp", "pu", "rp"} & vars(table).keys()
+    assert (table.fp, table.pu, table.rp) == (ref.fp, ref.pu, ref.rp)
+
+
+def test_exact_table_arrays_overflow_as_fraction_conversion():
+    # beyond the float range both conversions raise OverflowError
+    table = ResponseTable(_EXACT_DESK, (F(0), F(10**400, 3)))
+    for name in ("fp", "pu", "rp"):
+        with pytest.raises(OverflowError):
+            np.asarray(getattr(table, name), dtype=float)
+        with pytest.raises(OverflowError):
+            getattr(table, f"{name}_arr")
+
+
 @settings(max_examples=60)
 @given(inst=rational_instances(), data=st.data())
 def test_response_table_float_mode_matches_per_action_scan(inst, data):

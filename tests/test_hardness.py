@@ -25,6 +25,9 @@ from contractlab.hardness import (
     verify_onlyif_bounds,
 )
 from helpers import (
+    fraction_reduce,
+    fraction_verify_if_direction,
+    fraction_verify_onlyif_bounds,
     min_cover,
     min_cover_size,
     per_action_best_response,
@@ -383,6 +386,98 @@ def test_onlyif_caps_and_aggregate_are_affine_in_pstar(case):
     assert rep.aggregate_bound == rep.pstar_zero_bound + rep.pstar_coefficient * pstar
     for value in (rep.aggregate_bound, rep.pstar_zero_bound, rep.pstar_coefficient):
         assert type(value) is Fraction
+
+
+# The reduction and both verifiers give the very values of their Fraction
+# references (``helpers.fraction_reduce`` and ``fraction_verify_*``): every
+# field of the reduced instance and of both reports, value and type, on
+# covered systems with n = 2..6.  The only-if contracts are the benchmark's
+# family (0, 1/(2n) or 1/n on the witnesses, 0..2/n^3 on the rewarded
+# outcome, 0 or 1/n^4 on the sink), the scales of ``onlyif_contracts`` and
+# cover contracts; the last cover contract checked is also the if
+# direction's, whose table both verifiers share.
+
+
+@st.composite
+def covered_systems(draw) -> SetCoverInput:
+    n = draw(st.integers(2, 6))
+    universe = range(1, n + 1)
+    sets = [draw(st.sets(st.sampled_from(universe), min_size=1))
+            for _ in range(draw(st.integers(1, 6)))]
+    missing = set(universe).difference(*sets)
+    if missing:
+        sets.append(missing)
+    return SetCoverInput(n=n, sets=tuple(tuple(sorted(s)) for s in sets))
+
+
+@st.composite
+def reduction_contracts(draw, ri):
+    n, m = ri.sc.n, ri.sc.m
+    family = draw(st.sampled_from(["benchmark", "scales", "cover"]))
+    if family == "benchmark":
+        p = [F(draw(st.sampled_from((0, 1, 2))), 2 * n) for _ in range(m)]
+        return (*p, F(draw(st.integers(0, 2)), n**3), F(draw(st.integers(0, 1)), n**4))
+    if family == "cover":
+        return cover_contract(ri, draw(st.sets(st.integers(1, m), min_size=1)))
+    scales = st.sampled_from((F(1, n), ri.params.mu, ri.params.eps_r))
+    scale = draw(scales)
+    p = [scale * F(draw(st.integers(0, 8)), 4) for _ in range(m + 2)]
+    p[ri.star_outcome] = draw(scales) * F(draw(st.integers(0, 8)), 8)
+    return tuple(p)
+
+
+def assert_same(got, want, where="value"):
+    """Equal values of the same types, field by field and item by item."""
+    assert type(got) is type(want), where
+    if dataclasses.is_dataclass(got):
+        for field in dataclasses.fields(got):
+            name = field.name
+            assert_same(getattr(got, name), getattr(want, name), f"{where}.{name}")
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(want), where
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert_same(a, b, f"{where}[{k}]")
+    elif isinstance(got, dict):
+        assert list(got) == list(want), where
+        for key in got:
+            assert_same(got[key], want[key], f"{where}[{key!r}]")
+    else:
+        assert got == want, where
+
+
+@settings(max_examples=100)
+@given(sc=covered_systems(), data=st.data())
+def test_reduction_and_verifiers_match_fraction_references(sc, data):
+    ri, ref = reduce(sc), fraction_reduce(sc)
+    assert_same(ri, ref, "reduce")
+    for _ in range(3):
+        q = data.draw(reduction_contracts(ri))
+        assert_same(verify_onlyif_bounds(ri, q), fraction_verify_onlyif_bounds(ref, q), "only-if")
+    cover = min_cover(sc)
+    assert_same(verify_if_direction(ri, cover), fraction_verify_if_direction(ref, cover), "if")
+    q = cover_contract(ri, cover)
+    assert_same(verify_onlyif_bounds(ri, q), fraction_verify_onlyif_bounds(ref, q), "only-if")
+
+
+def test_onlyif_witness_floor_counts_the_sink_payment():
+    # With the shadows priced out (cost 1), type 1/2 of a two-element system
+    # plays its productive action in S1 below the witness-payment floor
+    # 1/(j n) - 4 p*/eta + (4/eta + 1) pbar.  At p* = pbar = 1/100 and j = 1
+    # the floor is 1/2 + 1/100: ok holds on it and fails 1/1000 below it,
+    # where every other check of ok holds.
+    ri = reduce(SetCoverInput(n=2, sets=((1, 2),)))
+    labels = ri.inst.labels
+    c = tuple(F(1) if label.startswith("abar") else x for label, x in zip(labels, ri.inst.c))
+    priced = dataclasses.replace(ri, inst=dataclasses.replace(ri.inst, c=c))
+    pay = F(1, 100)
+    for below, ok in ((F(0), True), (F(1, 1000), False)):
+        q = (F(1, 2) + pay - below, pay, pay)
+        rep = verify_onlyif_bounds(priced, q)
+        assert_same(rep, fraction_verify_onlyif_bounds(priced, q))
+        assert priced.inst.labels[rep.per_type[0].action] == "a[1,S1]"
+        assert all(t.within_bound for t in rep.per_type)
+        assert rep.theta0_within_formula and rep.e1_covered_by_sbar and rep.total_le_aggregate
+        assert rep.ok is ok
 
 
 def test_onlyif_chain_sign_flips_at_larger_universe():
