@@ -57,6 +57,7 @@ _ARM_TOL = 1e-9
 _RANK_TOL = 1e-12
 _DESIGN_REFRESH = 256
 _DESIGN_MAX_ITERS = 20_000
+_PRUNE_BLOCK = 32
 
 
 def utility_map(inst: Instance, p: Sequence[Num], eps: float) -> np.ndarray:
@@ -131,22 +132,30 @@ def _inverse_leverages(Z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nda
     return M, np.einsum("ij,ij->i", Z @ M, Z)
 
 
-def _removal_leverages(
-    Z: np.ndarray, M: np.ndarray, lev: np.ndarray, w: np.ndarray, i: int
-) -> np.ndarray | None:
-    """Leverages after dropping arm i and renormalising, in O(k d); None
-    when that Gram matrix is singular.
+def _removal_trials(
+    Z: np.ndarray, M: np.ndarray, lev: np.ndarray, w: np.ndarray, block: list[int]
+) -> np.ndarray:
+    """Leverages after dropping one arm of `block` and renormalising, in
+    O((k + d) d b) for b arms: column j for arm block[j], +inf when that
+    Gram matrix is singular.
 
     The trial Gram matrix is G' = (G - w_i z_i z_i') / (1 - w_i), G = inv(M).
     det(G - w_i z_i z_i') = det(G) s with s = 1 - w_i lev_i (determinant
     lemma), and G >= w_i z_i z_i' gives s >= 0, so G' is singular exactly
     when s = 0; s at rounding level is rejected as a failed inverse was.
-    Else Sherman-Morrison: inv(G') = (1 - w_i)(M + w_i (M z_i)(M z_i)' / s).
+    Else Sherman-Morrison: inv(G') = (1 - w_i)(M + w_i (M z_i)(M z_i)' / s),
+    whose leverages are (1 - w_i)(lev + (w_i / s) (Z M z_i)^2).
     """
-    s = 1.0 - w[i] * lev[i]
-    if s <= _RANK_TOL:
-        return None
-    return (1.0 - w[i]) * (lev + (w[i] / s) * (Z @ (M @ Z[i])) ** 2)
+    wb = w[block]
+    s = 1.0 - wb * lev[block]
+    singular = s <= _RANK_TOL
+    trials = Z @ (M @ Z[block].T)
+    trials *= trials
+    trials *= wb / np.where(singular, 1.0, s)
+    trials += lev[:, None]
+    trials *= 1.0 - wb
+    trials[:, singular] = math.inf
+    return trials
 
 
 def g_optimal_design(X: ArmSet, tol: float = 0.05) -> np.ndarray:
@@ -156,13 +165,21 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> np.ndarray:
     Iterates until the maximum leverage is within (1 + tol) of the span
     dimension, then drops low-weight support arms whenever the bound
     survives, aiming at a support of ``block_constant(d)`` arms.
-    Rank-deficient arm sets are projected onto their span first.  Each
-    Frank-Wolfe step and pruning trial is a rank-one update costing O(k d).
+    Rank-deficient arm sets are projected onto their span first, to
+    dimension r = rank.
+
+    A Frank-Wolfe step costs O(r^2 + t r + k r), t < ``_DESIGN_REFRESH``
+    the steps since the last fresh inverse M_r: the current inverse is kept
+    in product form S (M_r - sum_j b_j u_j u_j') and never rewritten.  The
+    pruning trials are taken ``_PRUNE_BLOCK`` support arms at a time, from
+    two matrix products per block (``_removal_trials``).  Besides the k x r
+    projected arms, memory is O(``_DESIGN_REFRESH`` r + ``_PRUNE_BLOCK`` k +
+    r^2) floats; no k x k array is built.
     """
     if not 0 < tol < math.inf:
         raise UsageError(f"design tolerance must be positive and finite, got {tol}")
     A = X.matrix
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    s, Vt = np.linalg.svd(A, full_matrices=False)[1:]
     rank = int((s > max(s[0], 1.0) * _RANK_TOL).sum()) if s.size else 0
     if rank == 0:
         raise UsageError("all arms are zero vectors; no design exists")
@@ -174,8 +191,15 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> np.ndarray:
     w[basis] = 1.0 / len(basis)
     M, lev = _inverse_leverages(Z, w)
     target = (1.0 + tol) * rank
+    # Since the last fresh inverse M: M_t = S (M - H[:t]' diag(b[:t]) H[:t]).
+    # A step's inv(a G + gamma x x') = M_t / a - c u u' with u = M_t x and
+    # a = 1 - gamma keeps this form: S <- S / a, then row t of H is u and
+    # b[t] = c / S.
+    H = np.empty((_DESIGN_REFRESH, rank))
+    b = np.empty(_DESIGN_REFRESH)
+    t, S = 0, 1.0
     for it in range(_DESIGN_MAX_ITERS):
-        i = int(np.argmax(lev))
+        i = int(lev.argmax())
         lmax = float(lev[i])
         if lmax <= target:
             break
@@ -184,27 +208,38 @@ def g_optimal_design(X: ArmSet, tol: float = 0.05) -> np.ndarray:
         w[i] += gamma
         if (it + 1) % _DESIGN_REFRESH == 0:
             M, lev = _inverse_leverages(Z, w)
+            t, S = 0, 1.0
         else:
-            # inv(a G + gamma x x') = M / a - c (M x)(M x)', a = 1 - gamma
-            Mx = M @ Z[i]
+            x = Z[i]
+            u = S * (M @ x - (b[:t] * (H[:t] @ x)) @ H[:t])
             a = 1.0 - gamma
             c = (gamma / (a * a)) / (1.0 + (gamma / a) * lmax)
-            M = M / a - c * np.outer(Mx, Mx)
-            lev = lev / a - c * (Z @ Mx) ** 2
+            S /= a
+            H[t] = u
+            b[t] = c / S
+            t += 1
+            lev = lev / a - c * (Z @ u) ** 2
+    del H, b
     w = np.clip(w, 0.0, None)
     w /= w.sum()
 
     cap = max(block_constant(X.dim), rank)
     support = [int(i) for i in np.argsort(w) if w[i] > 0]
     M, lev = _inverse_leverages(Z, w)
-    for i in support:
-        if int((w > 0).sum()) <= max(rank, 1):
-            break
-        trial = _removal_leverages(Z, M, lev, w, i)
-        if trial is not None and float(trial.max()) <= target:
-            w[i] = 0.0
-            w /= w.sum()
-            M, lev = _inverse_leverages(Z, w)
+    pos = 0
+    while pos < len(support) and int((w > 0).sum()) > max(rank, 1):
+        # the first trial of the block, in support order, that keeps the
+        # bound is accepted; the trials after it see the new weights
+        block = support[pos : pos + _PRUNE_BLOCK]
+        passed = np.flatnonzero(_removal_trials(Z, M, lev, w, block).max(axis=0) <= target)
+        if not passed.size:
+            pos += len(block)
+            continue
+        j = int(passed[0])
+        w[block[j]] = 0.0
+        w /= w.sum()
+        M, lev = _inverse_leverages(Z, w)
+        pos += j + 1
     if int((w > 0).sum()) > cap:
         # keep the cap's heaviest arms only if the bound still holds
         order = np.argsort(w)[::-1]

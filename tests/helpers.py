@@ -30,6 +30,7 @@ from contractlab.bandit import (
     ArmSet,
     Environment,
     _greedy_basis,
+    _inverse_leverages,
     _solve_estimate,
     block_constant,
 )
@@ -929,6 +930,97 @@ def full_inverse_design(X: ArmSet, tol: float = 0.05) -> np.ndarray:
             w = trial
     return w
 
+
+
+# ---------------------------------------------------------------------------
+# G-optimal design by rank-one rewrites: the slow path of
+# ``bandit.g_optimal_design``.  Each Frank-Wolfe step rewrites the whole
+# inverse and each pruning trial is two matrix-vector products, as the
+# library computed them before its product-form inverse and blocked trials,
+# kept verbatim.
+# ---------------------------------------------------------------------------
+
+
+def rank_one_removal_leverages(
+    Z: np.ndarray, M: np.ndarray, lev: np.ndarray, w: np.ndarray, i: int
+) -> np.ndarray | None:
+    """Leverages after dropping arm i and renormalising, in O(k d); None
+    when that Gram matrix is singular.
+
+    The trial Gram matrix is G' = (G - w_i z_i z_i') / (1 - w_i), G = inv(M).
+    det(G - w_i z_i z_i') = det(G) s with s = 1 - w_i lev_i (determinant
+    lemma), and G >= w_i z_i z_i' gives s >= 0, so G' is singular exactly
+    when s = 0; s at rounding level is rejected as a failed inverse was.
+    Else Sherman-Morrison: inv(G') = (1 - w_i)(M + w_i (M z_i)(M z_i)' / s).
+    """
+    s = 1.0 - w[i] * lev[i]
+    if s <= _RANK_TOL:
+        return None
+    return (1.0 - w[i]) * (lev + (w[i] / s) * (Z @ (M @ Z[i])) ** 2)
+
+
+def rank_one_design(X: ArmSet, tol: float = 0.05) -> np.ndarray:
+    """Reference for ``g_optimal_design``: the same SVD, basis, step rule,
+    stopping rule, refreshes, pruning order and cap trial, with the inverse
+    rewritten at every step and one trial at a time."""
+    if not 0 < tol < math.inf:
+        raise UsageError(f"design tolerance must be positive and finite, got {tol}")
+    A = X.matrix
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = int((s > max(s[0], 1.0) * _RANK_TOL).sum()) if s.size else 0
+    if rank == 0:
+        raise UsageError("all arms are zero vectors; no design exists")
+    Z = A @ Vt[:rank].T
+    k = X.k
+
+    w = np.zeros(k)
+    basis = _greedy_basis(Z, rank)
+    w[basis] = 1.0 / len(basis)
+    M, lev = _inverse_leverages(Z, w)
+    target = (1.0 + tol) * rank
+    for it in range(_DESIGN_MAX_ITERS):
+        i = int(np.argmax(lev))
+        lmax = float(lev[i])
+        if lmax <= target:
+            break
+        gamma = (lmax / rank - 1.0) / (lmax - 1.0)
+        w *= 1.0 - gamma
+        w[i] += gamma
+        if (it + 1) % _DESIGN_REFRESH == 0:
+            M, lev = _inverse_leverages(Z, w)
+        else:
+            # inv(a G + gamma x x') = M / a - c (M x)(M x)', a = 1 - gamma
+            Mx = M @ Z[i]
+            a = 1.0 - gamma
+            c = (gamma / (a * a)) / (1.0 + (gamma / a) * lmax)
+            M = M / a - c * np.outer(Mx, Mx)
+            lev = lev / a - c * (Z @ Mx) ** 2
+    w = np.clip(w, 0.0, None)
+    w /= w.sum()
+
+    cap = max(block_constant(X.dim), rank)
+    support = [int(i) for i in np.argsort(w) if w[i] > 0]
+    M, lev = _inverse_leverages(Z, w)
+    for i in support:
+        if int((w > 0).sum()) <= max(rank, 1):
+            break
+        trial = rank_one_removal_leverages(Z, M, lev, w, i)
+        if trial is not None and float(trial.max()) <= target:
+            w[i] = 0.0
+            w /= w.sum()
+            M, lev = _inverse_leverages(Z, w)
+    if int((w > 0).sum()) > cap:
+        # keep the cap's heaviest arms only if the bound still holds
+        order = np.argsort(w)[::-1]
+        trial = np.zeros_like(w)
+        trial[order[:cap]] = w[order[:cap]]
+        trial /= trial.sum()
+        try:
+            if float(_inverse_leverages(Z, trial)[1].max()) <= target:
+                w = trial
+        except np.linalg.LinAlgError:
+            pass
+    return w
 
 # ---------------------------------------------------------------------------
 # The hardness pipeline on Fractions: the slow path of ``hardness``.  The

@@ -31,7 +31,7 @@ from contractlab import (
 from contractlab.bandit import (
     ContractEnvironment,
     _inverse_leverages,
-    _removal_leverages,
+    _removal_trials,
     block_constant,
     block_length,
     pac_blocks,
@@ -49,6 +49,7 @@ from helpers import (
     pairwise_block_fit,
     random_instance,
     random_piecewise,
+    rank_one_design,
 )
 
 F = Fraction
@@ -187,8 +188,9 @@ def test_removal_leverages_match_fresh_inverse():
     w = gen.uniform(0.5, 1.5, size=12)
     w /= w.sum()
     M, lev = _inverse_leverages(Z, w)
+    trials = _removal_trials(Z, M, lev, w, list(range(12)))
     for i in range(12):
-        got = _removal_leverages(Z, M, lev, w, i)
+        got = trials[:, i]
         trial = w.copy()
         trial[i] = 0.0
         trial /= trial.sum()
@@ -203,7 +205,9 @@ def test_removal_of_sole_cover_rejected():
     X = ArmSet(arms=((1.0, 0.0), (0.5, 0.0), (0.0, 1.0)))
     w = np.array([0.25, 0.25, 0.5])
     M, lev = _inverse_leverages(X.matrix, w)
-    assert _removal_leverages(X.matrix, M, lev, w, 2) is None
+    trials = _removal_trials(X.matrix, M, lev, w, [0, 1, 2])
+    assert np.isposinf(trials[:, 2]).all()
+    assert np.isfinite(trials[:, :2]).all()
     design = g_optimal_design(X, tol=0.01)
     assert design[2] > 0
     assert _leverages(X, design).max() <= 1.01 * 2 + 1e-9
@@ -298,17 +302,54 @@ def test_design_bound_property(X, tol):
     # the remaining Gram matrix is singular, else the fresh-inverse leverages
     Z = X.matrix @ np.linalg.svd(X.matrix)[2][:rank].T
     M, lev = _inverse_leverages(Z, w)
-    for i in np.flatnonzero(w):
-        got = _removal_leverages(Z, M, lev, w, int(i))
+    support = [int(i) for i in np.flatnonzero(w)]
+    trials = _removal_trials(Z, M, lev, w, support)
+    for j, i in enumerate(support):
+        got = trials[:, j]
         trial = w.copy()
         trial[i] = 0.0
         G = Z.T @ (Z * trial[:, None])
         if np.linalg.matrix_rank(G) < rank:
-            assert got is None
+            assert np.isposinf(got).all()
             continue
-        assert got is not None
+        assert np.isfinite(got).all()
         want = np.einsum("ij,jk,ik->i", Z, np.linalg.inv(G / trial.sum()), Z)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+@st.composite
+def tie_free_arm_sets(draw) -> ArmSet:
+    """Arm sets with d = 1..12 and k = d..4d, uniform on [-1, 1]^d from a
+    drawn seed: leverages and weights tie with probability 0, so both
+    designs take the same arm at every step."""
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(d, 4 * d))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ArmSet(arms=tuple(tuple(row) for row in gen.uniform(-1.0, 1.0, size=(k, d))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=tie_free_arm_sets(), tol=st.sampled_from((0.01, 0.05)))
+def test_design_matches_rank_one_reference(X, tol):
+    # the product-form inverse and the blocked trials change only rounding:
+    # the same support, and weights within 1e-9 of the largest
+    w = g_optimal_design(X, tol=tol)
+    want = rank_one_design(X, tol=tol)
+    assert np.array_equal(w > 0, want > 0)
+    assert np.abs(w - want).max() <= 1e-9 * want.max()
+
+
+def test_design_plans_match_rank_one_reference_on_desk(desk_instance, uniform_gamma):
+    # the first block of the benchmark's PAC run, eta = 5: 190 arms at
+    # d = 93, about 270 Frank-Wolfe steps and one refresh; every block's
+    # plan ceil(T_ell w) is the reference's
+    X = contract_environment(desk_instance, uniform_gamma, F(5, 48) ** 2).arms
+    assert (X.k, X.dim) == (190, 93)
+    w = g_optimal_design(X)
+    want = rank_one_design(X)
+    for ell in range(1, 8):
+        t_ell = block_length(X.dim, ell)
+        assert [math.ceil(t_ell * v) for v in w] == [math.ceil(t_ell * v) for v in want]
 
 
 # ---------------------------------------------------------------------------
@@ -706,25 +747,35 @@ def test_pac_best_contract_guard_and_success(desk_instance):
     assert res.dimension == 16
 
 
+FIVE_OUTCOMES = Instance(
+    F=((1, 0, 0, 0, 0), (0, F(1, 2), F(1, 2), 0, 0), (0, 0, 0, F(1, 2), F(1, 2))),
+    r=(0, F(1, 4), F(1, 2), F(3, 4), 1),
+    c=(0, F(1, 8), F(1, 4)),
+)
+
+
 def test_pac_best_contract_environment_guard(monkeypatch):
     # eta = 16 gives the grid width (16 / 72)^2 = 4/81, d = 21 and 14,050
     # candidate arms: 14,050 * (21 + 64) entries, refused before any table
-    inst = Instance(
-        F=((1, 0, 0, 0, 0), (0, F(1, 2), F(1, 2), 0, 0), (0, 0, 0, F(1, 2), F(1, 2))),
-        r=(0, F(1, 4), F(1, 2), F(3, 4), 1),
-        c=(0, F(1, 8), F(1, 4)),
-    )
-
     def no_table(*args):
         raise AssertionError("a response table was built")
 
     monkeypatch.setattr(core, "ResponseTable", no_table)
     with pytest.raises(ResourceGuardError) as err:
-        pac_best_contract(inst, uniform_distribution(), 16, 0.1, seed=0)
+        pac_best_contract(FIVE_OUTCOMES, uniform_distribution(), 16, 0.1, seed=0)
     assert str(err.value) == (
         "learning environment would store 1194250 entries (14050 arms, "
         "dimension 21), above the guard of 1000000"
     )
+
+
+def test_pac_best_contract_five_outcomes_pinned():
+    # eta = 20: 5,498 arms at d = 13 and two blocks.  The contract and
+    # sample count of the rank-one design (``helpers.rank_one_design``): a
+    # design whose plan ceil(T_ell w) moved could change them
+    res = pac_best_contract(FIVE_OUTCOMES, uniform_distribution(), 20, 0.1, seed=0)
+    assert res.contract == (0, 0, 0, 0, F(625, 1296))
+    assert res.samples == 345
 
 
 # ---------------------------------------------------------------------------

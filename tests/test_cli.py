@@ -420,9 +420,9 @@ def _ptas(inst, density, delta, alpha, mode):
             "--delta", delta, "--alpha", alpha, "--mode", mode]
 
 
-def _pac(eta):
+def _pac(eta, mode="float", *seed):
     return ["bandit-pac", "--instance", "desk.json", "--dist", "uniform.json",
-            "--eta", eta, "--delta", "1/10", "--mode", "float"]
+            "--eta", eta, "--delta", "1/10", "--mode", mode, *seed]
 
 
 @pytest.mark.parametrize(
@@ -456,6 +456,13 @@ def _pac(eta):
          "4864d1a92459e5883b9a6a37b9ab1304b9add299e9fc38561a1c96d3795657bd"),
         (_pac("12"),
          "6913c76aa97ea0e9a9082a4acc13c368c4ba7ff32b29e5007f0e2584b99ca07a"),
+        (_pac("5", "rational", "--seed", "1"),
+         "f571aae277a7bfee88a448ae45a3f861e94ea9e2bbd0b9838147211558a88cb9"),
+        (_pac("5", "rational", "--seed", "2"),
+         "29b21c8faddd9663bc51043e8ef258dc43fcc2f920347f6a7199464d33b910b1"),
+        (["bandit-regret", "--instance", "desk.json", "--dist", "uniform.json",
+          "-T", "2000", "--seeds", "2"],
+         "3fe5bdde4cb777d65552a3ac432896ab195dce5ad6a2a6d14c62e520f56ab47f"),
     ],
     ids=[
         "selftest",
@@ -465,6 +472,7 @@ def _pac(eta):
         "solve-trio-float", "solve-trio-float-bounded",
         "ptas-desk-float", "ptas-trio-rational", "ptas-trio-float",
         "pac-float-eta5", "pac-float-eta12",
+        "pac-rational-eta5-seed1", "pac-rational-eta5-seed2", "regret-desk-T2000",
     ],
 )
 def test_solver_commands_pinned(capsys, monkeypatch, tmp_path, argv, digest):
