@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import core, dist, solver
 from .core import Contract, Instance
 from .dist import TypeDistribution
 from .errors import ResourceGuardError, UsageError
-from .numerics import Num, llog2, np, rng_new
+from .numerics import Num, checked_make, llog2, np, read_only, rng_new
 
 __all__ = [
     "PAC_MAX_DIMENSION",
@@ -68,15 +67,19 @@ def utility_map(inst: Instance, p: Sequence[Num], eps: float) -> np.ndarray:
     return np.asarray(rows[0])
 
 
-@dataclass(frozen=True)
-class ArmSet:
-    """Finite arm vectors in utility space, optionally tagged with the
-    contract realizing each arm."""
-
+class _ArmSetFields(NamedTuple):
     arms: tuple[tuple[float, ...], ...]
     contracts: tuple[Contract, ...] | None = None
 
-    def __post_init__(self) -> None:
+
+class ArmSet(_ArmSetFields):
+    """Finite arm vectors in utility space, optionally tagged with the
+    contract realizing each arm."""
+
+    def __new__(
+        cls, arms: tuple[tuple[float, ...], ...], contracts: tuple[Contract, ...] | None = None
+    ) -> ArmSet:
+        self = super().__new__(cls, arms, contracts)
         if not self.arms:
             raise UsageError("need at least one arm")
         d = len(self.arms[0])
@@ -90,6 +93,10 @@ class ArmSet:
             raise UsageError(f"arm {outside[0]} has coordinates outside [-1,1]")
         if self.contracts is not None and len(self.contracts) != len(self.arms):
             raise UsageError("contract tags must match arm count")
+        return self
+
+    _make = classmethod(checked_make)
+    __setattr__ = read_only
 
     @property
     def k(self) -> int:
@@ -112,8 +119,15 @@ class ArmSet:
 
 
 def _greedy_basis(Z: np.ndarray, rank: int) -> list[int]:
-    """Indices of `rank` arms picked greedily by residual norm."""
+    """Indices of `rank` arms picked greedily by residual norm.
+
+    Each step subtracts the outer product (residual v) v' through one
+    buffer.  np.outer(p, v) is multiply(p[:, None], v[None, :]), the same
+    products p_i v_j that np.multiply.outer writes into the buffer, and the
+    in-place subtraction makes the same elementwise differences, so every
+    float, and every arm chosen, is that of residual -= np.outer(p, v)."""
     residual = Z.copy()
+    buf = np.empty_like(residual)
     chosen: list[int] = []
     for _ in range(rank):
         norms = np.einsum("ij,ij->i", residual, residual)
@@ -122,7 +136,8 @@ def _greedy_basis(Z: np.ndarray, rank: int) -> list[int]:
             break
         chosen.append(i)
         v = residual[i] / math.sqrt(norms[i])
-        residual -= np.outer(residual @ v, v)
+        np.multiply.outer(residual @ v, v, out=buf)
+        residual -= buf
     return chosen
 
 
@@ -452,8 +467,7 @@ def block_length(d: int, ell: int) -> int:
     return (2 ** (ell - 1)) * block_constant(d)
 
 
-@dataclass(frozen=True)
-class BlockRecord:
+class BlockRecord(NamedTuple):
     """One elimination block: schedule, estimate, and surviving arms."""
 
     ell: int
@@ -466,8 +480,7 @@ class BlockRecord:
     complete: bool
 
 
-@dataclass(frozen=True)
-class EliminationState:
+class EliminationState(NamedTuple):
     """Terminal state of a phased-elimination run."""
 
     active: tuple[int, ...]
@@ -610,8 +623,7 @@ def phased_elimination(
     return state.history, state
 
 
-@dataclass(frozen=True)
-class RegretRun:
+class RegretRun(NamedTuple):
     """One seeded regret run: the cumulative pseudo-regret curve against the
     best exact candidate mean, and the elimination state."""
 
@@ -655,8 +667,7 @@ def algorithm1_regret(
     return RegretRun(opt_ref=opt_ref, curve=np.cumsum(per_round), state=state)
 
 
-@dataclass(frozen=True)
-class PacResult:
+class PacResult(NamedTuple):
     """Fixed-confidence identification outcome on an arm set."""
 
     arm: int
@@ -720,8 +731,7 @@ def pac_best_arm(
     )
 
 
-@dataclass(frozen=True)
-class PacContractResult:
+class PacContractResult(NamedTuple):
     """Contract-level identification outcome with its resolved configuration."""
 
     contract: Contract

@@ -4,7 +4,6 @@ principal-favorable tie-breaking, epsilon-IC sets, and robustification."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul, truediv
@@ -22,9 +21,11 @@ from .numerics import (
     as_fraction,
     check_finite,
     check_float_range,
+    checked_make,
     integer_row,
     is_exact,
     np,
+    read_only,
 )
 
 Contract: TypeAlias = "tuple[Num, ...]"
@@ -47,17 +48,25 @@ class ScaledInstance(NamedTuple):
     Fr: list[int]
 
 
-@dataclass(frozen=True)
-class Instance:
-    """Actions with outcome distributions F (row-stochastic), rewards r in
-    [0,1] per outcome, and unit costs c >= 0 with at least one free action."""
-
+class _InstanceFields(NamedTuple):
     F: tuple[tuple[Num, ...], ...]
     r: tuple[Num, ...]
     c: tuple[Num, ...]
     labels: tuple[str, ...] | None = None
 
-    def __post_init__(self) -> None:
+
+class Instance(_InstanceFields):
+    """Actions with outcome distributions F (row-stochastic), rewards r in
+    [0,1] per outcome, and unit costs c >= 0 with at least one free action."""
+
+    def __new__(
+        cls,
+        F: tuple[tuple[Num, ...], ...],
+        r: tuple[Num, ...],
+        c: tuple[Num, ...],
+        labels: tuple[str, ...] | None = None,
+    ) -> Instance:
+        self = super().__new__(cls, F, r, c, labels)
         n, m = len(self.F), len(self.r)
         if n == 0 or m == 0:
             raise UsageError("instance needs at least one action and outcome")
@@ -91,6 +100,10 @@ class Instance:
             raise UsageError("costs must be nonnegative")
         if 0 not in c:
             raise UsageError("at least one action must have zero cost")
+        return self
+
+    _make = classmethod(checked_make)
+    __setattr__ = read_only
 
     @property
     def n_actions(self) -> int:
@@ -123,8 +136,7 @@ class Instance:
         return ScaledInstance(F, dF, r, dr, c, dc, [sum(map(mul, row, r)) for row in F])
 
 
-@dataclass(frozen=True)
-class BestResponse:
+class BestResponse(NamedTuple):
     action: int
     agent_utility: Num
     principal_utility: Num

@@ -4,13 +4,21 @@ inverse-CDF sampling, and the half-offset discretization grid."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, TypeAlias, Union
+from typing import NamedTuple, Sequence, TypeAlias, Union
 
 from .errors import UsageError
-from .numerics import Num, as_fraction, check_finite, integer_row, is_exact, np
+from .numerics import (
+    Num,
+    as_fraction,
+    check_finite,
+    checked_make,
+    integer_row,
+    is_exact,
+    np,
+    read_only,
+)
 
 _SUM_TOL = 1e-12
 
@@ -26,14 +34,16 @@ def _check_simplex(weights: tuple, what: str) -> None:
         raise UsageError(f"{what} must sum to 1, got {total!r}")
 
 
-@dataclass(frozen=True)
-class Discrete:
-    """Finite support on [0,1]; points strictly increasing, weights a simplex."""
-
+class _DiscreteFields(NamedTuple):
     points: tuple[Num, ...]
     weights: tuple[Num, ...]
 
-    def __post_init__(self) -> None:
+
+class Discrete(_DiscreteFields):
+    """Finite support on [0,1]; points strictly increasing, weights a simplex."""
+
+    def __new__(cls, points: tuple[Num, ...], weights: tuple[Num, ...]) -> Discrete:
+        self = super().__new__(cls, points, weights)
         if len(self.points) != len(self.weights) or not self.points:
             raise UsageError("points and weights must be equal nonzero length")
         check_finite(points=self.points, weights=self.weights)
@@ -42,20 +52,28 @@ class Discrete:
         if any(a <= b for a, b in zip(self.points[1:], self.points)):
             raise UsageError("points must be strictly increasing")
         _check_simplex(self.weights, "weights")
+        return self
+
+    _make = classmethod(checked_make)
+    __setattr__ = read_only
 
     @cached_property
     def _cum(self) -> np.ndarray:
         return np.cumsum(np.asarray(self.weights, dtype=float))
 
 
-@dataclass(frozen=True)
-class PiecewiseConstant:
-    """Density constant on [b_j, b_{j+1}) with 0 = b_0 < ... < b_K = 1."""
-
+class _PiecewiseFields(NamedTuple):
     breakpoints: tuple[Num, ...]
     densities: tuple[Num, ...]
 
-    def __post_init__(self) -> None:
+
+class PiecewiseConstant(_PiecewiseFields):
+    """Density constant on [b_j, b_{j+1}) with 0 = b_0 < ... < b_K = 1."""
+
+    def __new__(
+        cls, breakpoints: tuple[Num, ...], densities: tuple[Num, ...]
+    ) -> PiecewiseConstant:
+        self = super().__new__(cls, breakpoints, densities)
         bp, dens = self.breakpoints, self.densities
         if len(bp) < 2 or len(dens) != len(bp) - 1:
             raise UsageError("need K+1 breakpoints for K densities")
@@ -72,6 +90,10 @@ class PiecewiseConstant:
                 raise UsageError(f"density must integrate to 1 exactly, got {total}")
         elif abs(total - 1.0) > _SUM_TOL:
             raise UsageError(f"density must integrate to 1, got {total!r}")
+        return self
+
+    _make = classmethod(checked_make)
+    __setattr__ = read_only
 
     @cached_property
     def _cum(self) -> np.ndarray:

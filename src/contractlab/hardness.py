@@ -9,7 +9,6 @@ bound the value of an arbitrary contract (``verify_onlyif_bounds``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -18,7 +17,7 @@ from . import core
 from .core import Contract, Instance
 from .dist import Discrete
 from .errors import UsageError
-from .numerics import Num, as_fraction, integer_row
+from .numerics import Num, as_fraction, checked_make, integer_row, read_only
 
 __all__ = [
     "SetCoverInput",
@@ -42,37 +41,42 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class SetCoverInput:
-    """A universe {1..n} together with a family of nonempty subsets."""
-
+class _SetCoverFields(NamedTuple):
     n: int
     sets: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise UsageError(f"universe size must be at least 2, got {self.n}")
-        if not self.sets:
+
+class SetCoverInput(_SetCoverFields):
+    """A universe {1..n} together with a family of nonempty subsets, each
+    kept sorted and without repeats."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, sets: Sequence[Iterable[int]]) -> SetCoverInput:
+        if n < 2:
+            raise UsageError(f"universe size must be at least 2, got {n}")
+        if not sets:
             raise UsageError("need at least one subset")
         norm = []
-        for idx, subset in enumerate(self.sets):
+        for idx, subset in enumerate(sets):
             elems = tuple(sorted(set(subset)))
             if not elems:
                 raise UsageError(f"subset {idx + 1} is empty")
-            if elems[0] < 1 or elems[-1] > self.n:
+            if elems[0] < 1 or elems[-1] > n:
                 raise UsageError(
-                    f"subset {idx + 1} has elements outside 1..{self.n}"
+                    f"subset {idx + 1} has elements outside 1..{n}"
                 )
             norm.append(elems)
-        object.__setattr__(self, "sets", tuple(norm))
+        return super().__new__(cls, n, tuple(norm))
+
+    _make = classmethod(checked_make)
 
     @property
     def m(self) -> int:
         return len(self.sets)
 
 
-@dataclass(frozen=True)
-class ReductionParams:
+class ReductionParams(NamedTuple):
     """Scale parameters of the reduction, all exact rationals in (0,1)."""
 
     rho: Fraction
@@ -94,8 +98,16 @@ class ReductionParams:
         )
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class _ReducedFields(NamedTuple):
+    sc: SetCoverInput
+    params: ReductionParams
+    inst: Instance
+    gamma: Discrete
+    interior_actions: dict[tuple[int, int], int]
+    star_action: int
+
+
+class ReducedInstance(_ReducedFields):
     """Contract-design instance produced from a set-cover system.
 
     Outcome ``s - 1`` is the witness outcome of set ``s`` (1-based set ids),
@@ -106,12 +118,7 @@ class ReducedInstance:
     weight ``(1 - rho) / n``; the zero type carries weight ``rho``.
     """
 
-    sc: SetCoverInput
-    params: ReductionParams
-    inst: Instance
-    gamma: Discrete
-    interior_actions: dict[tuple[int, int], int]
-    star_action: int
+    __setattr__ = read_only
 
     @property
     def star_outcome(self) -> int:
@@ -288,8 +295,7 @@ def gap_value(n: int, m: int) -> Fraction:
     return params.rho * params.eps_r / n
 
 
-@dataclass(frozen=True)
-class TypeCheck:
+class TypeCheck(NamedTuple):
     """Best-response facts for one realized type under a cover contract."""
 
     theta: Fraction
@@ -300,8 +306,7 @@ class TypeCheck:
     value_matches: bool
 
 
-@dataclass(frozen=True)
-class IfDirectionReport:
+class IfDirectionReport(NamedTuple):
     ok: bool
     total: Fraction
     ell: Fraction
@@ -395,8 +400,7 @@ def verify_if_direction(ri: ReducedInstance, cover: Iterable[int]) -> IfDirectio
     )
 
 
-@dataclass(frozen=True)
-class TypePartition:
+class TypePartition(NamedTuple):
     """Elements split by which productive action they play: their own
     (e1) or another element's (e2).  The rest play neither."""
 
@@ -442,8 +446,7 @@ def classify_types(ri: ReducedInstance, p: Sequence[Num]) -> TypePartition:
     return TypePartition(frozenset(e1), frozenset(e2))
 
 
-@dataclass(frozen=True)
-class OnlyIfTypeCheck:
+class OnlyIfTypeCheck(NamedTuple):
     """Utility cap for one positive type."""
 
     element: int
@@ -454,8 +457,7 @@ class OnlyIfTypeCheck:
     within_bound: bool
 
 
-@dataclass(frozen=True)
-class OnlyIfReport:
+class OnlyIfReport(NamedTuple):
     """Per-type caps plus the aggregate bound they imply for one contract.
 
     ``ok`` folds in the unconditional facts: every per-type cap, the

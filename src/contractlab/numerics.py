@@ -6,10 +6,9 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from types import ModuleType
-from typing import Literal, Sequence, TypeAlias
+from typing import Iterable, Literal, NamedTuple, Sequence, TypeAlias
 
 from .errors import UsageError
 
@@ -84,13 +83,26 @@ def is_exact(*values: object) -> bool:
     return True
 
 
+def checked_make(cls: type, iterable: Iterable) -> tuple:
+    """``_make`` of a NamedTuple subclass whose ``__new__`` checks the
+    fields: the inherited one, which ``_replace`` calls, builds through
+    ``tuple.__new__`` and would skip the checks."""
+    return cls(*iterable)
+
+
+def read_only(self: object, name: str, value: object) -> None:
+    """``__setattr__`` of a record whose cached values sit in its
+    ``__dict__``: neither a field nor a cache can be set after it is built
+    (``cached_property`` stores into ``__dict__`` directly)."""
+    raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is read-only")
+
+
 # ---------------------------------------------------------------------------
 # Exact rational LP (tiny dense problems; Bland's rule for determinism)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalLP:
+class RationalLP(NamedTuple):
     """maximize objective . x  subject to rows, x >= 0.
 
     constraints: (coefficients, relation, rhs) rows, relation "<=" or ">=".
@@ -102,8 +114,7 @@ class RationalLP:
     constant: Fraction = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: LPStatus
     point: tuple[Fraction, ...] | None
     value: Fraction | None

@@ -5,14 +5,14 @@ then robustify the winning contract toward the reward vector."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import core, solver
 from .core import Contract, Instance
 from .dist import TypeDistribution, discretize, grid_size
 from .errors import ResourceGuardError, UsageError
-from .numerics import Num, as_fraction, is_exact
+from .numerics import Num, as_fraction, checked_make, is_exact
 
 
 def _exact_sqrt(x: Fraction) -> Num:
@@ -30,18 +30,24 @@ def _check_knobs(**knobs: Num | None) -> None:
             raise UsageError(f"{name} must lie in (0,1], got {x}")
 
 
-@dataclass(frozen=True)
-class PtasConfig:
-    """Resolved approximation knobs: grid width delta (default eps^2/16) and
-    robustification weight alpha (default sqrt(delta)), giving the additive
-    error bound 2(delta/alpha + alpha) = eps at the defaults."""
-
+class _PtasFields(NamedTuple):
     eps: Num
     delta: Num
     alpha: Num
 
-    def __post_init__(self) -> None:
-        _check_knobs(eps=self.eps, delta=self.delta, alpha=self.alpha)
+
+class PtasConfig(_PtasFields):
+    """Resolved approximation knobs: grid width delta (default eps^2/16) and
+    robustification weight alpha (default sqrt(delta)), giving the additive
+    error bound 2(delta/alpha + alpha) = eps at the defaults."""
+
+    __slots__ = ()
+
+    def __new__(cls, eps: Num, delta: Num, alpha: Num) -> PtasConfig:
+        _check_knobs(eps=eps, delta=delta, alpha=alpha)
+        return super().__new__(cls, eps, delta, alpha)
+
+    _make = classmethod(checked_make)
 
     @staticmethod
     def from_eps(
@@ -64,8 +70,7 @@ class PtasConfig:
         return 2 * (self.delta / self.alpha + self.alpha)
 
 
-@dataclass(frozen=True)
-class PtasDiagnostics:
+class PtasDiagnostics(NamedTuple):
     """The discrete stage; the knobs and the error bound are on PtasConfig."""
 
     k: int

@@ -7,10 +7,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import core
 from .core import Contract, Instance
@@ -34,8 +33,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Optimum of a discrete-type instance. tuples_solved is the number of
     cost-monotone action chains the search covers, each one either solved
     as a per-tuple LP or ruled out by the virtual-cost bound."""

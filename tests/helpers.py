@@ -857,6 +857,22 @@ class FractionResponseTable:
         )
 
 
+def reference_greedy_basis(Z: np.ndarray, rank: int) -> list[int]:
+    """``bandit._greedy_basis`` before its residual update went through one
+    buffer, verbatim: a fresh k x rank ``np.outer`` at every step."""
+    residual = Z.copy()
+    chosen: list[int] = []
+    for _ in range(rank):
+        norms = np.einsum("ij,ij->i", residual, residual)
+        i = int(np.argmax(norms))
+        if norms[i] <= _RANK_TOL:
+            break
+        chosen.append(i)
+        v = residual[i] / math.sqrt(norms[i])
+        residual -= np.outer(residual @ v, v)
+    return chosen
+
+
 def _full_inverse_max_leverage(Z: np.ndarray, w: np.ndarray) -> float:
     G = Z.T @ (Z * w[:, None])
     try:

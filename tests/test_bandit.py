@@ -29,7 +29,9 @@ from contractlab import (
     utility_map,
 )
 from contractlab.bandit import (
+    _RANK_TOL,
     ContractEnvironment,
+    _greedy_basis,
     _inverse_leverages,
     _removal_trials,
     block_constant,
@@ -50,6 +52,7 @@ from helpers import (
     random_instance,
     random_piecewise,
     rank_one_design,
+    reference_greedy_basis,
 )
 
 F = Fraction
@@ -350,6 +353,32 @@ def test_design_plans_match_rank_one_reference_on_desk(desk_instance, uniform_ga
     for ell in range(1, 8):
         t_ell = block_length(X.dim, ell)
         assert [math.ceil(t_ell * v) for v in w] == [math.ceil(t_ell * v) for v in want]
+
+
+def _projected_arms(X: ArmSet) -> tuple[np.ndarray, int]:
+    """The arms in the span coordinates ``g_optimal_design`` builds its
+    basis in, and the rank."""
+    s, Vt = np.linalg.svd(X.matrix, full_matrices=False)[1:]
+    rank = int((s > max(s[0], 1.0) * _RANK_TOL).sum())
+    return X.matrix @ Vt[:rank].T, rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(X=st.one_of(design_arm_sets(), tie_free_arm_sets()))
+def test_greedy_basis_matches_reference(X):
+    # the buffered update makes the same floats, so the same arms in the
+    # same order, ties and early stops included
+    Z, rank = _projected_arms(X)
+    assert _greedy_basis(Z, rank) == reference_greedy_basis(Z, rank)
+    assert _greedy_basis(X.matrix, X.dim) == reference_greedy_basis(X.matrix, X.dim)
+
+
+def test_greedy_basis_matches_reference_on_desk(desk_instance, uniform_gamma):
+    # the benchmark's first PAC design at eta = 5: 93 steps on 190 arms
+    X = contract_environment(desk_instance, uniform_gamma, F(5, 48) ** 2).arms
+    Z, rank = _projected_arms(X)
+    assert (Z.shape, rank) == ((190, 93), 93)
+    assert _greedy_basis(Z, rank) == reference_greedy_basis(Z, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -264,7 +263,7 @@ def test_interior_cap_fails_on_a_cheaper_paid_interior_action(three_element_redu
     for (_, s), a in ri.interior_actions.items():
         c = list(ri.inst.c)
         c[a] /= 2
-        low = dataclasses.replace(ri, inst=dataclasses.replace(ri.inst, c=tuple(c)))
+        low = ri._replace(inst=ri.inst._replace(c=tuple(c)))
         scan = all(
             agent_utility(low.inst, p, b, F(i, n)) <= mu / (4 * i * n)
             for i in range(1, n + 1)
@@ -429,9 +428,8 @@ def reduction_contracts(draw, ri):
 def assert_same(got, want, where="value"):
     """Equal values of the same types, field by field and item by item."""
     assert type(got) is type(want), where
-    if dataclasses.is_dataclass(got):
-        for field in dataclasses.fields(got):
-            name = field.name
+    if hasattr(got, "_fields"):  # a record, field by field
+        for name in got._fields:
             assert_same(getattr(got, name), getattr(want, name), f"{where}.{name}")
     elif isinstance(got, (tuple, list)):
         assert len(got) == len(want), where
@@ -468,7 +466,7 @@ def test_onlyif_witness_floor_counts_the_sink_payment():
     ri = reduce(SetCoverInput(n=2, sets=((1, 2),)))
     labels = ri.inst.labels
     c = tuple(F(1) if label.startswith("abar") else x for label, x in zip(labels, ri.inst.c))
-    priced = dataclasses.replace(ri, inst=dataclasses.replace(ri.inst, c=c))
+    priced = ri._replace(inst=ri.inst._replace(c=c))
     pay = F(1, 100)
     for below, ok in ((F(0), True), (F(1, 1000), False)):
         q = (F(1, 2) + pay - below, pay, pay)

@@ -1,4 +1,5 @@
-"""numpy loads on first array use: the exact subcommands run without it.
+"""Start-up: numpy loads on first array use, and dataclasses and inspect
+never, so the exact subcommands run without them.
 
 The test session imports numpy itself, so each check runs in a fresh
 interpreter.
@@ -42,19 +43,23 @@ def test_exact_subcommands_load_no_numpy(tmp_path):
         ["verify-reduction", *SETS, "--cover", "2,3"],
     ]
     # the lazy module registers the name numpy itself; a load executes
-    # submodules (numpy._core on numpy 2, numpy.core on numpy 1)
+    # submodules (numpy._core on numpy 2, numpy.core on numpy 1).  Nor do
+    # the commands load dataclasses or inspect: the records are NamedTuples.
     proc = fresh_python(
         "import contextlib, io, json, sys\n"
         "import contractlab\n"
+        "slow = lambda: [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "on_import = slow()\n"
         "from contractlab import cli\n"
         "codes = []\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(cli.main(argv))\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('numpy.'))]))\n"
+        "submodules = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "print(json.dumps([codes, submodules, on_import, slow()]))\n"
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0, 0, 0], []]
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], [], [], []]
 
     # bandit-pac needs numpy: loaded by the lazy binding, or imported before
     # contractlab and taken as it is, it prints the same bytes
@@ -68,9 +73,9 @@ def test_exact_subcommands_load_no_numpy(tmp_path):
     assert lazy.stdout == eager.stdout
 
 
-def numpy_imports(path: Path) -> list[str]:
-    """The module's import statements of numpy, and its calls of find_spec,
-    import_module or __import__ given the name numpy."""
+def imports_of(path: Path, module: str) -> list[str]:
+    """The file's import statements of a module, and its calls of find_spec,
+    import_module or __import__ given the module's name."""
     hits = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
@@ -83,15 +88,22 @@ def numpy_imports(path: Path) -> list[str]:
             names = [str(arg.value) for arg in node.args[:1] if isinstance(arg, ast.Constant)]
         else:
             continue
-        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+        if any(name == module or name.startswith(f"{module}.") for name in names):
             hits.append(f"{path.name}: {ast.unparse(node)}")
     return hits
 
 
 def test_src_holds_one_numpy_import():
     # a second import statement would load the lazy module in full at import
-    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in numpy_imports(path)]
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in imports_of(path, "numpy")]
     assert hits == ["numerics.py: importlib.util.find_spec('numpy')"]
+
+
+def test_src_imports_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, and generates each
+    # record's methods at import: about 20 ms of every process's start-up
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in imports_of(path, "dataclasses")]
+    assert hits == []
 
 
 def test_missing_numpy_fails_at_import():
